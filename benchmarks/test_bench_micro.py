@@ -83,39 +83,20 @@ def test_engine_round_throughput(benchmark):
     """Full engine rounds (selection + game + learning), per 500 rounds.
 
     With ``REPRO_BENCH_RECORD=1`` the best block also lands in the
-    benchstore under ``engine.scalar.m300`` — the same name the
-    committed baseline uses, so ``repro bench compare`` judges this
-    exact workload.
+    benchstore under ``engine.m300`` — the same name the committed
+    baseline uses, so ``repro bench compare`` judges this exact
+    workload.
     """
-    config = SimulationConfig(num_sellers=M, num_selected=K, num_pois=L,
-                              num_rounds=500, seed=0)
-    simulator = TradingSimulator(config)
-    block_times: list[float] = []
-
-    def run_block():
-        start = time.perf_counter()
-        run = simulator.run(UCBPolicy())
-        block_times.append(time.perf_counter() - start)
-        return run
-
-    result = benchmark.pedantic(run_block, rounds=3, iterations=1)
-    assert result.num_rounds == 500
-    record_benchmark("engine.scalar.m300", rounds=500,
-                     wall_s=min(block_times), sellers=M, selected=K)
+    _engine_throughput(benchmark, sellers=M, num_rounds=500,
+                       bench_name="engine.m300")
 
 
-def _engine_throughput(benchmark, *, backend: str, sellers: int,
-                       num_rounds: int, bench_name: str,
-                       bench_rounds: int = 3):
-    """Time full engine rounds at scale and record a benchstore bar.
-
-    The scalar and vector bars share this harness so their workloads
-    differ only in ``backend`` — the ratio between them is the kernel
-    speedup, not a harness artefact.
-    """
+def _engine_throughput(benchmark, *, sellers: int, num_rounds: int,
+                       bench_name: str, bench_rounds: int = 3):
+    """Time full engine rounds at scale and record a benchstore bar."""
     config = SimulationConfig(num_sellers=sellers, num_selected=K,
                               num_pois=L, num_rounds=num_rounds, seed=0)
-    simulator = TradingSimulator(config, backend=backend)
+    simulator = TradingSimulator(config)
     block_times: list[float] = []
 
     def run_block():
@@ -128,35 +109,22 @@ def _engine_throughput(benchmark, *, backend: str, sellers: int,
                                 iterations=1)
     assert result.num_rounds == num_rounds
     record_benchmark(bench_name, rounds=num_rounds,
-                     wall_s=min(block_times), sellers=sellers, selected=K,
-                     extra={"backend": backend})
+                     wall_s=min(block_times), sellers=sellers, selected=K)
     return result
 
 
-def test_engine_round_throughput_scalar_m10k(benchmark):
-    """Scalar engine rounds at M=10k — the vector bars' reference.
-
-    At this scale the scalar per-seller python loops dominate; the bar
-    exists so the ``engine.vector.m10k`` speedup is measured against
-    the same machine and workload, not inferred.
-    """
-    _engine_throughput(benchmark, backend="scalar", sellers=10_000,
-                       num_rounds=120, bench_name="engine.scalar.m10k")
-
-
-def test_engine_round_throughput_vector_m10k(benchmark):
-    """Vectorized engine rounds at M=10k (the tentpole's target scale).
+def test_engine_round_throughput_m10k(benchmark):
+    """Engine rounds at M=10k, where the O(M) selection pass dominates.
 
     With ``REPRO_BENCH_RECORD=1`` the best block lands in the benchstore
-    under ``engine.vector.m10k``; ``repro bench compare`` then gates
-    vector-path regressions against the committed baseline.
+    under ``engine.m10k``; ``repro bench compare`` then gates
+    regressions against the committed baseline.
     """
-    _engine_throughput(benchmark, backend="vector", sellers=10_000,
-                       num_rounds=500, bench_name="engine.vector.m10k")
+    _engine_throughput(benchmark, sellers=10_000, num_rounds=500,
+                       bench_name="engine.m10k")
 
 
-def test_engine_round_throughput_vector_m100k(benchmark):
-    """Vectorized engine rounds at M=100k — the scale headroom bar."""
-    _engine_throughput(benchmark, backend="vector", sellers=100_000,
-                       num_rounds=120, bench_name="engine.vector.m100k",
-                       bench_rounds=2)
+def test_engine_round_throughput_m100k(benchmark):
+    """Engine rounds at M=100k — the scale headroom bar."""
+    _engine_throughput(benchmark, sellers=100_000, num_rounds=120,
+                       bench_name="engine.m100k", bench_rounds=2)

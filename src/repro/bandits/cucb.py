@@ -54,7 +54,7 @@ class Oracle(abc.ABC):
         feasibility structure (budgets) may return fewer sellers but
         never more than ``k``.  The result is canonical: an ascending
         ``np.int64`` array (so selections index, compare, and serialize
-        identically across oracles and backends).
+        identically across oracles).
         """
 
     def _validated(self, weights: np.ndarray, k: int) -> np.ndarray:

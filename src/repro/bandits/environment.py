@@ -121,5 +121,5 @@ class CMABEnvironment:
             cumulative_regret=tracker.cumulative_regret,
             regret_history=tracker.history,
             selection_counts=counts,
-            final_means=state.means,
+            final_means=state.means.copy(),
         )

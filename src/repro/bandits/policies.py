@@ -28,7 +28,6 @@ from repro.bandits.base import SelectionPolicy
 from repro.core.selection import top_k_indices
 from repro.core.state import LearningState
 from repro.exceptions import ConfigurationError
-from repro.kernels.selection import top_k_partition
 
 __all__ = [
     "UCBPolicy",
@@ -93,10 +92,6 @@ class UCBPolicy(SelectionPolicy):
         # Stash the indices for observability (the engine's selection
         # trace events read them back instead of recomputing Eq. 19).
         self.last_ucb_values = ucb
-        if getattr(state, "vectorized", False):
-            # O(M) partition instead of the O(M log M) stable argsort —
-            # bit-identical selections (see repro.kernels.selection).
-            return top_k_partition(ucb, self._k)
         return top_k_indices(ucb, self._k)
 
 

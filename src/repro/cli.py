@@ -24,8 +24,8 @@ Subcommands:
   checkpoint and exits 0.
 * ``verify`` — run the equilibrium verification subsystem (differential
   oracles, golden-trace regression, strict-mode invariant runs, the
-  runtime batch-equivalence/churn-golden checks, and the scalar-vs-
-  vector kernels differential); exits non-zero on any failure.
+  runtime batch-equivalence/churn-golden checks, and the kernels-vs-
+  reference checks); exits non-zero on any failure.
   ``--update-goldens`` blesses new goldens.
 * ``chaos`` — drill the resilience layers with seeded fault storms
   (interrupts, checkpoint corruption, worker crashes and stalls) and
@@ -558,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     record_parser.add_argument(
         "--name", required=True,
-        help="benchmark name, e.g. engine.scalar.m300",
+        help="benchmark name, e.g. engine.m300",
     )
     record_parser.add_argument("--sellers", type=int, default=300)
     record_parser.add_argument("--selected", type=int, default=10)

@@ -416,7 +416,7 @@ class CMABHSMechanism:
             tr.flush()
         return TradingResult(
             rounds=rounds,
-            final_means=state.means,
+            final_means=state.means.copy(),
             final_counts=np.asarray(state.counts, dtype=np.int64).copy(),
             cumulative_regret=tracker.cumulative_regret,
             regret_history=tracker.history,

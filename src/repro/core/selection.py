@@ -23,6 +23,12 @@ def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
     prefix.  Infinite scores (never-observed sellers) rank first, so
     forced exploration happens automatically.
 
+    Runs in ``O(M)``: a value partition finds the k-th largest score,
+    and the result is every index strictly above it plus the *lowest*
+    indices tied with it — exactly the prefix of a stable descending
+    argsort.  Inputs containing NaN, where the partition order is
+    undefined, fall back to that argsort.
+
     Raises
     ------
     SelectionError
@@ -37,8 +43,20 @@ def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
         )
     if k == scores.size:
         return np.arange(scores.size)
-    order = np.argsort(-scores, kind="stable")
-    return np.sort(order[:k])
+    kth = np.partition(scores, scores.size - k)[scores.size - k]
+    # One O(M) scan for everything at or above the threshold; the
+    # strict/tied split then runs on the (usually ~k-sized) candidates.
+    candidates = np.flatnonzero(scores >= kth)
+    candidate_scores = scores[candidates]
+    winners = candidates[candidate_scores > kth]
+    if winners.size < k:
+        ties = candidates[candidate_scores == kth][:k - winners.size]
+        winners = np.concatenate((winners, ties))
+        winners.sort()
+    if winners.size != k:  # NaN present: partition ordering is undefined
+        order = np.argsort(-scores, kind="stable")
+        return np.sort(order[:k])
+    return winners
 
 
 def select_by_ucb(state: LearningState, k: int,

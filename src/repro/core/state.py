@@ -9,6 +9,14 @@ extended UCB indices
 that drive the CMAB-HS selection policy.  Each time a seller is selected
 it is observed once per PoI, so ``n_i`` advances by ``L`` per selection
 (Eq. 17).
+
+The raw state is the int64 counts and float sums (the checkpoint
+format).  Three mirrors are maintained beside them so a round costs
+``O(K)`` bookkeeping instead of ``O(M)`` reconstruction: a float copy
+of the counts, the mean vector, and the running total.  Each mirrored
+mean is patched with the same ``sums[i] / counts[i]`` division a
+from-scratch rebuild performs, so the values are bit-identical to
+recomputing them.
 """
 
 from __future__ import annotations
@@ -21,6 +29,12 @@ from repro.obs.logconfig import get_logger
 __all__ = ["LearningState", "observation_mask"]
 
 _log = get_logger(__name__)
+
+#: Mutation-testing hook: the kernels verify leg sets this to a value
+#: other than 1.0 (e.g. 1.01, a 1% bonus inflation) and asserts its
+#: reference oracle *fails* — proving it would catch a real defect of
+#: that size.  At the default 1.0 no multiply is performed.
+_MUTATION_SCALE = 1.0
 
 
 def observation_mask(observation_sums: np.ndarray,
@@ -68,6 +82,18 @@ class LearningState:
         self._prior_mean = float(prior_mean)
         self._counts = np.zeros(num_sellers, dtype=np.int64)
         self._sums = np.zeros(num_sellers, dtype=float)
+        self._counts_f = np.zeros(num_sellers)
+        self._means = np.full(num_sellers, self._prior_mean)
+        self._total = 0
+
+    def _rebuild(self) -> None:
+        """Recompute every mirror from the raw counts/sums arrays."""
+        self._counts_f = self._counts.astype(float)
+        means = np.full(self._num_sellers, self._prior_mean)
+        seen = self._counts > 0
+        means[seen] = self._sums[seen] / self._counts[seen]
+        self._means = means
+        self._total = int(self._counts.sum())
 
     # -- basic accessors -------------------------------------------------------
 
@@ -86,21 +112,22 @@ class LearningState:
     @property
     def total_count(self) -> int:
         """Total observations ``sum_j n_j`` across all sellers."""
-        return int(self._counts.sum())
+        return self._total
 
     @property
     def means(self) -> np.ndarray:
-        """Sample means ``qbar_i``; ``prior_mean`` where unobserved."""
-        means = np.full(self._num_sellers, self._prior_mean)
-        seen = self._counts > 0
-        means[seen] = self._sums[seen] / self._counts[seen]
-        return means
+        """Sample means ``qbar_i``; ``prior_mean`` where unobserved.
+
+        A read-only view of the maintained buffer: it follows later
+        updates, so copy it to keep a snapshot.
+        """
+        view = self._means.view()
+        view.flags.writeable = False
+        return view
 
     def mean_of(self, seller: int) -> float:
         """Sample mean ``qbar_i`` of one seller."""
-        if self._counts[seller] == 0:
-            return self._prior_mean
-        return float(self._sums[seller] / self._counts[seller])
+        return float(self._means[seller])
 
     # -- updates (Eqs. 17-18) ----------------------------------------------------
 
@@ -151,6 +178,9 @@ class LearningState:
             )
         self._counts[sellers] += int(num_observations)
         self._sums[sellers] += sums
+        self._total += int(num_observations) * sellers.size
+        self._counts_f[sellers] = self._counts[sellers]
+        self._means[sellers] = self._sums[sellers] / self._counts[sellers]
 
     # -- UCB indices (Eq. 19) -----------------------------------------------------
 
@@ -165,20 +195,26 @@ class LearningState:
             raise ConfigurationError(
                 f"exploration coefficient must be positive, got {coefficient}"
             )
-        total = self.total_count
-        bonuses = np.full(self._num_sellers, np.inf)
-        if total <= 1:
+        if self._total <= 1:
             # ln(total) <= 0: no meaningful confidence radius yet.
-            return bonuses
-        seen = self._counts > 0
-        bonuses[seen] = np.sqrt(
-            coefficient * np.log(total) / self._counts[seen]
-        )
-        return bonuses
+            return np.full(self._num_sellers, np.inf)
+        # A positive numerator over a zero count is the +inf bonus of an
+        # unseen seller.
+        with np.errstate(divide="ignore"):
+            bonuses = np.divide(coefficient * np.log(self._total),
+                                self._counts_f)
+        return np.sqrt(bonuses, out=bonuses)
 
     def ucb_values(self, coefficient: float) -> np.ndarray:
-        """UCB indices ``qhat_i = qbar_i + eps_i`` (Eq. 19)."""
-        return self.means + self.exploration_bonuses(coefficient)
+        """UCB indices ``qhat_i = qbar_i + eps_i`` (Eq. 19).
+
+        Returned as a fresh writable vector (callers mask it in place).
+        """
+        scores = self.exploration_bonuses(coefficient)
+        if _MUTATION_SCALE != 1.0:  # pragma: no cover - mutation hook
+            scores *= _MUTATION_SCALE
+        scores += self._means
+        return scores
 
     # -- maintenance ---------------------------------------------------------------
 
@@ -194,6 +230,7 @@ class LearningState:
             raise ConfigurationError("snapshot shape does not match this state")
         self._counts = counts.copy()
         self._sums = sums.copy()
+        self._rebuild()
 
     def reset(self) -> None:
         """Forget everything learned so far."""
@@ -201,3 +238,4 @@ class LearningState:
                    self._num_sellers)
         self._counts.fill(0)
         self._sums.fill(0.0)
+        self._rebuild()

@@ -10,10 +10,12 @@ hierarchical Stackelberg game (Theorem 14).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.selection import top_k_indices
 from repro.entities.costs import QuadraticSellerCost
 from repro.exceptions import ConfigurationError
 
@@ -66,11 +68,12 @@ class Seller:
 
 
 class SellerPopulation:
-    """An ordered collection of sellers with vectorised parameter access.
+    """An ordered collection of sellers stored as parameter arrays.
 
-    The simulation engine works on NumPy arrays; this class keeps the
-    object-per-seller view (nice for examples and tests) and the array view
-    (fast for ``10^5``-round runs) consistent.
+    The simulation engine works on NumPy arrays, so those are the only
+    storage: ids, expected qualities and the two cost coefficients.
+    Indexing or iterating builds equal :class:`Seller` objects on demand
+    (nice for examples and tests).
 
     Parameters
     ----------
@@ -82,23 +85,28 @@ class SellerPopulation:
     def __init__(self, sellers: list[Seller]) -> None:
         if not sellers:
             raise ConfigurationError("a seller population cannot be empty")
-        self._sellers = list(sellers)
+        self._ids = np.array([s.seller_id for s in sellers], dtype=np.int64)
         self._qualities = np.array(
-            [s.expected_quality for s in self._sellers], dtype=float
+            [s.expected_quality for s in sellers], dtype=float
         )
-        self._a = np.array([s.cost.a for s in self._sellers], dtype=float)
-        self._b = np.array([s.cost.b for s in self._sellers], dtype=float)
+        self._a = np.array([s.cost.a for s in sellers], dtype=float)
+        self._b = np.array([s.cost.b for s in sellers], dtype=float)
 
     # -- container protocol -------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._sellers)
+        return self._qualities.size
 
     def __getitem__(self, index: int) -> Seller:
-        return self._sellers[index]
+        return Seller(
+            seller_id=int(self._ids[index]),
+            expected_quality=float(self._qualities[index]),
+            cost=QuadraticSellerCost(a=float(self._a[index]),
+                                     b=float(self._b[index])),
+        )
 
-    def __iter__(self):
-        return iter(self._sellers)
+    def __iter__(self) -> Iterator[Seller]:
+        return (self[i] for i in range(len(self)))
 
     # -- vectorised views ---------------------------------------------------
 
@@ -134,8 +142,7 @@ class SellerPopulation:
             raise ConfigurationError(
                 f"k must be in [1, {len(self)}], got {k}"
             )
-        order = np.argsort(-self._qualities, kind="stable")
-        return np.sort(order[:k])
+        return top_k_indices(self._qualities, k)
 
     # -- constructors ---------------------------------------------------------
 
@@ -176,33 +183,40 @@ class SellerPopulation:
         qualities = rng.uniform(max(lo, min_quality), hi, size=num_sellers)
         a_values = rng.uniform(*a_range, size=num_sellers)
         b_values = rng.uniform(*b_range, size=num_sellers)
-        sellers = [
-            Seller(
-                seller_id=i,
-                expected_quality=float(qualities[i]),
-                cost=QuadraticSellerCost(a=float(a_values[i]), b=float(b_values[i])),
-            )
-            for i in range(num_sellers)
-        ]
-        return cls(sellers)
+        return cls.from_arrays(qualities, a_values, b_values)
 
     @classmethod
     def from_arrays(cls, qualities: np.ndarray, a: np.ndarray,
                     b: np.ndarray) -> "SellerPopulation":
-        """Build a population from parallel parameter arrays."""
-        qualities = np.asarray(qualities, dtype=float)
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
+        """Build a population from parallel parameter arrays.
+
+        Seller ids are the positions.  Every entry is validated under
+        the same conditions :class:`Seller` and
+        :class:`~repro.entities.costs.QuadraticSellerCost` enforce.
+        """
+        qualities = np.array(qualities, dtype=float)
+        a = np.array(a, dtype=float)
+        b = np.array(b, dtype=float)
         if not (qualities.shape == a.shape == b.shape) or qualities.ndim != 1:
             raise ConfigurationError(
                 "qualities, a, b must be 1-D arrays of equal length"
             )
-        sellers = [
-            Seller(
-                seller_id=i,
-                expected_quality=float(qualities[i]),
-                cost=QuadraticSellerCost(a=float(a[i]), b=float(b[i])),
-            )
-            for i in range(qualities.size)
-        ]
-        return cls(sellers)
+        if qualities.size == 0:
+            raise ConfigurationError("a seller population cannot be empty")
+        _require_all(a > 0.0, a, "seller cost parameter a must be > 0")
+        _require_all(b >= 0.0, b, "seller cost parameter b must be >= 0")
+        _require_all((qualities > 0.0) & (qualities <= 1.0), qualities,
+                     "expected_quality must be in (0, 1]")
+        population = cls.__new__(cls)
+        population._ids = np.arange(qualities.size, dtype=np.int64)
+        population._qualities = qualities
+        population._a = a
+        population._b = b
+        return population
+
+
+def _require_all(valid: np.ndarray, values: np.ndarray, message: str) -> None:
+    """Raise on the first entry that is invalid or not finite."""
+    bad = np.flatnonzero(~(valid & np.isfinite(values)))
+    if bad.size:
+        raise ConfigurationError(f"{message}, got {values[bad[0]]}")

@@ -1,34 +1,18 @@
-"""Vectorized market kernels (the ``backend="vector"`` hot path).
+"""Array kernels outside the per-round core.
 
-Array-math implementations of the round loop's hot operations, written
-to be *provably equivalent* to the scalar reference path:
-
-* :mod:`repro.kernels.selection` — the Eq.-19 UCB index vector for all
-  ``M`` sellers in one fused expression, and a partition-based top-K
-  that reproduces :func:`repro.core.selection.top_k_indices`'s
-  stable tie-breaking bit for bit without the ``O(M log M)`` stable
-  argsort.
-* :mod:`repro.kernels.state` — :class:`VectorLearningState`, a
-  drop-in :class:`~repro.core.state.LearningState` that maintains its
-  mean and count buffers incrementally (``O(K)`` per update) instead
-  of reconstructing them (``O(M)`` per access), with bit-identical
-  values.
 * :mod:`repro.kernels.batch` — the Theorems 14-16 ``A``/``B`` sums as
   masked reductions over an ``(markets, M)`` state matrix, the batched
   Stage 1-3 closed forms, and a batched Stage-3 golden-section search
   reusing :func:`repro.game.stackelberg.solve_stage3_batch`'s idiom.
+  They agree with per-market compacted scalar solves to ``<= 1e-9``
+  relative tolerance (the masked reductions legitimately sum in a
+  different order).  No production caller uses them yet.
+* :mod:`repro.kernels.selection` — the round loop's buffered
+  estimation-error reduction, bit-identical to its allocating form.
 
-Equivalence contract (enforced by ``repro verify --only kernels`` and
-``tests/test_kernels_equivalence.py``):
-
-* **bit-identity** — selections, learning-state values, ledgers, and
-  every per-round metric series of the integrated engine/runtime
-  backends, because the vector path performs the *same IEEE-754
-  operations* on the same operands (see DESIGN.md §15 for the rules
-  this requires);
-* **≤1e-9 relative tolerance** — the batched ``(markets, M)``
-  reductions against per-market compacted scalar solves, where the
-  summation order legitimately differs.
+Both are checked by ``repro verify --only kernels`` and
+``tests/test_kernels_equivalence.py``.  The learning state and top-K
+live in :mod:`repro.core`.
 """
 
 from repro.kernels.batch import (
@@ -36,18 +20,8 @@ from repro.kernels.batch import (
     solve_rounds_batch,
     stage3_golden_batch,
 )
-from repro.kernels.selection import (
-    estimation_error,
-    top_k_partition,
-    ucb_scores,
-)
-from repro.kernels.state import VectorLearningState
 
 __all__ = [
-    "ucb_scores",
-    "top_k_partition",
-    "estimation_error",
-    "VectorLearningState",
     "masked_stage_sums",
     "solve_rounds_batch",
     "stage3_golden_batch",

@@ -1,141 +1,29 @@
-"""Fused UCB indices and partition-based top-K selection.
+"""The round loop's buffered estimation-error reduction.
 
-The scalar reference path computes Eq. 19 in three ``O(M)`` passes with
-a fresh mask and two fancy-indexed scatters
-(:meth:`~repro.core.state.LearningState.ucb_values`), then ranks all
-``M`` sellers with a stable ``O(M log M)`` argsort
-(:func:`~repro.core.selection.top_k_indices`).  At ``M = 10^4`` the
-argsort alone is ~800 µs per round — the dominant cost of the whole
-round loop.  The kernels here produce *bit-identical* outputs from
-dense full-array expressions and an ``O(M)`` value partition.
-
-Bit-identity arguments (verified by the differential suite):
-
-* ``coefficient * log(total) / counts`` evaluated over the full float
-  count vector performs, element for element, the same IEEE-754
-  divisions as the scalar path's masked gather — and division of a
-  positive numerator by ``0.0`` yields the same ``+inf`` bonus the
-  scalar path assigns to unseen sellers explicitly.
-* The partition top-K selects exactly the indices the stable argsort
-  prefix selects: every index with a score strictly above the k-th
-  largest value, plus the *lowest* indices among those tied with it —
-  which is precisely stable tie-breaking, returned in the same
-  ascending order.
+:func:`estimation_error` is the per-round accounting kernel of
+:mod:`repro.sim.rounds`; its naive reference is
+:func:`repro.sim.rounds.estimation_error_scalar`, and
+``repro verify --only kernels`` checks the two bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.selection import top_k_indices
-from repro.exceptions import ConfigurationError, SelectionError
-
-__all__ = ["ucb_scores", "top_k_partition", "estimation_error"]
-
-#: Mutation-testing hook: the equivalence suite sets this to a value
-#: other than 1.0 (e.g. 1.01, a 1% bonus inflation) and asserts the
-#: differential oracles *fail* — proving they would catch a real kernel
-#: defect of that size.  At the default 1.0 no multiply is performed,
-#: so the production path is untouched.
-_MUTATION_SCALE = 1.0
+__all__ = ["estimation_error"]
 
 
-# repro-lint: twin=repro.core.state.LearningState.ucb_values
-def ucb_scores(counts: np.ndarray, means: np.ndarray, total: int,
-               coefficient: float) -> np.ndarray:
-    """The Eq.-19 index vector ``qhat_i`` for all ``M`` sellers at once.
+# repro-lint: mutates=work
+def estimation_error(means: np.ndarray, truth: np.ndarray,
+                     work: np.ndarray) -> float:
+    """Mean absolute estimation error ``mean |qbar_i - q_i|``.
 
-    Parameters
-    ----------
-    counts:
-        Float observation counts ``n_i``, shape ``(M,)`` (zeros allowed
-        — those sellers get an infinite index, forcing exploration).
-    means:
-        Sample means ``qbar_i`` (the prior where unobserved), shape
-        ``(M,)``.
-    total:
-        ``sum_j n_j``; with ``total <= 1`` every index is infinite,
-        matching the scalar path's "no meaningful radius yet" rule.
-    coefficient:
-        The ``K+1`` confidence-width constant (must be positive).
-
-    Returns
-    -------
-    numpy.ndarray
-        A fresh writable ``(M,)`` vector, bit-identical to
-        ``LearningState.ucb_values(coefficient)`` on the same state.
+    Bit-identical to ``float(np.abs(means - truth).mean())`` — the same
+    subtract/abs/mean sequence, with the two ``O(M)`` temporaries
+    replaced by the caller-owned ``work`` buffer.
     """
-    if coefficient <= 0.0:
-        # Same exception type the scalar state raises, so a backend
-        # switch never changes the error contract.
-        raise ConfigurationError(
-            f"exploration coefficient must be positive, got {coefficient}"
-        )
-    if total <= 1:
-        return np.full(counts.size, np.inf)
-    with np.errstate(divide="ignore"):
-        scores = np.divide(coefficient * np.log(total), counts)
-    np.sqrt(scores, out=scores)
-    if _MUTATION_SCALE != 1.0:  # pragma: no cover - mutation hook
-        scores *= _MUTATION_SCALE
-    scores += means
-    return scores
-
-
-# repro-lint: twin=repro.core.selection.top_k_indices
-def top_k_partition(scores: np.ndarray, k: int) -> np.ndarray:
-    """Positions of the ``k`` largest scores via an ``O(M)`` partition.
-
-    Bit-identical to :func:`~repro.core.selection.top_k_indices` on any
-    NaN-free input (UCB indices never contain NaN): ties at the k-th
-    largest value are broken by ascending index, infinite scores rank
-    first, and the result is sorted ascending.  Inputs containing NaN
-    fall back to the stable-argsort reference so the two paths cannot
-    silently diverge.
-
-    Raises
-    ------
-    SelectionError
-        If ``k`` is not in ``[1, len(scores)]``.
-    """
-    scores = np.asarray(scores, dtype=float)
-    if scores.ndim != 1:
-        raise SelectionError("scores must be a 1-D array")
-    if not (1 <= k <= scores.size):
-        raise SelectionError(
-            f"cannot select k={k} sellers from {scores.size} candidates"
-        )
-    if k == scores.size:
-        return np.arange(scores.size)
-    kth = np.partition(scores, scores.size - k)[scores.size - k]
-    # One O(M) scan for everything at or above the threshold; the
-    # strict/tied split then runs on the (usually ~k-sized) candidates.
-    candidates = np.flatnonzero(scores >= kth)
-    candidate_scores = scores[candidates]
-    winners = candidates[candidate_scores > kth]
-    if winners.size < k:
-        # Lowest indices among the scores tied with the k-th largest —
-        # exactly the stable argsort's tie-breaking.
-        ties = candidates[candidate_scores == kth][:k - winners.size]
-        winners = np.concatenate((winners, ties))
-        winners.sort()
-    if winners.size != k:  # NaN present: partition ordering is undefined
-        return top_k_indices(scores, k)
-    return winners
-
-
-# repro-lint: twin=repro.sim.rounds.estimation_error_scalar
-def estimation_error(means: np.ndarray, qualities_truth: np.ndarray,
-                     scratch: np.ndarray) -> float:
-    """Mean absolute estimation error without temporary allocations.
-
-    Bit-identical to ``float(np.abs(means - truth).mean())`` — the
-    subtract/abs/mean sequence is unchanged, only the two ``O(M)``
-    temporaries are replaced by the caller-owned ``scratch`` buffer.
-    """
-    np.subtract(means, qualities_truth, out=scratch)
-    np.abs(scratch, out=scratch)
+    np.subtract(means, truth, out=work)
+    np.abs(work, out=work)
     # add.reduce is the same pairwise summation ndarray.mean() runs,
-    # minus the reduction-machinery overhead — same bits, checked by
-    # the differential suite every run.
-    return float(np.add.reduce(scratch) / scratch.size)
+    # minus the reduction-machinery overhead — same bits.
+    return float(np.add.reduce(work) / work.size)

@@ -23,7 +23,7 @@ The *flow* layer (``repro lint --flow``) runs whole-program rules
 RL101–RL105 over a project-wide call graph with bottom-up function
 summaries — interprocedural RNG taint, kernel purity, event-kind
 exhaustiveness across call chains, checkpoint schema symmetry, and
-scalar/vector backend parity.  See :mod:`repro.lint.flow` and
+batched-kernel twin parity.  See :mod:`repro.lint.flow` and
 :mod:`repro.lint.rules_flow`.
 
 Findings are suppressed per line with ``# repro-lint: disable=RL001``

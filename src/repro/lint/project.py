@@ -73,8 +73,8 @@ class ProjectIndex:
     def canonicalize(self, fq: str) -> str:
         """Chase re-exports until ``fq`` names a definition site.
 
-        ``repro.kernels.ucb_scores`` (a package re-export) becomes
-        ``repro.kernels.selection.ucb_scores``.  Unknown names pass
+        ``repro.kernels.masked_stage_sums`` (a package re-export)
+        becomes ``repro.kernels.batch.masked_stage_sums``.  Unknown names pass
         through unchanged.
         """
         seen: set[str] = set()

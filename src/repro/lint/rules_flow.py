@@ -21,10 +21,10 @@ value across helper calls, modules, and method boundaries.
 * **RL104** — checkpoint schema symmetry: every key a ``save_X``
   closure writes must be read (or defaulted) by the paired ``load_X``
   closure, and every key ``load_X`` requires must be written.
-* **RL105** — backend parity: each public ``repro.kernels`` entry
+* **RL105** — twin parity: each public ``repro.kernels`` entry
   point needs a resolvable, signature-compatible scalar twin
   (``# repro-lint: twin=...``) and must be exercised by the
-  scalar-vs-vector differential harness (``repro.verify.kernels``).
+  differential harness (``repro.verify.kernels``).
 """
 
 from __future__ import annotations
@@ -479,9 +479,9 @@ class BackendParityRule(FlowRule):
     rule_id = "RL105"
     title = "public kernel entry point without scalar-twin coverage"
     rationale = (
-        "the scalar/vector differential harness proves backend "
-        "equivalence; an entry point without a declared twin or a "
-        "harness reference can silently lose that coverage"
+        "the differential harness proves each batched kernel "
+        "equivalent to its twin; an entry point without a declared "
+        "twin or a harness reference can silently lose that coverage"
     )
 
     kernels_package = "repro.kernels"
@@ -562,7 +562,7 @@ class BackendParityRule(FlowRule):
                 analysis, path, line, col,
                 f"public kernel entry point {name!r} is not referenced "
                 f"by the differential harness "
-                f"({self.harness_module}); the scalar-vs-vector "
+                f"({self.harness_module}); the kernel-vs-twin "
                 f"equivalence leg lost coverage",
             )
 

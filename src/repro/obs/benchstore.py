@@ -79,7 +79,7 @@ def machine_tag() -> str:
 class BenchRecord:
     """One benchmark measurement.
 
-    ``name`` identifies the benchmark (e.g. ``engine.scalar.m300``);
+    ``name`` identifies the benchmark (e.g. ``engine.m300``);
     history and comparisons group by it.  ``baseline=True`` marks the
     committed reference record the regression gate compares against.
     """

@@ -60,7 +60,6 @@ from repro.exceptions import (
     PersistenceError,
 )
 from repro.faults import FaultLog, RoundFaultPlan
-from repro.kernels.selection import top_k_partition
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.timing import perf_counter
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -272,11 +271,6 @@ class MarketRuntime:
         sessions on demand.
     tracer / metrics:
         Optional observability objects (never touch an RNG stream).
-    backend:
-        ``"scalar"`` (default) or ``"vector"`` — same switch as
-        :class:`~repro.sim.engine.TradingSimulator`; the vector backend
-        produces bit-identical ledgers and metrics (asserted by
-        ``repro verify --only kernels``).
     """
 
     def __init__(self, config: SimulationConfig,
@@ -286,13 +280,7 @@ class MarketRuntime:
                  churn: ChurnProcess | ChurnSpec | None = None,
                  start_online: bool = True,
                  tracer: Tracer | None = None,
-                 metrics: MetricsRegistry | None = None,
-                 backend: str = "scalar") -> None:
-        if backend not in ("scalar", "vector"):
-            raise ConfigurationError(
-                f"backend must be 'scalar' or 'vector', got {backend!r}"
-            )
-        self._backend = backend
+                 metrics: MetricsRegistry | None = None) -> None:
         self._config = config
         self._factory = RngFactory(config.seed)
         if population is None:
@@ -345,16 +333,7 @@ class MarketRuntime:
         self._policy_rng = self._factory.generator(
             "policy", self._policy.name
         )
-        scratch: np.ndarray | None = None
-        if backend == "vector":
-            from repro.kernels.state import VectorLearningState
-
-            self._state: LearningState = VectorLearningState(
-                m, prior_mean=PRIOR_MEAN
-            )
-            scratch = np.empty(m)
-        else:
-            self._state = LearningState(m, prior_mean=PRIOR_MEAN)
+        self._state = LearningState(m, prior_mean=PRIOR_MEAN)
         self._tracker = RegretTracker(population.expected_qualities, k,
                                       num_pois)
         self._policy.reset(m, k, self._num_rounds)
@@ -378,8 +357,7 @@ class MarketRuntime:
             col_bounds=config.collection_price_bounds,
             tau_max=config.max_sensing_time,
             tau0=config.initial_sensing_time,
-            tracer=self._tracer, metrics=self._reg, monitor=None,
-            backend=backend, scratch=scratch,
+            tracer=self._tracer, metrics=self._reg, work=np.empty(m),
         )
 
         self._kernel = EventKernel(self._tracer)
@@ -417,11 +395,6 @@ class MarketRuntime:
     def policy(self) -> SelectionPolicy:
         """The selection policy driving the market."""
         return self._policy
-
-    @property
-    def backend(self) -> str:
-        """The round-loop implementation: ``"scalar"`` or ``"vector"``."""
-        return self._backend
 
     @property
     def kernel(self) -> EventKernel:
@@ -581,14 +554,7 @@ class MarketRuntime:
                     else float(self._k + 1))
             values = self._state.ucb_values(coef)
             values[~online] = -np.inf
-            if self._backend == "vector":
-                # Bit-identical O(M) replacement for the stable argsort
-                # (see repro.kernels.selection.top_k_partition).
-                selected = top_k_partition(values,
-                                           min(self._k, online_count))
-            else:
-                selected = top_k_indices(values,
-                                         min(self._k, online_count))
+            selected = top_k_indices(values, min(self._k, online_count))
         explore = selected.size > self._k or (
             t == 0 and selected.size == online_count
         )

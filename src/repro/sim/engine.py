@@ -213,24 +213,11 @@ class TradingSimulator:
     quality_model:
         Pre-built observation model; ``None`` uses the truncated Gaussian
         with the config's ``quality_sigma``.
-    backend:
-        ``"scalar"`` (default) plays rounds through the reference path;
-        ``"vector"`` swaps in the :mod:`repro.kernels` hot path
-        (incrementally maintained learning state, fused UCB indices,
-        partition top-K).  The two produce bit-identical metrics,
-        selections, and checkpoints on the same seed — asserted by
-        ``repro verify --only kernels`` and the equivalence suite.
     """
 
     def __init__(self, config: SimulationConfig,
                  population: SellerPopulation | None = None,
-                 quality_model: QualityModel | None = None, *,
-                 backend: str = "scalar") -> None:
-        if backend not in ("scalar", "vector"):
-            raise ConfigurationError(
-                f"backend must be 'scalar' or 'vector', got {backend!r}"
-            )
-        self._backend = backend
+                 quality_model: QualityModel | None = None) -> None:
         self._config = config
         self._factory = RngFactory(config.seed)
         if population is None:
@@ -261,11 +248,6 @@ class TradingSimulator:
     def config(self) -> SimulationConfig:
         """The simulation configuration."""
         return self._config
-
-    @property
-    def backend(self) -> str:
-        """The round-loop implementation: ``"scalar"`` or ``"vector"``."""
-        return self._backend
 
     @property
     def population(self) -> SellerPopulation:
@@ -417,18 +399,7 @@ class TradingSimulator:
         sampler = QualitySampler(self._quality_model, num_pois,
                                  observation_rng)
         policy_rng = self._factory.generator("policy", policy.name)
-        scratch: np.ndarray | None = None
-        if self._backend == "vector":
-            # Imported lazily to keep the scalar path free of any
-            # kernels dependency at import time.
-            from repro.kernels.state import VectorLearningState
-
-            state: LearningState = VectorLearningState(
-                m, prior_mean=_PRIOR_MEAN
-            )
-            scratch = np.empty(m)
-        else:
-            state = LearningState(m, prior_mean=_PRIOR_MEAN)
+        state = LearningState(m, prior_mean=_PRIOR_MEAN)
         tracker = RegretTracker(qualities_truth, k, num_pois)
         policy.reset(m, k, n)
         log = fault_log
@@ -474,8 +445,7 @@ class TradingSimulator:
             svc_bounds=cfg.service_price_bounds,
             col_bounds=cfg.collection_price_bounds,
             tau_max=cfg.max_sensing_time, tau0=cfg.initial_sensing_time,
-            tracer=tr, metrics=reg, monitor=monitor,
-            backend=self._backend, scratch=scratch,
+            tracer=tr, metrics=reg, work=np.empty(m), monitor=monitor,
         )
 
         if tr.enabled:

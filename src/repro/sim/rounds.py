@@ -99,35 +99,22 @@ class RoundContext:
     tau0: float
     tracer: Tracer
     metrics: MetricsRegistry
+    #: Caller-owned ``(M,)`` buffer the per-round estimation-error
+    #: reduction works in, so the round allocates no ``O(M)`` temporary.
+    work: np.ndarray
     monitor: "InvariantMonitor | None" = None
-    #: Which hot-path implementation drives this run ("scalar" or
-    #: "vector"); informational — the bodies branch on ``scratch``.
-    backend: str = "scalar"
-    #: Pre-allocated ``(M,)`` buffer the vector backend reuses for the
-    #: per-round estimation-error reduction (``None`` on the scalar
-    #: path, which allocates temporaries as it always has).
-    scratch: np.ndarray | None = None
 
 
 def estimation_error_scalar(means: np.ndarray,
                             qualities_truth: np.ndarray) -> float:
     """Allocation-naive mean absolute estimation error.
 
-    The scalar twin of
-    :func:`repro.kernels.selection.estimation_error`: the identical
-    subtract/abs/mean sequence, with ordinary temporaries instead of a
-    caller-owned scratch buffer, so the value is bit-identical across
-    backends.
+    The reference form of :func:`repro.kernels.selection.estimation_error`
+    (the identical subtract/abs/mean sequence, with ordinary temporaries
+    instead of a caller-owned buffer); the kernels verify leg checks the
+    two bit for bit.
     """
     return float(np.abs(means - qualities_truth).mean())
-
-
-def _estimation_error_of(ctx: RoundContext, state: LearningState) -> float:
-    """Mean absolute estimation error, allocation-free when possible."""
-    if ctx.scratch is not None:
-        return _estimation_error(state.means, ctx.qualities_truth,
-                                 ctx.scratch)
-    return estimation_error_scalar(state.means, ctx.qualities_truth)
 
 
 def play_clean_round(ctx: RoundContext, t: int, selected: np.ndarray,
@@ -208,7 +195,9 @@ def play_clean_round(ctx: RoundContext, t: int, selected: np.ndarray,
     series["expected"][t] = float(
         np.add.reduce(ctx.qualities_truth[selected])
     ) * num_pois
-    series["estimation_error"][t] = _estimation_error_of(ctx, state)
+    series["estimation_error"][t] = _estimation_error(
+        state.means, ctx.qualities_truth, ctx.work
+    )
     ctx.selection_counts[selected] += 1
     if tr.enabled:
         tr.emit("profits", round_index=t,
@@ -279,7 +268,9 @@ def play_degraded_round(ctx: RoundContext, t: int, selected: np.ndarray,
         series["service"][t] = svc_bounds[0]
         series["collection"][t] = col_bounds[0]
         series["totals"][t] = 0.0
-        series["estimation_error"][t] = _estimation_error_of(ctx, state)
+        series["estimation_error"][t] = _estimation_error(
+            state.means, ctx.qualities_truth, ctx.work
+        )
         return
 
     if participants.size < selected.size:
@@ -389,7 +380,9 @@ def play_degraded_round(ctx: RoundContext, t: int, selected: np.ndarray,
     if not explore_round:
         collect()
     series["realized"][t] = float(delivered[settle_mask].sum())
-    series["estimation_error"][t] = _estimation_error_of(ctx, state)
+    series["estimation_error"][t] = _estimation_error(
+        state.means, ctx.qualities_truth, ctx.work
+    )
     if tr.enabled:
         tr.emit("profits", round_index=t,
                 consumer=float(series["consumer"][t]),

@@ -26,10 +26,10 @@ implementation continuously honest about them:
   :class:`~repro.runtime.MarketRuntime` must be bit-identical to the
   batch engine) and the churn golden trace pinning a canonical
   arrivals/departures run by its trade-ledger digest.
-* :mod:`repro.verify.kernels` — the scalar-vs-vector differential
-  oracle for :mod:`repro.kernels`: bit-identity for selections, states,
-  and ledgers; ``<= 1e-9`` for the batched Stage 1-3 solves; and a
-  mutation canary proving the suite catches a 1% kernel defect.
+* :mod:`repro.verify.kernels` — each hot-path kernel against a naive
+  reference: bit-identity for the learning state, UCB indices, top-K,
+  and estimation error; ``<= 1e-9`` for the batched Stage 1-3 solves;
+  and a mutation canary proving the oracle catches a 1% kernel defect.
 * :mod:`repro.verify.runner` — the ``repro verify`` entry point tying
   the five legs into one report with a CI-friendly exit code.
 """

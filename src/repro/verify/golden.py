@@ -126,22 +126,19 @@ def golden_path(case: GoldenCase, directory: str | None = None) -> str:
     return os.path.join(base, f"{case.name}.json")
 
 
-def compute_golden(case: GoldenCase, *, strict: bool = False,
-                   backend: str = "scalar") -> dict:
+def compute_golden(case: GoldenCase, *, strict: bool = False) -> dict:
     """Run ``case`` from scratch and return its golden payload.
 
     The payload embeds the case parameters themselves, so editing
     :data:`GOLDEN_CASES` without regenerating the files is itself a
-    detected drift.  ``backend`` selects the engine implementation —
-    the stored goldens must pass unchanged under either (the kernels
-    equivalence contract).
+    detected drift.
     """
     # Imported here, not at module level: the engine's strict mode
     # imports this package, and import cycles bite at module level only.
     from repro.bandits.policies import UCBPolicy
     from repro.sim.engine import TradingSimulator
 
-    simulator = TradingSimulator(case.config(), backend=backend)
+    simulator = TradingSimulator(case.config())
     spec = case.fault_spec()
     fault_model = simulator.fault_model(spec) if spec is not None else None
     metrics = simulator.run(UCBPolicy(), fault_model=fault_model,

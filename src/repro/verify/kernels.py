@@ -1,13 +1,18 @@
-"""Kernels verification: the scalar-vs-vector differential oracle.
+"""Kernels verification: each hot-path kernel against a naive reference.
 
-``repro verify --only kernels`` proves the :mod:`repro.kernels` hot
-path equivalent to the scalar reference, at the strength each layer
-contracts for:
+``repro verify --only kernels`` checks the round loop's kernels — the
+incrementally maintained :class:`~repro.core.state.LearningState`, the
+``O(M)`` partition :func:`~repro.core.selection.top_k_indices`, and the
+buffered :func:`~repro.kernels.selection.estimation_error` — and the
+batched :mod:`repro.kernels` solves, at the strength each contracts for:
 
-1. **Selection/state unit oracle** — random learning-state histories
-   (including tie-heavy quantized score vectors, unseen sellers, and
-   infinite indices) must give *bit-identical* maintained means, UCB
-   index vectors, and partition top-K selections.
+1. **State reference oracle** — random update/restore/reset histories
+   must give *bit-identical* values to the naive references kept in this
+   module: means rebuilt from the raw counts/sums, the masked-gather UCB
+   index vector, and the stable-argsort top-K (also on tie-heavy
+   quantized, infinite and NaN scores); plus the estimation error
+   against its allocating form
+   :func:`~repro.sim.rounds.estimation_error_scalar`.
 2. **Batch-stage oracle** — :func:`repro.kernels.masked_stage_sums` and
    :func:`repro.kernels.solve_rounds_batch` against per-market scalar
    :func:`~repro.core.incentive.solve_round_fast` solves at ``<= 1e-9``
@@ -16,17 +21,13 @@ contracts for:
    candidates accepted as equally optimal; plus
    :func:`repro.kernels.stage3_golden_batch` against
    :func:`repro.game.stackelberg.solve_stage3_batch` row for row.
-3. **Engine differential** — identical RNG universes replayed through
-   ``TradingSimulator(backend="scalar")`` and ``backend="vector"``
-   across the clean, fault-injected, and ``K = M`` regimes must produce
-   bit-identical metric series and selection counts.
-4. **Churn differential** — the canonical churning
-   :class:`~repro.runtime.MarketRuntime` case replayed through both
-   backends must produce byte-identical trade-ledger digests.
-5. **Mutation canary** — a 1% inflation of the vector confidence bonus
-   (:data:`repro.kernels.selection._MUTATION_SCALE`) must make the
-   unit oracle *fail*, proving the suite has the power to catch a real
-   kernel defect of that size.
+3. **Mutation canary** — a 1% inflation of the confidence bonus
+   (:data:`repro.core.state._MUTATION_SCALE`) must make the state
+   oracle *fail*, proving it has the power to catch a real kernel
+   defect of that size.
+
+Whole runs are pinned by the checked-in engine and churn goldens
+(``repro verify --only goldens`` / ``--only runtime``).
 """
 
 from __future__ import annotations
@@ -40,22 +41,14 @@ from repro.sim.rng import seeded_generator
 __all__ = [
     "KernelsCheck",
     "KernelsCheckResult",
-    "check_selection_kernels",
+    "reference_means",
+    "reference_ucb",
+    "reference_top_k",
+    "check_state_kernels",
     "check_batch_kernels",
-    "check_engine_differential",
-    "check_churn_differential",
     "check_mutation_canary",
     "check_kernels",
 ]
-
-#: RunMetrics fields the engine differential compares bit-for-bit (the
-#: same set every other bit-identity leg pins; telemetry is wall-clock).
-_DIFFERENTIAL_FIELDS = (
-    "realized_revenue", "expected_revenue", "regret", "consumer_profit",
-    "platform_profit", "seller_profit_mean", "service_price",
-    "collection_price", "total_sensing_time", "selection_counts",
-    "estimation_error",
-)
 
 #: Relative tolerance of the batch-stage oracle.
 _BATCH_RTOL = 1e-9
@@ -76,7 +69,7 @@ class KernelsCheck:
 
 @dataclass(frozen=True)
 class KernelsCheckResult:
-    """Outcome of the kernels section: all five differential legs."""
+    """Outcome of the kernels section: every leg's verdict."""
 
     checks: tuple[KernelsCheck, ...]
 
@@ -101,23 +94,56 @@ class KernelsCheckResult:
         }
 
 
-def check_selection_kernels(*, seed: int = 0,
-                            trials: int = 60) -> KernelsCheck:
-    """Unit bit-identity oracle over random learning-state histories.
+# -- naive references ------------------------------------------------------------
 
-    Each trial replays a random update sequence through the scalar
-    :class:`~repro.core.state.LearningState` and the vector
-    :class:`~repro.kernels.VectorLearningState` side by side, asserting
-    bit-identical means, UCB vectors, and top-K selections after every
-    update; quantized (tie-heavy) score vectors additionally pin the
-    partition top-K against the stable-argsort reference directly.
+
+def reference_means(counts: np.ndarray, sums: np.ndarray,
+                    prior_mean: float) -> np.ndarray:
+    """Sample means rebuilt from scratch (Eq. 18); the prior where unseen."""
+    means = np.full(counts.size, float(prior_mean))
+    seen = counts > 0
+    means[seen] = sums[seen] / counts[seen]
+    return means
+
+
+def reference_ucb(counts: np.ndarray, sums: np.ndarray, prior_mean: float,
+                  coefficient: float) -> np.ndarray:
+    """Eq.-19 indices by a masked gather over the seen sellers only."""
+    total = int(counts.sum())
+    bonuses = np.full(counts.size, np.inf)
+    if total > 1:
+        seen = counts > 0
+        bonuses[seen] = np.sqrt(coefficient * np.log(total) / counts[seen])
+    return reference_means(counts, sums, prior_mean) + bonuses
+
+
+def reference_top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """The ``k`` largest scores by a stable descending argsort prefix."""
+    if k == scores.size:
+        return np.arange(scores.size)
+    order = np.argsort(-scores, kind="stable")
+    return np.sort(order[:k])
+
+
+# -- legs ------------------------------------------------------------------------
+
+
+def check_state_kernels(*, seed: int = 0, trials: int = 60) -> KernelsCheck:
+    """Bit-identity of the round-loop kernels against the references.
+
+    Each trial drives a :class:`~repro.core.state.LearningState` through
+    a random history of updates (empty ones included), snapshot
+    restores, and resets, replaying the same history on plain counts/
+    sums arrays, and compares after every step; quantized (tie-heavy),
+    infinite, and NaN score vectors additionally pin the top-K.
     """
     from repro.core.selection import top_k_indices
     from repro.core.state import LearningState
-    from repro.kernels.selection import (estimation_error, top_k_partition,
-                                         ucb_scores)
-    from repro.kernels.state import VectorLearningState
+    from repro.kernels.selection import estimation_error
     from repro.sim.rounds import PRIOR_MEAN, estimation_error_scalar
+
+    def fail(detail: str) -> KernelsCheck:
+        return KernelsCheck("state-reference", False, detail)
 
     rng = seeded_generator(seed)
     comparisons = 0
@@ -125,41 +151,48 @@ def check_selection_kernels(*, seed: int = 0,
         m = int(rng.integers(2, 40))
         k = int(rng.integers(1, m + 1))
         coefficient = float(k + 1)
-        scalar = LearningState(m, prior_mean=PRIOR_MEAN)
-        vector = VectorLearningState(m, prior_mean=PRIOR_MEAN)
-        for __ in range(int(rng.integers(1, 12))):
-            size = int(rng.integers(0, m + 1))
-            sellers = rng.choice(m, size=size, replace=False)
-            num_observations = int(rng.integers(1, 6))
-            sums = rng.uniform(0.0, 1.0, size) * num_observations
-            scalar.update(sellers, sums, num_observations)
-            vector.update(sellers, sums, num_observations)
-            if scalar.total_count != vector.total_count:
-                return KernelsCheck(
-                    "selection-unit", False,
-                    f"total_count diverged in trial {trial}"
-                )
-            if not np.array_equal(scalar.means, vector.means):
-                return KernelsCheck(
-                    "selection-unit", False,
-                    f"maintained means diverged in trial {trial} "
-                    f"(M={m})"
-                )
-            reference = scalar.ucb_values(coefficient)
-            fast = vector.ucb_values(coefficient)
-            if not np.array_equal(reference, fast):
-                return KernelsCheck(
-                    "selection-unit", False,
-                    f"UCB index vectors diverged in trial {trial} "
-                    f"(M={m}, coefficient={coefficient})"
-                )
-            if not np.array_equal(top_k_indices(reference, k),
-                                  top_k_partition(fast, k)):
-                return KernelsCheck(
-                    "selection-unit", False,
-                    f"top-K selections diverged in trial {trial} "
-                    f"(M={m}, K={k})"
-                )
+        state = LearningState(m, prior_mean=PRIOR_MEAN)
+        counts = np.zeros(m, dtype=np.int64)
+        sums = np.zeros(m)
+        saved = (state.snapshot(), counts.copy(), sums.copy())
+        for step in range(int(rng.integers(1, 12))):
+            action = rng.random()
+            if action < 0.1:
+                state.reset()
+                counts[:] = 0
+                sums[:] = 0.0
+            elif action < 0.25:
+                state.restore(saved[0])
+                counts, sums = saved[1].copy(), saved[2].copy()
+            else:
+                size = int(rng.integers(0, m + 1))
+                sellers = rng.choice(m, size=size, replace=False)
+                num_observations = int(rng.integers(1, 6))
+                observed = rng.uniform(0.0, 1.0, size) * num_observations
+                state.update(sellers, observed, num_observations)
+                counts[sellers] += num_observations
+                sums[sellers] += observed
+                if action > 0.8:
+                    saved = (state.snapshot(), counts.copy(), sums.copy())
+            where = f"trial {trial} step {step} (M={m}, K={k})"
+            if state.total_count != int(counts.sum()):
+                return fail(f"total_count diverged in {where}")
+            if not np.array_equal(state.counts, counts):
+                return fail(f"counts diverged in {where}")
+            if not np.array_equal(state.means,
+                                  reference_means(counts, sums, PRIOR_MEAN)):
+                return fail(f"maintained means diverged in {where}")
+            reference = reference_ucb(counts, sums, PRIOR_MEAN, coefficient)
+            if not np.array_equal(state.ucb_values(coefficient), reference):
+                return fail(f"UCB index vectors diverged in {where}")
+            if not np.array_equal(
+                    state.means + state.exploration_bonuses(coefficient),
+                    reference):
+                return fail(f"exploration bonuses diverged in {where}")
+            if not np.array_equal(
+                    top_k_indices(state.ucb_values(coefficient), k),
+                    reference_top_k(reference, k)):
+                return fail(f"top-K selections diverged in {where}")
             comparisons += 1
         # Tie-heavy quantized scores: the regime where a naive
         # argpartition would diverge from stable tie-breaking.
@@ -168,36 +201,23 @@ def check_selection_kernels(*, seed: int = 0,
             scores[int(rng.integers(0, m))] = np.inf
         if trial % 5 == 0:
             scores[:] = scores[0]
+        if trial % 7 == 0:
+            scores[int(rng.integers(0, m))] = np.nan
         if not np.array_equal(top_k_indices(scores, k),
-                              top_k_partition(scores, k)):
-            return KernelsCheck(
-                "selection-unit", False,
-                f"tie-breaking diverged on quantized scores in trial "
-                f"{trial} (M={m}, K={k})"
-            )
-        # Standalone kernel on the maintained buffers.
-        standalone = ucb_scores(vector.counts.astype(float), vector.means,
-                                vector.total_count, coefficient)
-        if not np.array_equal(standalone, scalar.ucb_values(coefficient)):
-            return KernelsCheck(
-                "selection-unit", False,
-                f"ucb_scores diverged from the state path in trial {trial}"
-            )
-        # Scratch-buffer estimation error vs the allocation-naive twin.
+                              reference_top_k(scores, k)):
+            return fail(f"top-K diverged on quantized scores in trial "
+                        f"{trial} (M={m}, K={k})")
         truth = rng.uniform(0.0, 1.0, m)
-        scratch = np.empty(m)
-        if estimation_error(vector.means, truth, scratch) \
-                != estimation_error_scalar(scalar.means, truth):
-            return KernelsCheck(
-                "selection-unit", False,
-                f"estimation_error diverged from the scalar twin in "
-                f"trial {trial} (M={m})"
-            )
-        comparisons += 1
+        if estimation_error(state.means, truth, np.empty(m)) \
+                != estimation_error_scalar(state.means, truth):
+            return fail(f"estimation_error diverged in trial {trial} "
+                        f"(M={m})")
+        comparisons += 2
     return KernelsCheck(
-        "selection-unit", True,
-        f"{trials} random state histories, {comparisons} bit-identity "
-        "comparisons (means, UCB vectors, top-K incl. tie-heavy scores)"
+        "state-reference", True,
+        f"{trials} random update/restore/reset histories, {comparisons} "
+        "bit-identity comparisons (means, UCB vectors, top-K incl. "
+        "tie-heavy scores, estimation error)"
     )
 
 
@@ -339,114 +359,32 @@ def check_batch_kernels(*, seed: int = 0, trials: int = 40) -> KernelsCheck:
     )
 
 
-def _engine_runs(backend: str, *, seed: int, num_sellers: int,
-                 num_selected: int, num_rounds: int,
-                 faulty: bool) -> "object":
-    from repro.bandits.policies import UCBPolicy
-    from repro.faults.model import FaultSpec
-    from repro.sim.config import SimulationConfig
-    from repro.sim.engine import TradingSimulator
-
-    config = SimulationConfig(num_sellers=num_sellers,
-                              num_selected=num_selected, num_pois=4,
-                              num_rounds=num_rounds, seed=seed)
-    simulator = TradingSimulator(config, backend=backend)
-    fault_model = None
-    if faulty:
-        fault_model = simulator.fault_model(FaultSpec(
-            dropout_rate=0.15, corruption_rate=0.05, stall_rate=0.02,
-        ))
-    return simulator.run(UCBPolicy(), fault_model=fault_model)
-
-
-def check_engine_differential(*, seed: int = 0,
-                              num_rounds: int = 80) -> KernelsCheck:
-    """Identical RNG universes through both engine backends, bit for bit."""
-    regimes = (
-        ("clean", {"num_sellers": 20, "num_selected": 4, "faulty": False}),
-        ("faulty", {"num_sellers": 15, "num_selected": 3, "faulty": True}),
-        ("k-equals-m", {"num_sellers": 6, "num_selected": 6,
-                        "faulty": False}),
-    )
-    for label, kwargs in regimes:
-        scalar = _engine_runs("scalar", seed=seed, num_rounds=num_rounds,
-                              **kwargs)
-        vector = _engine_runs("vector", seed=seed, num_rounds=num_rounds,
-                              **kwargs)
-        for field in _DIFFERENTIAL_FIELDS:
-            if not np.array_equal(np.asarray(getattr(scalar, field)),
-                                  np.asarray(getattr(vector, field))):
-                return KernelsCheck(
-                    "engine-differential", False,
-                    f"vector backend diverged from scalar in {field} "
-                    f"({label} regime, seed {seed}, {num_rounds} rounds)"
-                )
-    return KernelsCheck(
-        "engine-differential", True,
-        f"clean + faulty + K=M regimes bit-identical across backends "
-        f"over {num_rounds} rounds (seed {seed}, "
-        f"{len(_DIFFERENTIAL_FIELDS)} fields each)"
-    )
-
-
-def check_churn_differential(*, seed: int = 0) -> KernelsCheck:
-    """The canonical churn case through both runtime backends.
-
-    The trade-ledger digest is a SHA-256 over every settled round's
-    participants and prices, so digest equality is bit-identity of the
-    whole trade history.
-    """
-    from repro.verify.runtime import RUNTIME_GOLDEN_CASE, _run_golden_case
-
-    case = RUNTIME_GOLDEN_CASE
-    scalar = _run_golden_case(case, backend="scalar")
-    vector = _run_golden_case(case, backend="vector")
-    if scalar["ledger_digest"] != vector["ledger_digest"]:
-        return KernelsCheck(
-            "churn-differential", False,
-            f"trade-ledger digests diverged across backends on the "
-            f"{case.name} case"
-        )
-    for key in ("sessions_opened", "sessions_closed",
-                "messages_delivered", "messages_dropped"):
-        if scalar[key] != vector[key]:
-            return KernelsCheck(
-                "churn-differential", False,
-                f"{key} diverged across backends on the {case.name} case"
-            )
-    return KernelsCheck(
-        "churn-differential", True,
-        f"{case.name} ledger digest and session/message counters "
-        "identical across backends"
-    )
-
-
 def check_mutation_canary(*, seed: int = 0) -> KernelsCheck:
-    """A 1% kernel mutation must make the unit oracle fail.
+    """A 1% kernel mutation must make the state oracle fail.
 
-    Inflates the vector confidence bonus by 1% through the
-    :data:`~repro.kernels.selection._MUTATION_SCALE` hook, re-runs the
-    selection unit oracle, and passes iff that oracle *fails* — the
-    suite demonstrably has the power to catch a real defect of that
-    size.  The hook is restored unconditionally.
+    Inflates the confidence bonus by 1% through the
+    :data:`~repro.core.state._MUTATION_SCALE` hook, re-runs the state
+    reference oracle, and passes iff that oracle *fails* — the suite
+    demonstrably has the power to catch a real defect of that size.
+    The hook is restored unconditionally.
     """
-    from repro.kernels import selection
+    from repro.core import state
 
-    original = selection._MUTATION_SCALE
+    original = state._MUTATION_SCALE
     try:
-        selection._MUTATION_SCALE = 1.01
-        mutated = check_selection_kernels(seed=seed, trials=10)
+        state._MUTATION_SCALE = 1.01
+        mutated = check_state_kernels(seed=seed, trials=10)
     finally:
-        selection._MUTATION_SCALE = original
+        state._MUTATION_SCALE = original
     if mutated.passed:
         return KernelsCheck(
             "mutation-canary", False,
             "a 1% confidence-bonus inflation went undetected — the "
-            "differential oracle has lost its power"
+            "reference oracle has lost its power"
         )
     return KernelsCheck(
         "mutation-canary", True,
-        f"1% bonus inflation caught by the unit oracle "
+        f"1% bonus inflation caught by the state oracle "
         f"({mutated.detail})"
     )
 
@@ -454,10 +392,8 @@ def check_mutation_canary(*, seed: int = 0) -> KernelsCheck:
 def check_kernels(*, seed: int = 0) -> KernelsCheckResult:
     """Run every kernels leg and collect one result."""
     checks = (
-        check_selection_kernels(seed=seed),
+        check_state_kernels(seed=seed),
         check_batch_kernels(seed=seed),
-        check_engine_differential(seed=seed),
-        check_churn_differential(seed=seed),
         check_mutation_canary(seed=seed),
     )
     return KernelsCheckResult(checks=checks)

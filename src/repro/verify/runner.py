@@ -13,10 +13,10 @@ Ties the five verification legs together:
 4. **Runtime checks** — the event-driven market runtime vs the batch
    engine (bit-identical on a static population) plus the churn golden
    trace (:mod:`repro.verify.runtime`).
-5. **Kernels checks** — the vectorized :mod:`repro.kernels` hot path vs
-   the scalar reference: bit-identity for selections/states/ledgers,
-   ``<= 1e-9`` for the batched stage solves, plus a mutation canary
-   (:mod:`repro.verify.kernels`).
+5. **Kernels checks** — the round loop's kernels vs naive references:
+   bit-identity for the learning state, UCB indices, top-K, and
+   estimation error, ``<= 1e-9`` for the batched stage solves, plus a
+   mutation canary (:mod:`repro.verify.kernels`).
 
 The result is a :class:`VerificationReport` with a human-readable
 rendering, a JSON payload for CI artefacts, and a single ``passed``

@@ -182,8 +182,9 @@ def check_batch_equivalence(*, seed: int = 0,
     )
 
 
-def _run_golden_case(case: RuntimeGoldenCase,
-                     backend: str = "scalar") -> dict:
+def compute_runtime_golden(
+        case: RuntimeGoldenCase = RUNTIME_GOLDEN_CASE) -> dict:
+    """Run the churn case from scratch and return its golden payload."""
     from repro.quality.drift import SinusoidalDrift
     from repro.runtime.arrivals import ChurnSpec
     from repro.runtime.market import MarketRuntime
@@ -195,7 +196,7 @@ def _run_golden_case(case: RuntimeGoldenCase,
         drift=SinusoidalDrift(amplitude=case.drift_amplitude,
                               period=case.drift_period),
     )
-    runtime = MarketRuntime(case.config(), churn=spec, backend=backend)
+    runtime = MarketRuntime(case.config(), churn=spec)
     metrics = runtime.run()
     return {
         "case": asdict(case),
@@ -214,18 +215,6 @@ def _golden_path(directory: str | None = None) -> str:
 
     base = directory if directory is not None else golden_directory()
     return os.path.join(base, f"{RUNTIME_GOLDEN_CASE.name}.json")
-
-
-def compute_runtime_golden(
-        case: RuntimeGoldenCase = RUNTIME_GOLDEN_CASE, *,
-        backend: str = "scalar") -> dict:
-    """Run the churn case from scratch and return its golden payload.
-
-    ``backend`` selects the runtime implementation — the stored golden
-    must pass unchanged under either (the kernels equivalence contract
-    pins the ledger digest across backends).
-    """
-    return _run_golden_case(case, backend=backend)
 
 
 def update_runtime_golden(directory: str | None = None) -> str:

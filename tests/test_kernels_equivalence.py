@@ -1,11 +1,12 @@
-"""Scalar-vs-vector differential tests for :mod:`repro.kernels`.
+"""Kernels-vs-reference tests for the round loop and :mod:`repro.kernels`.
 
-The equivalence contract (DESIGN.md §15) has two strengths and every
-test here pins one of them:
+The kernels contract (DESIGN.md §15) has two strengths and every test
+here pins one of them:
 
-* **bit-identity** for selections, learning state, and whole-run metric
-  series — the vector backend must be indistinguishable from the scalar
-  reference, not merely close;
+* **bit-identity** for the learning state, UCB indices, top-K, the
+  estimation error, and whole-run metric series — each kernel must be
+  indistinguishable from the naive reference kept in
+  :mod:`repro.verify.kernels`, not merely close;
 * **``<= 1e-9`` relative** for the batched ``(markets, M)`` Stage 1-3
   solves, whose masked reductions legitimately sum in a different order
   than the compacted scalar vectors.  Exact Stage-1 profit ties may
@@ -22,6 +23,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.bandits.policies
+import repro.runtime.market
+import repro.sim.engine
+import repro.sim.rounds
 from repro.bandits.policies import UCBPolicy
 from repro.core.incentive import solve_round_fast
 from repro.core.selection import top_k_indices
@@ -29,17 +34,19 @@ from repro.core.state import LearningState
 from repro.exceptions import ConfigurationError, SelectionError
 from repro.faults.model import FaultSpec
 from repro.kernels import (
-    VectorLearningState,
-    estimation_error,
     masked_stage_sums,
     solve_rounds_batch,
     stage3_golden_batch,
-    top_k_partition,
-    ucb_scores,
 )
+from repro.kernels.selection import estimation_error
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import TradingSimulator
-from repro.sim.rounds import PRIOR_MEAN
+from repro.sim.rounds import PRIOR_MEAN, estimation_error_scalar
+from repro.verify.kernels import (
+    reference_means,
+    reference_top_k,
+    reference_ucb,
+)
 
 RTOL = 1e-9
 
@@ -75,20 +82,23 @@ class TestSelectionKernels:
     @settings(max_examples=60, deadline=None)
     def test_state_and_ucb_bit_identical(self, history):
         m, k, updates = history
-        scalar = LearningState(m, prior_mean=PRIOR_MEAN)
-        vector = VectorLearningState(m, prior_mean=PRIOR_MEAN)
+        state = LearningState(m, prior_mean=PRIOR_MEAN)
+        counts = np.zeros(m, dtype=np.int64)
+        sums = np.zeros(m)
         coefficient = float(k + 1)
-        for sellers, sums, num_obs in updates:
-            scalar.update(sellers, sums, num_obs)
-            vector.update(sellers, sums, num_obs)
-            assert scalar.total_count == vector.total_count
-            np.testing.assert_array_equal(scalar.means, vector.means)
-            reference = scalar.ucb_values(coefficient)
-            np.testing.assert_array_equal(reference,
-                                          vector.ucb_values(coefficient))
+        for sellers, observed, num_obs in updates:
+            state.update(sellers, observed, num_obs)
+            counts[sellers] += num_obs
+            sums[sellers] += observed
+            assert state.total_count == int(counts.sum())
             np.testing.assert_array_equal(
-                top_k_indices(reference, k),
-                top_k_partition(vector.ucb_values(coefficient), k),
+                state.means, reference_means(counts, sums, PRIOR_MEAN))
+            reference = reference_ucb(counts, sums, PRIOR_MEAN, coefficient)
+            np.testing.assert_array_equal(state.ucb_values(coefficient),
+                                          reference)
+            np.testing.assert_array_equal(
+                top_k_indices(state.ucb_values(coefficient), k),
+                reference_top_k(reference, k),
             )
 
     @given(st.integers(2, 40), st.integers(0, 2**16), st.integers(1, 4))
@@ -101,71 +111,78 @@ class TestSelectionKernels:
         scores = rng.integers(0, levels + 1, m).astype(float)
         for k in range(1, m + 1):
             np.testing.assert_array_equal(top_k_indices(scores, k),
-                                          top_k_partition(scores, k))
+                                          reference_top_k(scores, k))
 
     def test_partition_tie_breaks_by_ascending_index(self):
         scores = np.array([1.0, 2.0, 2.0, 2.0, 0.5])
-        np.testing.assert_array_equal(top_k_partition(scores, 2), [1, 2])
+        np.testing.assert_array_equal(top_k_indices(scores, 2), [1, 2])
 
     def test_partition_all_equal_scores(self):
         scores = np.full(7, 3.25)
-        np.testing.assert_array_equal(top_k_partition(scores, 3),
+        np.testing.assert_array_equal(top_k_indices(scores, 3),
                                       [0, 1, 2])
 
     def test_partition_infinite_scores_first(self):
         scores = np.array([0.1, np.inf, 0.2, np.inf, 0.3])
-        np.testing.assert_array_equal(top_k_partition(scores, 3),
+        np.testing.assert_array_equal(top_k_indices(scores, 3),
                                       [1, 3, 4])
 
     def test_partition_k_equals_m_is_arange(self):
         scores = np.array([0.3, 0.1, 0.2])
-        np.testing.assert_array_equal(top_k_partition(scores, 3),
+        np.testing.assert_array_equal(top_k_indices(scores, 3),
                                       np.arange(3))
 
     def test_partition_nan_delegates_to_reference(self):
-        scores = np.array([0.5, np.nan, 0.9, 0.1])
-        np.testing.assert_array_equal(top_k_partition(scores, 2),
-                                      top_k_indices(scores, 2))
+        for scores in (np.array([0.5, np.nan, 0.9, 0.1]),
+                       np.array([1.0, 2.0, np.nan]),
+                       np.array([np.nan, np.nan, 0.2, 0.7])):
+            for k in range(1, scores.size + 1):
+                np.testing.assert_array_equal(top_k_indices(scores, k),
+                                              reference_top_k(scores, k))
 
     def test_partition_rejects_bad_k(self):
         with pytest.raises(SelectionError):
-            top_k_partition(np.array([1.0, 2.0]), 3)
+            top_k_indices(np.array([1.0, 2.0]), 3)
         with pytest.raises(SelectionError):
-            top_k_partition(np.array([1.0, 2.0]), 0)
+            top_k_indices(np.array([1.0, 2.0]), 0)
 
     def test_ucb_scores_unseen_and_cold_start(self):
-        counts = np.array([0.0, 4.0, 2.0])
-        means = np.array([0.5, 0.7, 0.6])
+        state = LearningState(3, prior_mean=PRIOR_MEAN)
+        state.update(np.array([1]), np.array([0.7]), 1)
         # total <= 1: every seller must be forced into exploration.
-        assert np.all(np.isinf(ucb_scores(counts, means, 1, 3.0)))
+        assert np.all(np.isinf(state.ucb_values(3.0)))
+        state.update(np.array([1, 2]), np.array([1.4, 1.2]), 2)
         # Unseen seller keeps an infinite index afterwards.
-        scores = ucb_scores(counts, means, 6, 3.0)
+        scores = state.ucb_values(3.0)
         assert math.isinf(scores[0])
         assert np.all(np.isfinite(scores[1:]))
 
     def test_ucb_scores_rejects_bad_coefficient(self):
+        state = LearningState(3)
         with pytest.raises(ConfigurationError, match="coefficient"):
-            ucb_scores(np.ones(3), np.ones(3), 5, 0.0)
+            state.ucb_values(0.0)
+        with pytest.raises(ConfigurationError, match="coefficient"):
+            state.exploration_bonuses(-1.0)
 
     def test_estimation_error_matches_scalar_expression(self):
         rng = np.random.default_rng(3)
         means = rng.uniform(0.0, 1.0, 50)
         truth = rng.uniform(0.1, 1.0, 50)
-        scratch = np.empty(50)
-        expected = float(np.abs(means - truth).mean())
-        assert estimation_error(means, truth, scratch) == expected
+        work = np.empty(50)
+        assert estimation_error(means, truth, work) \
+            == estimation_error_scalar(means, truth)
 
     def test_vector_state_snapshot_restore_round_trip(self):
         rng = np.random.default_rng(7)
-        vector = VectorLearningState(9, prior_mean=PRIOR_MEAN)
-        vector.update(np.arange(5), rng.uniform(0.0, 3.0, 5), 3)
-        snapshot = vector.snapshot()
-        restored = VectorLearningState(9, prior_mean=PRIOR_MEAN)
+        state = LearningState(9, prior_mean=PRIOR_MEAN)
+        state.update(np.arange(5), rng.uniform(0.0, 3.0, 5), 3)
+        snapshot = state.snapshot()
+        restored = LearningState(9, prior_mean=PRIOR_MEAN)
         restored.restore(snapshot)
-        np.testing.assert_array_equal(vector.means, restored.means)
-        np.testing.assert_array_equal(vector.ucb_values(4.0),
+        np.testing.assert_array_equal(state.means, restored.means)
+        np.testing.assert_array_equal(state.ucb_values(4.0),
                                       restored.ucb_values(4.0))
-        assert vector.total_count == restored.total_count
+        assert state.total_count == restored.total_count
 
 
 @st.composite
@@ -277,64 +294,90 @@ class TestBatchKernels:
             solve_stage3_batch(game, prices), rtol=RTOL, atol=1e-9)
 
 
-def _run(backend, *, m, k, seed, num_rounds=80, fault=None):
+class ReferenceLearningState(LearningState):
+    """A learning state whose every read is a from-scratch reference."""
+
+    def _raw(self):
+        snapshot = self.snapshot()
+        return snapshot["counts"], snapshot["sums"]
+
+    @property
+    def total_count(self) -> int:
+        return int(self._raw()[0].sum())
+
+    @property
+    def means(self) -> np.ndarray:
+        return reference_means(*self._raw(), PRIOR_MEAN)
+
+    def ucb_values(self, coefficient: float) -> np.ndarray:
+        return reference_ucb(*self._raw(), PRIOR_MEAN, coefficient)
+
+
+@pytest.fixture
+def on_references(monkeypatch):
+    """Swap every round-loop kernel for its naive reference."""
+
+    def install():
+        monkeypatch.setattr(repro.sim.engine, "LearningState",
+                            ReferenceLearningState)
+        monkeypatch.setattr(repro.runtime.market, "LearningState",
+                            ReferenceLearningState)
+        monkeypatch.setattr(repro.bandits.policies, "top_k_indices",
+                            reference_top_k)
+        monkeypatch.setattr(repro.runtime.market, "top_k_indices",
+                            reference_top_k)
+        monkeypatch.setattr(
+            repro.sim.rounds, "_estimation_error",
+            lambda means, truth, work: estimation_error_scalar(means, truth),
+        )
+
+    return install
+
+
+def _run(*, m, k, seed, num_rounds=80, fault=None):
     config = SimulationConfig(num_sellers=m, num_selected=k, num_pois=4,
                               num_rounds=num_rounds, seed=seed)
-    simulator = TradingSimulator(config, backend=backend)
+    simulator = TradingSimulator(config)
     fault_model = (simulator.fault_model(fault)
                    if fault is not None else None)
     return simulator.run(UCBPolicy(), fault_model=fault_model)
 
 
 class TestEngineDifferential:
+    """Whole runs on the kernels vs the same runs on the references."""
+
     @pytest.mark.parametrize("m,k", [(12, 3), (20, 4), (6, 6), (9, 1)])
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_clean_runs_bit_identical(self, m, k, seed):
-        scalar = _run("scalar", m=m, k=k, seed=seed)
-        vector = _run("vector", m=m, k=k, seed=seed)
+    def test_clean_runs_bit_identical(self, m, k, seed, on_references):
+        fast = _run(m=m, k=k, seed=seed)
+        on_references()
+        reference = _run(m=m, k=k, seed=seed)
         for field in METRIC_FIELDS:
             np.testing.assert_array_equal(
-                np.asarray(getattr(scalar, field)),
-                np.asarray(getattr(vector, field)), err_msg=field)
+                np.asarray(getattr(fast, field)),
+                np.asarray(getattr(reference, field)), err_msg=field)
 
     @pytest.mark.parametrize("seed", [2, 5])
-    def test_faulty_runs_bit_identical(self, seed):
+    def test_faulty_runs_bit_identical(self, seed, on_references):
         fault = FaultSpec(dropout_rate=0.15, corruption_rate=0.05,
                           stall_rate=0.02)
-        scalar = _run("scalar", m=15, k=3, seed=seed, fault=fault)
-        vector = _run("vector", m=15, k=3, seed=seed, fault=fault)
+        fast = _run(m=15, k=3, seed=seed, fault=fault)
+        on_references()
+        reference = _run(m=15, k=3, seed=seed, fault=fault)
         for field in METRIC_FIELDS:
             np.testing.assert_array_equal(
-                np.asarray(getattr(scalar, field)),
-                np.asarray(getattr(vector, field)), err_msg=field)
+                np.asarray(getattr(fast, field)),
+                np.asarray(getattr(reference, field)), err_msg=field)
 
-    def test_backend_validation(self):
-        config = SimulationConfig(num_sellers=6, num_selected=2,
-                                  num_pois=3, num_rounds=10, seed=0)
-        with pytest.raises(ConfigurationError, match="backend"):
-            TradingSimulator(config, backend="gpu")
+    def test_runtime_churn_ledger_digest_identical(self, on_references):
+        from repro.verify.runtime import compute_runtime_golden
 
-    def test_runtime_churn_ledger_digest_identical(self):
-        from repro.verify.runtime import (
-            RUNTIME_GOLDEN_CASE,
-            compute_runtime_golden,
-        )
-
-        scalar = compute_runtime_golden(RUNTIME_GOLDEN_CASE,
-                                        backend="scalar")
-        vector = compute_runtime_golden(RUNTIME_GOLDEN_CASE,
-                                        backend="vector")
-        assert scalar["ledger_digest"] == vector["ledger_digest"]
-        assert scalar["sessions_opened"] == vector["sessions_opened"]
-        assert scalar["messages_delivered"] == vector["messages_delivered"]
-
-    def test_runtime_backend_validation(self):
-        from repro.runtime.market import MarketRuntime
-
-        config = SimulationConfig(num_sellers=6, num_selected=2,
-                                  num_pois=3, num_rounds=10, seed=0)
-        with pytest.raises(ConfigurationError, match="backend"):
-            MarketRuntime(config, backend="gpu")
+        fast = compute_runtime_golden()
+        on_references()
+        reference = compute_runtime_golden()
+        assert fast["ledger_digest"] == reference["ledger_digest"]
+        assert fast["sessions_opened"] == reference["sessions_opened"]
+        assert fast["messages_delivered"] == reference["messages_delivered"]
 
 
 class TestKernelsVerifySection:
@@ -344,22 +387,21 @@ class TestKernelsVerifySection:
         result = check_kernels(seed=0)
         assert result.passed, [c.describe() for c in result.failures()]
         assert {c.name for c in result.checks} == {
-            "selection-unit", "batch-stage", "engine-differential",
-            "churn-differential", "mutation-canary",
+            "state-reference", "batch-stage", "mutation-canary",
         }
 
     def test_mutation_canary_detects_kernel_defect(self):
         # The canary inverts the oracle: a 1% bonus inflation must FAIL
-        # the selection leg, or the differential suite has no power.
-        from repro.kernels import selection
-        from repro.verify.kernels import check_selection_kernels
+        # the state leg, or the reference oracle has no power.
+        from repro.core import state
+        from repro.verify.kernels import check_state_kernels
 
-        original = selection._MUTATION_SCALE
+        original = state._MUTATION_SCALE
         try:
-            selection._MUTATION_SCALE = 1.01
-            assert not check_selection_kernels(seed=0, trials=10).passed
+            state._MUTATION_SCALE = 1.01
+            assert not check_state_kernels(seed=0, trials=10).passed
         finally:
-            selection._MUTATION_SCALE = original
+            state._MUTATION_SCALE = original
 
     def test_runner_accepts_kernels_section(self):
         from repro.verify.runner import SECTIONS, run_verification

@@ -85,6 +85,37 @@ class TestLearningStateProperties:
         state.restore(snapshot)
         np.testing.assert_array_equal(state.means, means_before)
 
+    @given(data=update_sequences(), coefficient=st.floats(0.1, 20.0))
+    @settings(max_examples=40, deadline=None)
+    def test_mirrors_equal_a_fresh_recompute(self, data, coefficient):
+        # The maintained means, float counts and total must match a
+        # state rebuilt from its raw snapshot, through restore and reset.
+        m, num_obs, updates = data
+        state = LearningState(m, prior_mean=0.5)
+        half = len(updates) // 2
+        for sellers, obs_sums in updates[:half]:
+            state.update(sellers, obs_sums, num_obs)
+        snapshot = state.snapshot()
+        for sellers, obs_sums in updates[half:]:
+            state.update(sellers, obs_sums, num_obs)
+            state.update(np.array([], dtype=int), np.array([]), num_obs)
+        for step in ("updated", "restored", "reset"):
+            if step == "restored":
+                state.restore(snapshot)
+            elif step == "reset":
+                state.reset()
+            fresh = LearningState(m, prior_mean=0.5)
+            fresh.restore(state.snapshot())
+            counts = state.counts
+            assert state.total_count == int(counts.sum())
+            seen = counts > 0
+            expected = np.full(m, 0.5)
+            expected[seen] = state.snapshot()["sums"][seen] / counts[seen]
+            np.testing.assert_array_equal(state.means, expected)
+            np.testing.assert_array_equal(state.means, fresh.means)
+            np.testing.assert_array_equal(state.ucb_values(coefficient),
+                                          fresh.ucb_values(coefficient))
+
 
 class TestSelectionProperties:
     @given(scores=st.lists(st.floats(-10.0, 10.0), min_size=1,

@@ -66,6 +66,13 @@ class TestSellerPopulation:
         population = SellerPopulation(sellers)
         assert [s.seller_id for s in population] == [0, 1, 2, 3]
 
+    def test_explicit_list_keeps_its_ids(self):
+        sellers = [make_seller(seller_id=taxi, quality=0.3 + i / 10)
+                   for i, taxi in enumerate((1042, 7, 311))]
+        population = SellerPopulation(sellers)
+        assert list(population) == sellers
+        assert population[-1].seller_id == 311
+
     def test_array_views_match_objects(self):
         sellers = [make_seller(quality=0.4, a=0.2, b=0.3, seller_id=0),
                    make_seller(quality=0.9, a=0.5, b=0.1, seller_id=1)]
@@ -145,6 +152,32 @@ class TestFromArrays:
         np.testing.assert_array_equal(population.expected_qualities, qualities)
         np.testing.assert_array_equal(population.cost_a, a)
         np.testing.assert_array_equal(population.cost_b, b)
+
+    def test_items_are_equal_seller_objects(self):
+        population = SellerPopulation.from_arrays(
+            np.array([0.4, 0.8]), np.array([0.2, 0.3]), np.array([0.1, 0.6])
+        )
+        assert population[1] == make_seller(quality=0.8, a=0.3, b=0.6,
+                                            seller_id=1)
+        assert list(population) == [population[0], population[1]]
+
+    @pytest.mark.parametrize("qualities,a,b,match", [
+        ([0.5, 0.0], [0.2, 0.2], [0.1, 0.1], "expected_quality"),
+        ([0.5, 1.5], [0.2, 0.2], [0.1, 0.1], "expected_quality"),
+        ([0.5, np.nan], [0.2, 0.2], [0.1, 0.1], "expected_quality"),
+        ([0.5, 0.5], [0.2, 0.0], [0.1, 0.1], "parameter a"),
+        ([0.5, 0.5], [np.inf, 0.2], [0.1, 0.1], "parameter a"),
+        ([0.5, 0.5], [0.2, 0.2], [-0.1, 0.1], "parameter b"),
+    ])
+    def test_rejects_what_a_seller_rejects(self, qualities, a, b, match):
+        with pytest.raises(ConfigurationError, match=match):
+            SellerPopulation.from_arrays(np.array(qualities), np.array(a),
+                                         np.array(b))
+
+    def test_rejects_empty(self):
+        with pytest.raises(ConfigurationError, match="empty"):
+            SellerPopulation.from_arrays(np.array([]), np.array([]),
+                                         np.array([]))
 
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(ConfigurationError, match="equal length"):

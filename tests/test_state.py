@@ -87,6 +87,26 @@ class TestUpdate:
         state.update(np.array([], dtype=int), np.array([]), 4)
         assert state.total_count == 0
 
+    def test_total_count_is_the_count_sum(self):
+        state = LearningState(4)
+        state.update(np.array([0, 3]), np.array([1.0, 2.0]), 3)
+        state.update(np.array([], dtype=int), np.array([]), 5)
+        state.update(np.array([3]), np.array([0.5]), 2)
+        assert state.total_count == int(state.counts.sum()) == 8
+
+
+class TestMeansView:
+    def test_means_is_read_only(self):
+        state = LearningState(3)
+        with pytest.raises(ValueError):
+            state.means[0] = 0.9
+
+    def test_view_follows_later_updates(self):
+        state = LearningState(2, prior_mean=0.5)
+        means = state.means
+        state.update(np.array([1]), np.array([1.0]), 4)
+        np.testing.assert_array_equal(means, [0.5, 0.25])
+
 
 class TestUCB:
     def test_unseen_sellers_have_infinite_index(self):
@@ -160,3 +180,32 @@ class TestSnapshotRestore:
         state.update(np.array([0]), np.array([1.0]), 2)
         state.reset()
         assert state.total_count == 0
+
+    def test_reset_mirrors_equal_a_fresh_state(self):
+        state = LearningState(3, prior_mean=0.5)
+        state.update(np.array([0, 2]), np.array([1.0, 0.3]), 2)
+        state.reset()
+        fresh = LearningState(3, prior_mean=0.5)
+        np.testing.assert_array_equal(state.means, fresh.means)
+        np.testing.assert_array_equal(state.ucb_values(2.0),
+                                      fresh.ucb_values(2.0))
+        assert state.total_count == fresh.total_count == 0
+
+    def test_hand_built_snapshot_restores_bit_identically(self):
+        # The checkpoint format: int64 counts, float sums.
+        counts = np.array([6, 0, 3, 9], dtype=np.int64)
+        sums = np.array([2.7, 0.0, 1.1, 8.3])
+        state = LearningState(4, prior_mean=0.5)
+        state.restore({"counts": counts, "sums": sums})
+        assert state.total_count == 18
+        np.testing.assert_array_equal(
+            state.means, [2.7 / 6, 0.5, 1.1 / 3, 8.3 / 9])
+        bonuses = np.sqrt(3.0 * np.log(18) / counts[[0, 2, 3]])
+        ucb = state.ucb_values(3.0)
+        np.testing.assert_array_equal(ucb[[0, 2, 3]],
+                                      state.means[[0, 2, 3]] + bonuses)
+        assert np.isposinf(ucb[1])
+        snapshot = state.snapshot()
+        assert snapshot["counts"].dtype == np.int64
+        np.testing.assert_array_equal(snapshot["counts"], counts)
+        np.testing.assert_array_equal(snapshot["sums"], sums)

@@ -8,15 +8,18 @@ import os
 import pytest
 
 from repro.exceptions import PersistenceError
+from repro.sim.persistence import denormalize_json_value
 from repro.verify import (
     GOLDEN_CASES,
     GoldenCase,
     compute_golden,
+    compute_runtime_golden,
     golden_directory,
     golden_path,
     update_goldens,
     verify_goldens,
 )
+from repro.verify.runtime import _golden_path as runtime_golden_path
 
 #: The cheapest canonical case, used where one run suffices.
 SMALL_CASE = GoldenCase("tiny", num_sellers=8, num_selected=2, num_pois=3,
@@ -132,3 +135,33 @@ def test_golden_directory_is_packaged():
     assert os.path.basename(directory) == "goldens"
     assert os.path.dirname(directory).endswith(os.path.join("repro",
                                                             "verify"))
+
+
+def _load(path):
+    with open(path, encoding="utf-8") as handle:
+        return denormalize_json_value(json.load(handle))
+
+
+@pytest.mark.parametrize("case", GOLDEN_CASES, ids=lambda c: c.name)
+def test_engine_golden_bit_identical(case):
+    # Exact equality, not the verify tolerance: any hot-path shortcut
+    # that moves one ulp of one settled price in one round shows up here.
+    stored = _load(golden_path(case))
+    fresh = compute_golden(case)
+    assert fresh["case"] == stored["case"]
+    assert fresh["policy"] == stored["policy"]
+    assert fresh["summary"] == stored["summary"]
+    for field, series in stored["series"].items():
+        assert fresh["series"][field] == series, (
+            f"{case.name}: series {field} drifted"
+        )
+
+
+def test_runtime_churn_golden_bit_identical():
+    stored = _load(runtime_golden_path())
+    fresh = compute_runtime_golden()
+    assert fresh["ledger_digest"] == stored["ledger_digest"]
+    assert fresh["summary"] == stored["summary"]
+    for key in ("sessions_opened", "sessions_closed",
+                "messages_delivered", "messages_dropped"):
+        assert fresh[key] == stored[key]
