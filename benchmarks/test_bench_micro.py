@@ -16,10 +16,12 @@ from conftest import record_benchmark
 from repro.bandits.policies import UCBPolicy
 from repro.core.incentive import solve_round_fast
 from repro.core.state import LearningState
+from repro.faults import FaultLog, FaultSpec
 from repro.quality.distributions import TruncatedGaussianQuality
 from repro.quality.sampler import QualitySampler
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import TradingSimulator
+from repro.sim.persistence import load_checkpoint, save_checkpoint
 
 M, K, L = 300, 10, 10
 
@@ -128,3 +130,46 @@ def test_engine_round_throughput_m100k(benchmark):
     """Engine rounds at M=100k — the scale headroom bar."""
     _engine_throughput(benchmark, sellers=100_000, num_rounds=120,
                        bench_name="engine.m100k", bench_rounds=2)
+
+
+def test_checkpoint_round_trip_m20k(benchmark, tmp_path):
+    """``save_checkpoint`` + ``load_checkpoint`` of a faulty M=20k run.
+
+    The payload is the engine checkpoint of a 400-round faulty CMAB-HS
+    run at M=20,000 (three length-M vectors, the per-round series and
+    ~6k fault-log events) — the file the repository benchmark's
+    ``faults_resume`` workload rewrites every 10 rounds.  With
+    ``REPRO_BENCH_RECORD=1`` the best block lands in the benchstore
+    under ``checkpoint.m20k``, one "round" per write + read.
+    """
+    sellers, writes_per_block = 20_000, 20
+    config = SimulationConfig(num_sellers=sellers, num_selected=K,
+                              num_pois=L, num_rounds=401, seed=0)
+    simulator = TradingSimulator(config)
+    source = tmp_path / "source.npz"
+    simulator.run(
+        UCBPolicy(),
+        fault_model=simulator.fault_model(FaultSpec(
+            dropout_rate=0.1, corruption_rate=0.05, stall_rate=0.05)),
+        fault_log=FaultLog(), checkpoint_path=source, checkpoint_every=400,
+    )
+    meta, arrays = load_checkpoint(source)
+    assert arrays["faultlog_rounds"].size > 5_000
+    path = tmp_path / "bench.npz"
+    block_times: list[float] = []
+
+    def write_and_read_block():
+        start = time.perf_counter()
+        for _ in range(writes_per_block):
+            save_checkpoint(path, meta, arrays)
+            loaded = load_checkpoint(path)
+        block_times.append(time.perf_counter() - start)
+        return loaded
+
+    loaded_meta, loaded_arrays = benchmark.pedantic(
+        write_and_read_block, rounds=3, iterations=1)
+    assert loaded_meta == meta
+    np.testing.assert_array_equal(loaded_arrays["state_sums"],
+                                  arrays["state_sums"])
+    record_benchmark("checkpoint.m20k", rounds=writes_per_block,
+                     wall_s=min(block_times), sellers=sellers, selected=K)

@@ -3,12 +3,14 @@
 A :class:`FaultLog` is the audit trail of a fault-injected simulation:
 each injected failure (dropout, corruption, stall), each platform-side
 reaction (quarantine, degraded game re-solve, no-trade fallback) is
-appended as one :class:`FaultEvent`.  The log is append-only during a
-run and serialisable to plain arrays so checkpoints can carry it.
+appended as one event and read back as a :class:`FaultEvent`.  The log
+is append-only during a run and serialisable to plain arrays so
+checkpoints can carry it.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
@@ -51,7 +53,7 @@ class FaultKind(str, Enum):
 #: Stable integer codes used when a log round-trips through an NPZ
 #: checkpoint (insertion order of :class:`FaultKind` is the code).
 _KIND_CODES = {kind: code for code, kind in enumerate(FaultKind)}
-_CODE_KINDS = {code: kind for kind, code in _KIND_CODES.items()}
+_CODE_KINDS = tuple(FaultKind)
 
 
 @dataclass(frozen=True)
@@ -80,75 +82,86 @@ class FaultEvent:
 
 
 class FaultLog:
-    """Append-only, serialisable log of fault events."""
+    """Append-only, serialisable log of fault events.
+
+    Stored as four aligned columns — rounds, kind codes, sellers,
+    values — so recording is four list appends and serialising for a
+    checkpoint is four array builds; :class:`FaultEvent` objects are
+    built only when a query asks for them.
+    """
 
     def __init__(self) -> None:
-        self._events: list[FaultEvent] = []
+        self._rounds: list[int] = []
+        self._codes: list[int] = []
+        self._sellers: list[int] = []
+        self._values: list[float] = []
 
     # -- recording -----------------------------------------------------------------
 
     def record(self, round_index: int, kind: FaultKind, seller: int = -1,
                value: float = 0.0) -> None:
         """Append one event."""
-        self._events.append(
-            FaultEvent(int(round_index), FaultKind(kind), int(seller),
-                       float(value))
-        )
+        # Convert everything before appending, so a bad argument cannot
+        # leave the columns misaligned.
+        round_index, code = int(round_index), _KIND_CODES[FaultKind(kind)]
+        seller, value = int(seller), float(value)
+        self._rounds.append(round_index)
+        self._codes.append(code)
+        self._sellers.append(seller)
+        self._values.append(value)
 
     # -- queries -------------------------------------------------------------------
+
+    def _event(self, i: int) -> FaultEvent:
+        return FaultEvent(self._rounds[i], _CODE_KINDS[self._codes[i]],
+                          self._sellers[i], self._values[i])
 
     @property
     def events(self) -> tuple[FaultEvent, ...]:
         """All events in insertion (chronological) order."""
-        return tuple(self._events)
+        return tuple(map(self._event, range(len(self._rounds))))
 
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self._rounds)
 
     def count(self, kind: FaultKind) -> int:
         """Number of events of one kind."""
-        kind = FaultKind(kind)
-        return sum(1 for event in self._events if event.kind is kind)
+        return self._codes.count(_KIND_CODES[FaultKind(kind)])
 
     def events_in_round(self, round_index: int) -> list[FaultEvent]:
         """Every event of one round, in order."""
-        return [e for e in self._events if e.round_index == round_index]
+        return [self._event(i) for i, r in enumerate(self._rounds)
+                if r == round_index]
 
     def sellers_hit(self, kind: FaultKind,
                     round_index: int | None = None) -> list[int]:
         """Seller indices affected by one kind (optionally one round)."""
-        kind = FaultKind(kind)
+        code = _KIND_CODES[FaultKind(kind)]
         return [
-            e.seller for e in self._events
-            if e.kind is kind
-            and (round_index is None or e.round_index == round_index)
+            seller for c, r, seller in zip(self._codes, self._rounds,
+                                           self._sellers)
+            if c == code and (round_index is None or r == round_index)
         ]
 
     def summary(self) -> dict[str, int]:
         """Event counts keyed by kind value (only non-zero kinds)."""
-        counts: dict[str, int] = {}
-        for event in self._events:
-            counts[event.kind.value] = counts.get(event.kind.value, 0) + 1
-        return counts
+        return {_CODE_KINDS[code].value: n
+                for code, n in Counter(self._codes).items()}
 
     # -- (de)serialisation, for checkpoints ------------------------------------------
 
     def to_arrays(self) -> dict[str, np.ndarray]:
         """The log as four aligned plain arrays (checkpoint payload)."""
         return {
-            "rounds": np.array([e.round_index for e in self._events],
-                               dtype=np.int64),
-            "kinds": np.array([_KIND_CODES[e.kind] for e in self._events],
-                              dtype=np.int64),
-            "sellers": np.array([e.seller for e in self._events],
-                                dtype=np.int64),
-            "values": np.array([e.value for e in self._events], dtype=float),
+            "rounds": np.array(self._rounds, dtype=np.int64),
+            "kinds": np.array(self._codes, dtype=np.int64),
+            "sellers": np.array(self._sellers, dtype=np.int64),
+            "values": np.array(self._values, dtype=float),
         }
 
     @classmethod
     def from_arrays(cls, arrays: dict[str, np.ndarray]) -> "FaultLog":
         """Rebuild a log serialised by :meth:`to_arrays`."""
-        log = cls()
         try:
             rounds = np.asarray(arrays["rounds"], dtype=np.int64)
             kinds = np.asarray(arrays["kinds"], dtype=np.int64)
@@ -158,19 +171,27 @@ class FaultLog:
             raise ConfigurationError(
                 f"fault-log arrays are missing field {error.args[0]!r}"
             ) from error
-        if not (rounds.size == kinds.size == sellers.size == values.size):
+        if not (rounds.ndim == kinds.ndim == sellers.ndim == values.ndim == 1
+                and rounds.size == kinds.size == sellers.size
+                == values.size):
             raise ConfigurationError("fault-log arrays are misaligned")
-        for r, c, s, v in zip(rounds, kinds, sellers, values):
-            if int(c) not in _CODE_KINDS:
-                raise ConfigurationError(f"unknown fault-kind code {int(c)}")
-            log._events.append(
-                FaultEvent(int(r), _CODE_KINDS[int(c)], int(s), float(v))
+        unknown = (kinds < 0) | (kinds >= len(_CODE_KINDS))
+        if unknown.any():
+            raise ConfigurationError(
+                f"unknown fault-kind code {int(kinds[unknown][0])}"
             )
+        log = cls()
+        log._rounds = rounds.tolist()
+        log._codes = kinds.tolist()
+        log._sellers = sellers.tolist()
+        log._values = values.tolist()
         return log
 
     def restore_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         """Replace this log's contents with serialised events (resume)."""
-        self._events = list(FaultLog.from_arrays(arrays)._events)
+        restored = FaultLog.from_arrays(arrays)
+        self._rounds, self._codes = restored._rounds, restored._codes
+        self._sellers, self._values = restored._sellers, restored._values
 
     def __repr__(self) -> str:  # pragma: no cover - debug convenience
         return f"FaultLog({self.summary()!r})"

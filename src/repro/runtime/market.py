@@ -72,7 +72,7 @@ from repro.resilience.shutdown import NEVER_STOP, ShutdownSignal
 from repro.runtime.arrivals import ChurnProcess, ChurnSpec
 from repro.runtime.kernel import SETTLE, Agent, EventKernel, Message
 from repro.sim.config import SimulationConfig
-from repro.sim.persistence import load_checkpoint, save_checkpoint
+from repro.sim.persistence import load_checkpoint, read_field, save_checkpoint
 from repro.sim.results import RunMetrics
 from repro.sim.rng import RngFactory
 from repro.sim.rounds import (
@@ -842,13 +842,15 @@ class MarketRuntime:
                     f"{expected!r}"
                 )
         try:
-            next_round = int(meta["next_round"])
+            next_round = read_field(meta, "next_round", int, path)
             self._state.restore({"counts": arrays["state_counts"],
                                  "sums": arrays["state_sums"]})
             self._tracker.restore({
-                "cumulative": meta["tracker_cumulative"],
-                "rounds": meta["tracker_rounds"],
-                "expected_revenue": meta["tracker_expected_revenue"],
+                "cumulative": read_field(meta, "tracker_cumulative",
+                                         float, path),
+                "rounds": read_field(meta, "tracker_rounds", int, path),
+                "expected_revenue": read_field(
+                    meta, "tracker_expected_revenue", float, path),
                 "history": arrays["regret_history"],
             })
             for name in SERIES_NAMES:
@@ -859,12 +861,14 @@ class MarketRuntime:
             self._slot_session[:] = arrays["slot_session"]
             self._slot_opened_round[:] = arrays["slot_opened_round"]
             self._slot_trades[:] = arrays["slot_trades"]
-            self._next_session = int(meta["next_session"])
-            self._sessions_opened = int(meta["sessions_opened"])
-            self._sessions_closed = int(meta["sessions_closed"])
+            self._next_session = read_field(meta, "next_session", int, path)
+            self._sessions_opened = read_field(meta, "sessions_opened",
+                                               int, path)
+            self._sessions_closed = read_field(meta, "sessions_closed",
+                                               int, path)
             self._kernel.restore_message_counters(
-                int(meta["messages_delivered"]),
-                int(meta["messages_dropped"]),
+                read_field(meta, "messages_delivered", int, path),
+                read_field(meta, "messages_dropped", int, path),
             )
             self._policy_rng.bit_generator.state = meta["policy_rng_state"]
             self._observation_rng.bit_generator.state = (

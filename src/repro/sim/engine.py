@@ -85,6 +85,7 @@ from repro.resilience.shutdown import NEVER_STOP, ShutdownSignal
 from repro.sim.config import SimulationConfig
 from repro.sim.persistence import (
     load_checkpoint,
+    read_field,
     recover_checkpoint,
     save_checkpoint,
 )
@@ -763,13 +764,15 @@ class TradingSimulator:
                     f"run: {key} is {meta.get(key)!r}, expected {expected!r}"
                 )
         try:
-            next_round = int(meta["next_round"])
+            next_round = read_field(meta, "next_round", int, path)
             state.restore({"counts": arrays["state_counts"],
                            "sums": arrays["state_sums"]})
             tracker.restore({
-                "cumulative": meta["tracker_cumulative"],
-                "rounds": meta["tracker_rounds"],
-                "expected_revenue": meta["tracker_expected_revenue"],
+                "cumulative": read_field(meta, "tracker_cumulative",
+                                         float, path),
+                "rounds": read_field(meta, "tracker_rounds", int, path),
+                "expected_revenue": read_field(
+                    meta, "tracker_expected_revenue", float, path),
                 "history": arrays["regret_history"],
             })
             for name in _SERIES_NAMES:

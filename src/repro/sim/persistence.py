@@ -8,8 +8,13 @@ Formats:
 
 * **JSON** — self-describing, for experiment results and sweep
   checkpoints (small series);
-* **NPZ** — compact binary, for per-round run metrics and engine
-  checkpoints (arrays of up to ``2*10^5`` entries).
+* **NPZ** — uncompressed (``ZIP_STORED``) ``.npy`` members followed by
+  a SHA-256 footer, for per-round run metrics and engine checkpoints
+  (arrays of up to ``2*10^5`` entries).  Members are stored, not
+  deflated: a checkpoint write then costs about what its bytes cost,
+  where zlib spent most of the write on counts and sums that change
+  every round.  ``np.load`` reads stored and deflated members alike,
+  so files written compressed by earlier versions still load.
 
 Every write is **atomic**: content goes to a temp file in the target
 directory which is then :func:`os.replace`-d over the destination, so a
@@ -20,9 +25,9 @@ processes (the parallel runtime's workers and coordinator) can write
 checkpoints into one directory — or even race on the same destination
 path — and every reader still sees some complete file.  Every file
 carries a ``schema_version`` field, and all read paths convert
-truncation / garbage / missing-field failures into
+truncation / garbage / missing-field / malformed-field failures into
 :class:`~repro.exceptions.PersistenceError` instead of leaking raw
-``ValueError``/``KeyError``.
+``ValueError``/``TypeError``/``KeyError``.
 
 Every save/load entry point is wrapped with the observability layer's
 :func:`~repro.obs.timed` decorator: pass ``metrics=<MetricsRegistry>``
@@ -40,6 +45,7 @@ import math
 import os
 import tempfile
 import zipfile
+from collections.abc import Callable, Iterable, Mapping
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -61,6 +67,7 @@ __all__ = [
     "denormalize_json_value",
     "atomic_write_bytes",
     "atomic_write_json",
+    "read_field",
     "save_run_metrics",
     "load_run_metrics",
     "experiment_result_to_dict",
@@ -213,6 +220,11 @@ def atomic_write_bytes(path: str | os.PathLike, payload: bytes) -> None:
     leaves either the old complete file or the new complete file, never
     a truncated hybrid.
     """
+    _atomic_write(path, (payload,))
+
+
+def _atomic_write(path: str | os.PathLike, chunks: Iterable[Any]) -> None:
+    """:func:`atomic_write_bytes` of the concatenated bytes-like ``chunks``."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     descriptor, temp_path = tempfile.mkstemp(
@@ -220,7 +232,8 @@ def atomic_write_bytes(path: str | os.PathLike, payload: bytes) -> None:
     )
     try:
         with os.fdopen(descriptor, "wb") as handle:
-            handle.write(payload)
+            for chunk in chunks:
+                handle.write(chunk)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(temp_path, path)
@@ -246,11 +259,16 @@ def atomic_write_json(path: str | os.PathLike, payload: dict) -> None:
 
 def _atomic_write_npz(path: str | os.PathLike,
                       arrays: dict[str, np.ndarray]) -> None:
+    """Atomically write ``arrays`` as stored NPZ members + checksum footer.
+
+    The archive is built in memory, hashed in place, and written as two
+    chunks (payload, then footer) without ever copying the payload.
+    """
     buffer = io.BytesIO()
-    np.savez_compressed(buffer, **arrays)
-    payload = buffer.getvalue()
-    footer = _CHECKSUM_MAGIC + hashlib.sha256(payload).digest()
-    atomic_write_bytes(path, payload + footer)
+    np.savez(buffer, **arrays)
+    with buffer.getbuffer() as payload:
+        footer = _CHECKSUM_MAGIC + hashlib.sha256(payload).digest()
+        _atomic_write(path, (payload, footer))
 
 
 def _json_checksum(payload: dict) -> str:
@@ -326,13 +344,42 @@ def _load_json(path: str | os.PathLike, what: str) -> dict:
     return payload
 
 
-def _check_schema_version(found: int, expected: int,
-                          path: str | os.PathLike, what: str) -> None:
-    if int(found) != expected:
+def read_field(record: Mapping[str, Any], key: str,
+               convert: Callable[[Any], Any], path: str | os.PathLike,
+               what: str = "checkpoint") -> Any:
+    """``convert(record[key])`` for one field of a loaded artefact.
+
+    A missing key, or a value ``convert`` rejects (``"v1"`` or ``None``
+    where an integer belongs), raises
+    :class:`PersistenceError` naming the field and the file — so
+    malformed metadata fails like any other corruption, and the
+    quarantine-and-roll-back path can act on it.
+    """
+    try:
+        value = record[key]
+    except KeyError as error:
         raise PersistenceError(
-            f"{what} {os.fspath(path)!s} has schema version {int(found)}, "
+            f"{what} {os.fspath(path)!s} is missing field {key!r}",
+            path=os.fspath(path),
+        ) from error
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as error:
+        raise PersistenceError(
+            f"{what} {os.fspath(path)!s} has a malformed {key!r}: "
+            f"{value!r}",
+            path=os.fspath(path),
+        ) from error
+
+
+def _check_schema_version(record: Mapping[str, Any], expected: int,
+                          path: str | os.PathLike, what: str) -> None:
+    found = read_field(record, "schema_version", int, path, what)
+    if found != expected:
+        raise PersistenceError(
+            f"{what} {os.fspath(path)!s} has schema version {found}, "
             f"but this library reads version {expected}",
-            path=os.fspath(path), schema_found=int(found),
+            path=os.fspath(path), schema_found=found,
             schema_expected=expected,
         )
 
@@ -342,7 +389,7 @@ def _check_schema_version(found: int, expected: int,
 
 @timed("persistence.save_run_metrics")
 def save_run_metrics(run: RunMetrics, path: str | os.PathLike) -> None:
-    """Persist one run's per-round series as a compressed ``.npz``.
+    """Persist one run's per-round series as an ``.npz`` of stored members.
 
     The write is atomic and stamps :data:`RUN_SCHEMA_VERSION`.
     """
@@ -367,8 +414,8 @@ def load_run_metrics(path: str | os.PathLike) -> RunMetrics:
     """
     with _load_npz(path, "run file") as data:
         if "schema_version" in data:
-            _check_schema_version(int(data["schema_version"]),
-                                  RUN_SCHEMA_VERSION, path, "run file")
+            _check_schema_version(data, RUN_SCHEMA_VERSION, path,
+                                  "run file")
         missing = [
             name for name in _RUN_SERIES_FIELDS + ("policy_name",)
             if name not in data
@@ -555,8 +602,8 @@ def load_checkpoint(path: str | os.PathLike) -> tuple[dict, dict[str, np.ndarray
     Raises
     ------
     PersistenceError
-        If the file is corrupt, not a checkpoint, or carries an
-        unsupported schema version.
+        If the file is corrupt, not a checkpoint, or carries a
+        malformed or unsupported schema version.
     """
     with _load_npz(path, "checkpoint") as data:
         if "checkpoint_meta" not in data:
@@ -579,8 +626,9 @@ def load_checkpoint(path: str | os.PathLike) -> tuple[dict, dict[str, np.ndarray
                 "schema_version",
                 path=os.fspath(path),
             )
-        _check_schema_version(meta.pop("schema_version"),
-                              CHECKPOINT_SCHEMA_VERSION, path, "checkpoint")
+        _check_schema_version(meta, CHECKPOINT_SCHEMA_VERSION, path,
+                              "checkpoint")
+        meta.pop("schema_version")
         arrays = {
             name: data[name] for name in data.files
             if name != "checkpoint_meta"
@@ -630,9 +678,9 @@ def load_sweep_checkpoint(path: str | os.PathLike) -> dict:
             f"sweep checkpoint {os.fspath(path)!s} lacks a schema_version",
             path=os.fspath(path),
         )
-    _check_schema_version(payload.pop("schema_version"),
-                          SWEEP_CHECKPOINT_SCHEMA_VERSION, path,
+    _check_schema_version(payload, SWEEP_CHECKPOINT_SCHEMA_VERSION, path,
                           "sweep checkpoint")
+    payload.pop("schema_version")
     return payload
 
 

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
+import os
+import zipfile
 
 import numpy as np
 import pytest
@@ -14,9 +18,16 @@ from repro.bandits import (
     ThompsonSamplingPolicy,
     UCBPolicy,
 )
-from repro.exceptions import ConfigurationError, PersistenceError
+from repro.exceptions import (
+    ConfigurationError,
+    GracefulShutdownInterrupt,
+    PersistenceError,
+)
 from repro.faults import FaultLog, FaultSpec
+from repro.resilience import ResiliencePolicy, ScheduledAbort
 from repro.sim import SimulationConfig, TradingSimulator
+from repro.sim import persistence
+from repro.sim.persistence import load_checkpoint, save_checkpoint
 from repro.sim.replication import replicate_comparison
 
 CONFIG = SimulationConfig(num_sellers=12, num_selected=3, num_rounds=90,
@@ -154,6 +165,94 @@ class TestEngineResume:
             simulator.run(UCBPolicy(), checkpoint_every=10)
         with pytest.raises(ConfigurationError, match="checkpoint_path"):
             simulator.run(UCBPolicy(), resume=True)
+
+
+FAULTS = FaultSpec(dropout_rate=0.2, corruption_rate=0.05, stall_rate=0.05)
+
+
+def faulty_run(path=None, **kwargs):
+    """One faulty CMAB-HS run of ``CONFIG`` with its fault log."""
+    simulator = TradingSimulator(CONFIG)
+    log = FaultLog()
+    run = simulator.run(UCBPolicy(), fault_model=simulator.fault_model(FAULTS),
+                        fault_log=log, checkpoint_path=path, **kwargs)
+    return run, log
+
+
+def recompress(path) -> None:
+    """Rewrite a checkpoint in the earlier layout: deflated members + footer."""
+    raw = path.read_bytes()[:-persistence._CHECKSUM_FOOTER_LEN]
+    with np.load(io.BytesIO(raw)) as data:
+        members = {name: data[name] for name in data.files}
+    buffer = io.BytesIO()
+    np.savez_compressed(buffer, **members)
+    payload = buffer.getvalue()
+    path.write_bytes(payload + persistence._CHECKSUM_MAGIC
+                     + hashlib.sha256(payload).digest())
+
+
+class TestCheckpointFormat:
+    def test_compressed_checkpoint_resumes_bit_identical(self, tmp_path):
+        path = tmp_path / "run.npz"
+        reference, reference_log = faulty_run()
+        with pytest.raises(GracefulShutdownInterrupt):
+            faulty_run(path, checkpoint_every=20,
+                       shutdown=ScheduledAbort([50]))
+        recompress(path)
+        raw = path.read_bytes()[:-persistence._CHECKSUM_FOOTER_LEN]
+        with zipfile.ZipFile(io.BytesIO(raw)) as archive:
+            assert {m.compress_type for m in archive.infolist()} == {
+                zipfile.ZIP_DEFLATED}
+        resumed, resumed_log = faulty_run(path, resume=True)
+        assert_runs_identical(reference, resumed)
+        resumed_columns = resumed_log.to_arrays()
+        for key, column in reference_log.to_arrays().items():
+            np.testing.assert_array_equal(resumed_columns[key], column,
+                                          err_msg=key)
+
+    def test_identical_runs_write_identical_checkpoints(self, tmp_path):
+        first, second = tmp_path / "a.npz", tmp_path / "b.npz"
+        faulty_run(first, checkpoint_every=20)
+        faulty_run(second, checkpoint_every=20)
+        assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("field,value", [
+        ("next_round", "v1"), ("next_round", None),
+        ("tracker_rounds", "forty"), ("tracker_rounds", [3]),
+        ("tracker_cumulative", "NaN?"),
+    ])
+    def test_malformed_meta_field_raises_persistence_error(
+            self, tmp_path, field, value):
+        path = tmp_path / "run.npz"
+        faulty_run(path, checkpoint_every=20)
+        meta, arrays = load_checkpoint(path)
+        meta[field] = value
+        save_checkpoint(path, meta, arrays)
+        with pytest.raises(PersistenceError,
+                           match=f"malformed {field!r}") as excinfo:
+            faulty_run(path, resume=True)
+        assert excinfo.value.path == str(path)
+
+    def test_quarantine_rolls_back_past_malformed_schema_version(
+            self, tmp_path):
+        path = tmp_path / "run.npz"
+        resilience = ResiliencePolicy(quarantine=True,
+                                      checkpoint_generations=2)
+        reference, __ = faulty_run()
+        with pytest.raises(GracefulShutdownInterrupt):
+            faulty_run(path, checkpoint_every=20,
+                       shutdown=ScheduledAbort([50]), resilience=resilience)
+        assert os.path.exists(f"{path}.gen-1")
+        meta, arrays = load_checkpoint(path)
+        meta["schema_version"] = "v1"
+        persistence._atomic_write_npz(path, {
+            "checkpoint_meta": np.array(json.dumps(meta)), **arrays,
+        })
+        with pytest.raises(PersistenceError, match="schema_version"):
+            faulty_run(path, resume=True)
+        resumed, __ = faulty_run(path, resume=True, resilience=resilience)
+        assert_runs_identical(reference, resumed)
+        assert (tmp_path / "run.npz.quarantine" / "run.npz").exists()
 
 
 class TestSweepResume:

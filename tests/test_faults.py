@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bandits import ThompsonSamplingPolicy, UCBPolicy
 from repro.core import CMABHSMechanism, LearningState
@@ -11,6 +13,7 @@ from repro.core.state import observation_mask
 from repro.entities import Consumer, Job, Platform, SellerPopulation
 from repro.exceptions import ConfigurationError
 from repro.faults import (
+    FaultEvent,
     FaultKind,
     FaultLog,
     FaultModel,
@@ -157,6 +160,117 @@ class TestFaultLog:
         assert restored.summary() == log.summary()
         assert len(restored) == 3
         assert restored.events_in_round(1)[0].seller == 5
+
+    def test_from_arrays_names_missing_field(self):
+        arrays = FaultLog().to_arrays()
+        del arrays["sellers"]
+        with pytest.raises(ConfigurationError, match="missing field 'sellers'"):
+            FaultLog.from_arrays(arrays)
+
+    def test_from_arrays_rejects_misaligned_columns(self):
+        log = FaultLog()
+        log.record(0, FaultKind.DROPOUT, 3)
+        log.record(1, FaultKind.STALL, 4)
+        arrays = log.to_arrays()
+        arrays["values"] = arrays["values"][:1]
+        with pytest.raises(ConfigurationError, match="misaligned"):
+            FaultLog.from_arrays(arrays)
+
+    def test_from_arrays_rejects_unknown_kind_code(self):
+        log = FaultLog()
+        log.record(0, FaultKind.DROPOUT, 3)
+        log.record(1, FaultKind.STALL, 4)
+        arrays = log.to_arrays()
+        arrays["kinds"] = np.array([0, len(FaultKind) + 2], dtype=np.int64)
+        with pytest.raises(ConfigurationError,
+                           match=f"unknown fault-kind code {len(FaultKind) + 2}"):
+            FaultLog.from_arrays(arrays)
+        arrays["kinds"] = np.array([-1, 0], dtype=np.int64)
+        with pytest.raises(ConfigurationError, match="code -1"):
+            FaultLog.from_arrays(arrays)
+
+    def test_failed_restore_leaves_log_untouched(self):
+        log = FaultLog()
+        log.record(2, FaultKind.NO_TRADE)
+        with pytest.raises(ConfigurationError):
+            log.restore_arrays({"rounds": np.array([1])})
+        assert log.events == (FaultEvent(2, FaultKind.NO_TRADE),)
+
+
+_EVENT_ROWS = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=6),
+        st.sampled_from(list(FaultKind)),
+        st.integers(min_value=-1, max_value=9),
+        st.floats(allow_nan=True, allow_infinity=True, width=64),
+    ),
+    max_size=40,
+)
+
+
+class TestFaultLogAgainstListReference:
+    """The columnar log answers every query like a plain event list."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(rows=_EVENT_ROWS)
+    def test_queries_match_naive_reference(self, rows):
+        log = FaultLog()
+        reference: list[FaultEvent] = []
+        for round_index, kind, seller, value in rows:
+            log.record(round_index, kind, seller, value)
+            reference.append(FaultEvent(round_index, kind, seller, value))
+
+        assert_events_equal(log.events, reference)
+        assert len(log) == len(reference)
+        summary: dict[str, int] = {}
+        for event in reference:
+            summary[event.kind.value] = summary.get(event.kind.value, 0) + 1
+        assert log.summary() == summary
+        assert list(log.summary()) == list(summary)  # first-seen order
+        for kind in FaultKind:
+            assert log.count(kind) == sum(e.kind is kind for e in reference)
+            assert log.sellers_hit(kind) == [
+                e.seller for e in reference if e.kind is kind]
+            for round_index in range(7):
+                assert log.sellers_hit(kind, round_index) == [
+                    e.seller for e in reference
+                    if e.kind is kind and e.round_index == round_index]
+        for round_index in range(7):
+            assert_events_equal(
+                log.events_in_round(round_index),
+                [e for e in reference if e.round_index == round_index])
+
+        arrays = log.to_arrays()
+        codes = {kind: code for code, kind in enumerate(FaultKind)}
+        expected = {
+            "rounds": np.array([e.round_index for e in reference],
+                               dtype=np.int64),
+            "kinds": np.array([codes[e.kind] for e in reference],
+                              dtype=np.int64),
+            "sellers": np.array([e.seller for e in reference],
+                                dtype=np.int64),
+            "values": np.array([e.value for e in reference], dtype=float),
+        }
+        assert arrays.keys() == expected.keys()
+        for key, column in expected.items():
+            assert arrays[key].dtype == column.dtype, key
+            np.testing.assert_array_equal(arrays[key], column, err_msg=key)
+
+        restored = FaultLog()
+        restored.record(99, FaultKind.DEGRADED, value=2.0)
+        restored.restore_arrays(arrays)
+        assert_events_equal(restored.events, reference)
+
+
+def assert_events_equal(actual, expected):
+    """Event sequences equal field by field, NaN values matching NaN."""
+    assert len(actual) == len(expected)
+    for got, want in zip(actual, expected):
+        assert (got.round_index, got.kind, got.seller) == (
+            want.round_index, want.kind, want.seller)
+        assert type(got.round_index) is int and type(got.seller) is int
+        assert type(got.value) is float
+        np.testing.assert_equal(got.value, want.value)
 
 
 class TestQuarantineGate:

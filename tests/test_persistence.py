@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import hashlib
+import io
+import json
+import zipfile
+
 import numpy as np
 import pytest
 
 from repro.exceptions import PersistenceError
 from repro.experiments.registry import ExperimentResult, Series
+from repro.sim import persistence
 from repro.sim.persistence import (
     CHECKPOINT_SCHEMA_VERSION,
     RUN_SCHEMA_VERSION,
@@ -432,3 +438,109 @@ class TestQuarantineAndRollback:
         assert "checkpoint_quarantined" in kinds
         assert metrics.counters[
             "resilience.checkpoints_quarantined"] == 1
+
+
+def npz_members(path) -> list[zipfile.ZipInfo]:
+    """The ZIP entries of a library-written NPZ (checksum footer stripped)."""
+    raw = path.read_bytes()[:-persistence._CHECKSUM_FOOTER_LEN]
+    with zipfile.ZipFile(io.BytesIO(raw)) as archive:
+        return archive.infolist()
+
+
+def write_compressed_with_footer(path, arrays: dict) -> None:
+    """The layout earlier versions wrote: deflated members + SHA-256 footer."""
+    buffer = io.BytesIO()
+    np.savez_compressed(buffer, **arrays)
+    payload = buffer.getvalue()
+    path.write_bytes(payload + persistence._CHECKSUM_MAGIC
+                     + hashlib.sha256(payload).digest())
+
+
+def write_checkpoint_meta(path, meta: dict, arrays: dict) -> None:
+    """Write a checkpoint with ``meta`` verbatim (no schema stamp)."""
+    persistence._atomic_write_npz(path, {
+        "checkpoint_meta": np.array(json.dumps(meta)), **arrays,
+    })
+
+
+class TestStoredMembers:
+    """NPZ files hold stored (uncompressed) members; old files still load."""
+
+    def test_checkpoint_members_are_stored(self, tmp_path):
+        path = tmp_path / "ck.npz"
+        save_checkpoint(path, {"next_round": 3},
+                        {"counts": np.arange(500), "sums": np.ones(500)})
+        members = npz_members(path)
+        assert {m.filename for m in members} == {
+            "checkpoint_meta.npy", "counts.npy", "sums.npy"}
+        assert all(m.compress_type == zipfile.ZIP_STORED for m in members)
+
+    def test_run_metrics_members_are_stored(self, tmp_path):
+        path = tmp_path / "run.npz"
+        save_run_metrics(make_run(), path)
+        members = npz_members(path)
+        assert len(members) == 13  # 11 series + policy name + schema
+        assert all(m.compress_type == zipfile.ZIP_STORED for m in members)
+
+    def test_compressed_checkpoint_still_loads(self, tmp_path):
+        path = tmp_path / "ck.npz"
+        arrays = {"counts": np.arange(50), "sums": np.linspace(0, 1, 50)}
+        meta = {"next_round": 7, "schema_version": CHECKPOINT_SCHEMA_VERSION}
+        write_compressed_with_footer(path, {
+            "checkpoint_meta": np.array(json.dumps(meta)), **arrays,
+        })
+        assert all(m.compress_type == zipfile.ZIP_DEFLATED
+                   for m in npz_members(path))
+        loaded_meta, loaded_arrays = load_checkpoint(path)
+        assert loaded_meta == {"next_round": 7}
+        for name, values in arrays.items():
+            np.testing.assert_array_equal(loaded_arrays[name], values)
+
+
+class TestMalformedMetadata:
+    """Malformed fields fail as PersistenceError naming the field."""
+
+    @pytest.mark.parametrize("version", ["v1", None, [1], 1e400])
+    def test_checkpoint_schema_version(self, tmp_path, version):
+        path = tmp_path / "ck.npz"
+        write_checkpoint_meta(path, {"next_round": 3,
+                                     "schema_version": version},
+                              {"x": np.ones(2)})
+        with pytest.raises(PersistenceError,
+                           match="malformed 'schema_version'") as excinfo:
+            load_checkpoint(path)
+        assert excinfo.value.path == str(path)
+
+    @pytest.mark.parametrize("version", ["v1", [1, 2]])
+    def test_run_file_schema_version(self, tmp_path, version):
+        path = tmp_path / "run.npz"
+        save_run_metrics(make_run(), path)
+        with np.load(path) as data:
+            arrays = {name: data[name] for name in data.files}
+        arrays["schema_version"] = np.array(version)
+        persistence._atomic_write_npz(path, arrays)
+        with pytest.raises(PersistenceError,
+                           match="run file .* malformed 'schema_version'"):
+            load_run_metrics(path)
+
+    def test_sweep_schema_version(self, tmp_path):
+        path = tmp_path / "sweep.json"
+        path.write_text('{"schema_version": "two"}')
+        with pytest.raises(PersistenceError,
+                           match="malformed 'schema_version'"):
+            load_sweep_checkpoint(path)
+
+    def test_recover_rolls_back_past_malformed_schema_version(
+            self, tmp_path):
+        path = tmp_path / "ck.npz"
+        save_checkpoint(path, {"next_round": 1}, {"x": np.arange(2.0)},
+                        keep_generations=2)
+        save_checkpoint(path, {"next_round": 2}, {"x": np.arange(2.0)},
+                        keep_generations=2)
+        write_checkpoint_meta(path, {"next_round": 2,
+                                     "schema_version": None},
+                              {"x": np.arange(2.0)})
+        meta, __, actual = recover_checkpoint(path)
+        assert meta == {"next_round": 1}
+        assert actual.endswith(".gen-1")
+        assert (tmp_path / "ck.npz.quarantine" / "ck.npz").exists()

@@ -22,6 +22,7 @@ from repro.obs import MetricsRegistry, RingBufferSink, Tracer
 from repro.resilience import ScheduledAbort
 from repro.runtime import ChurnSpec, MarketRuntime, TradeLedger, TradeRecord
 from repro.sim import SimulationConfig, TradingSimulator
+from repro.sim.persistence import load_checkpoint, save_checkpoint
 
 #: Every RunMetrics array compared bit-for-bit in the equivalence tests.
 METRIC_FIELDS = (
@@ -288,6 +289,24 @@ class TestCheckpointResume:
         no_churn = MarketRuntime(_config(seed=7), UCBPolicy())
         with pytest.raises(PersistenceError, match="churn_spec"):
             no_churn.restore(path)
+
+    @pytest.mark.parametrize("field,value", [
+        ("next_round", "twenty-five"), ("next_session", None),
+        ("messages_dropped", "many"), ("tracker_rounds", [25]),
+    ])
+    def test_restore_names_a_malformed_field(self, tmp_path, field, value):
+        path = tmp_path / "runtime.npz"
+        runtime = MarketRuntime(_config(), UCBPolicy(), churn=CHURN)
+        runtime.advance(5)
+        runtime.save(path)
+        meta, arrays = load_checkpoint(path)
+        meta[field] = value
+        save_checkpoint(path, meta, arrays)
+        fresh = MarketRuntime(_config(), UCBPolicy(), churn=CHURN)
+        with pytest.raises(PersistenceError,
+                           match=f"malformed {field!r}") as excinfo:
+            fresh.restore(path)
+        assert excinfo.value.path == str(path)
 
     def test_restore_reconciles_the_agent_roster(self, tmp_path):
         config = _config(num_rounds=40)
