@@ -19,36 +19,25 @@ Algorithm 1, plus per-round profits for analysis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from repro.obs.timing import perf_counter
 
 import numpy as np
 
-from repro.core.incentive import (
-    FormulaVariant,
-    initial_round_prices,
-    solve_round_fast,
-)
 from repro.core.regret import RegretTracker
-from repro.core.state import LearningState, observation_mask
+from repro.core.state import LearningState
 from repro.entities.consumer import Consumer
 from repro.entities.job import Job
 from repro.entities.platform import Platform
 from repro.entities.seller import SellerPopulation
 from repro.exceptions import ConfigurationError
-from repro.faults import FaultKind, FaultLog, FaultModel
+from repro.faults import FaultLog, FaultModel
 from repro.game.profits import GameInstance, StrategyProfile
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.timing import perf_counter
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.quality.distributions import QualityModel, TruncatedGaussianQuality
 from repro.quality.sampler import QualitySampler
 
 __all__ = ["RoundOutcome", "TradingResult", "CMABHSMechanism"]
-
-#: Estimated qualities are floored here before entering the game — the
-#: closed forms divide by ``qbar_i`` and an all-zero observation run
-#: (possible under a Bernoulli model) must not produce a division by zero.
-_QUALITY_FLOOR = 1e-6
-
 
 @dataclass(frozen=True)
 class RoundOutcome:
@@ -202,9 +191,6 @@ class CMABHSMechanism:
         The fixed ``tau^0`` of the initial exploration round.
     exploration_coefficient:
         UCB confidence constant; ``None`` means the paper's ``K+1``.
-    formula_variant:
-        Which closed-form stage-2 constant to use (see
-        :class:`~repro.core.incentive.FormulaVariant`).
     seed:
         Master seed for observation noise.
     """
@@ -214,7 +200,6 @@ class CMABHSMechanism:
                  quality_model: QualityModel | None = None,
                  initial_sensing_time: float = 1.0,
                  exploration_coefficient: float | None = None,
-                 formula_variant: FormulaVariant = FormulaVariant.DERIVED,
                  seed: int = 0) -> None:
         if not (1 <= k <= len(population)):
             raise ConfigurationError(
@@ -242,7 +227,6 @@ class CMABHSMechanism:
             if exploration_coefficient is not None
             else float(k + 1)
         )
-        self._variant = formula_variant
         self._seed = int(seed)
         if quality_model is None:
             quality_model = TruncatedGaussianQuality(
@@ -270,8 +254,11 @@ class CMABHSMechanism:
     def build_game(self, selected: np.ndarray,
                    estimated_qualities: np.ndarray) -> GameInstance:
         """The validated game instance of one round (for verification)."""
+        # Call-time import: repro.sim imports repro.core.
+        from repro.sim.rounds import QUALITY_FLOOR
+
         return GameInstance(
-            qualities=np.maximum(estimated_qualities, _QUALITY_FLOOR),
+            qualities=np.maximum(estimated_qualities, QUALITY_FLOOR),
             cost_a=self._population.cost_a[selected],
             cost_b=self._population.cost_b[selected],
             theta=self._platform.aggregation_cost.theta,
@@ -291,21 +278,23 @@ class CMABHSMechanism:
             metrics: MetricsRegistry | None = None) -> TradingResult:
         """Execute Algorithm 1 for ``num_rounds`` rounds (default: job's N).
 
+        Round 0 explores every seller; every later round selects the
+        top-``K`` UCB indices.  Each round is played by the shared
+        round bodies of :mod:`repro.sim.rounds`, the same ones the batch
+        engine and the event runtime drive.
+
         With a ``fault_model``, seller failures are injected and each
-        round degrades gracefully: dropped sellers are removed from
-        settlement (the game is re-solved on the survivors, and an
-        empty survivor set settles as a no-trade round), corrupted
-        reports are quarantined by feasibility validation before they
-        can poison ``qbar_i``, and stalled reports miss the round's
-        revenue but still reach the learner.  Without one, behaviour is
-        bit-identical to the original mechanism.
+        round degrades gracefully as
+        :func:`~repro.sim.rounds.play_degraded_round` describes; an
+        all-zero fault model is bit-identical to running without one.
 
         ``tracer`` and ``metrics`` attach the observability layer:
         structured per-round events (selection with UCB indices, the
         equilibrium ``<p^J*, p*, tau*>``, profits, fault injections)
-        and counter/gauge/timer telemetry.  Both are read-only
-        observers — they never touch an RNG stream, so traced runs are
-        bit-identical to untraced ones.
+        and counter/gauge/timer telemetry under the engine's names
+        (``engine.selection``, ``engine.solve``, ``engine.round``).
+        Both are read-only observers — they never touch an RNG stream,
+        so traced runs are bit-identical to untraced ones.
         """
         n = int(num_rounds) if num_rounds is not None else self._job.num_rounds
         if n <= 0:
@@ -316,19 +305,44 @@ class CMABHSMechanism:
                 "fault model covers a different number of sellers than "
                 "the population"
             )
+        # Call-time imports: repro.sim and repro.bandits import
+        # repro.core, so top-level imports would be circular.
+        from repro.bandits.policies import UCBPolicy
+        from repro.sim.rng import RngFactory, seeded_generator
+        from repro.sim.rounds import (
+            SERIES_NAMES,
+            RoundContext,
+            play_clean_round,
+            play_faulty_round,
+        )
+
         tr = tracer if tracer is not None else NULL_TRACER
         reg = metrics if metrics is not None else MetricsRegistry()
+        population = self._population
         num_pois = self._job.num_pois
-        # Call-time import: repro.sim imports repro.core, so a
-        # top-level import of repro.sim.rng would be circular.
-        from repro.sim.rng import seeded_generator
-
-        sampler = QualitySampler(
-            self._quality_model, num_pois, seeded_generator(self._seed)
-        )
+        policy = UCBPolicy(self._coefficient)
+        policy.reset(m, self._k, n)
+        # UCB draws nothing from it; every policy is handed a stream.
+        policy_rng = RngFactory(self._seed).generator("policy", policy.name)
         state = LearningState(m)
-        tracker = RegretTracker(
-            self._population.expected_qualities, self._k, num_pois
+        tracker = RegretTracker(population.expected_qualities, self._k,
+                                num_pois)
+        series = {name: np.empty(n) for name in SERIES_NAMES}
+        ctx = RoundContext(
+            state=state, tracker=tracker, policy=policy,
+            sampler=QualitySampler(self._quality_model, num_pois,
+                                   seeded_generator(self._seed)),
+            series=series, selection_counts=np.zeros(m, dtype=np.int64),
+            qualities_truth=population.expected_qualities,
+            cost_a_all=population.cost_a, cost_b_all=population.cost_b,
+            num_pois=num_pois,
+            theta=self._platform.aggregation_cost.theta,
+            lam=self._platform.aggregation_cost.lam,
+            omega=self._consumer.valuation.omega,
+            svc_bounds=(self._consumer.price_min, self._consumer.price_max),
+            col_bounds=(self._platform.price_min, self._platform.price_max),
+            tau_max=self._job.round_duration, tau0=self._tau0,
+            tracer=tr, metrics=reg, work=np.empty(m),
         )
         log = fault_log
         if log is None and fault_model is not None:
@@ -343,74 +357,47 @@ class CMABHSMechanism:
             round_start = perf_counter()
             if tr.enabled:
                 tr.emit("round_start", round_index=t)
-            select_start = perf_counter()
-            selected = np.arange(m) if t == 0 else self._select(state)
-            reg.timer("mechanism.selection").observe(
-                perf_counter() - select_start
-            )
+            selected = policy.select(t, state, policy_rng)
+            select_duration = perf_counter() - round_start
+            reg.timer("engine.selection").observe(select_duration)
+            explore = t == 0
             if tr.enabled:
-                ucb = (None if t == 0
-                       else state.ucb_values(self._coefficient)[selected])
+                ucb = policy.last_ucb_values
                 tr.emit("selection", round_index=t, selected=selected,
-                        explore=t == 0, ucb=ucb,
-                        duration_s=perf_counter() - select_start)
-            plan = None
-            participants = selected
-            if fault_model is not None:
-                plan = fault_model.plan_round(t, selected, num_pois)
-                fault_model.log_plan(plan, log, tracer=tr)
-                reg.counter("fault_events").inc(
-                    plan.dropped.size + plan.corrupted.size
-                    + plan.stalled.size
-                )
-                participants = selected[~np.isin(selected, plan.dropped)]
-                if 0 < participants.size < selected.size:
-                    reg.counter("degraded_resolves").inc()
-                    if log is not None:
-                        log.record(t, FaultKind.DEGRADED,
-                                   value=float(participants.size))
-                    if tr.enabled:
-                        tr.emit("fault", round_index=t,
-                                fault=FaultKind.DEGRADED.value,
-                                survivors=participants.size)
-            if participants.size == 0:
-                reg.counter("no_trade_rounds").inc()
-                if log is not None:
-                    log.record(t, FaultKind.NO_TRADE)
-                if tr.enabled:
-                    tr.emit("fault", round_index=t,
-                            fault=FaultKind.NO_TRADE.value)
-                outcome = self._no_trade_round(t, selected)
-            elif t == 0:
-                outcome = self._play_initial_round(
-                    selected, state, sampler, plan=plan,
-                    participants=participants, log=log, tr=tr, reg=reg,
-                )
+                        explore=explore,
+                        ucb=None if ucb is None else ucb[selected],
+                        duration_s=select_duration)
+            if fault_model is None:
+                settled = play_clean_round(ctx, t, selected, explore)
             else:
-                outcome = self._play_round(
-                    t, selected, state, sampler, plan=plan,
-                    participants=participants, log=log, tr=tr, reg=reg,
-                )
-            tracker.record(selected)
-            rounds.append(outcome)
+                settled = play_faulty_round(ctx, t, selected, explore,
+                                            fault_model, log)
+            estimates = settled.estimates
+            rounds.append(RoundOutcome(
+                round_index=t,
+                selected=selected,
+                service_price=float(series["service"][t]),
+                collection_price=float(series["collection"][t]),
+                sensing_times=settled.sensing_times,
+                consumer_profit=float(series["consumer"][t]),
+                platform_profit=float(series["platform"][t]),
+                seller_profits=settled.seller_profits,
+                observed_quality_total=float(series["realized"][t]),
+                mean_estimated_quality=(float(estimates.mean())
+                                        if estimates.size else 0.0),
+                estimated_qualities=estimates,
+                participants=(None if fault_model is None
+                              else settled.participants),
+            ))
             reg.counter("rounds").inc()
             reg.gauge("cumulative_regret").set(tracker.cumulative_regret)
-            reg.timer("mechanism.round").observe(perf_counter() - round_start)
+            reg.timer("engine.round").observe(perf_counter() - round_start)
             if tr.enabled:
-                tr.emit("profits", round_index=t,
-                        consumer=outcome.consumer_profit,
-                        platform=outcome.platform_profit,
-                        sellers_mean=(float(outcome.seller_profits.mean())
-                                      if outcome.seller_profits.size
-                                      else 0.0),
-                        realized=outcome.observed_quality_total)
                 tr.emit("round_end", round_index=t,
                         duration_s=perf_counter() - round_start)
         if tr.enabled:
             tr.emit("run_end", mechanism="cmab-hs", rounds_played=n,
-                    total_revenue=float(
-                        sum(r.observed_quality_total for r in rounds)
-                    ),
+                    total_revenue=float(series["realized"].sum()),
                     final_regret=tracker.cumulative_regret,
                     duration_s=perf_counter() - run_start)
             tr.flush()
@@ -420,200 +407,4 @@ class CMABHSMechanism:
             final_counts=np.asarray(state.counts, dtype=np.int64).copy(),
             cumulative_regret=tracker.cumulative_regret,
             regret_history=tracker.history,
-        )
-
-    # -- internals -----------------------------------------------------------------
-
-    def _select(self, state: LearningState) -> np.ndarray:
-        ucb = state.ucb_values(self._coefficient)
-        order = np.argsort(-ucb, kind="stable")
-        return np.sort(order[: self._k])
-
-    def _collect(self, t: int, participants: np.ndarray,
-                 state: LearningState, sampler: QualitySampler,
-                 plan, log: FaultLog | None,
-                 tr: Tracer = NULL_TRACER,
-                 reg: MetricsRegistry | None = None) -> float:
-        """Sample one round's data, quarantine garbage, learn, settle.
-
-        Returns the round's creditable observed-quality total.  On the
-        clean path (``plan is None``) this is exactly the original
-        sample-then-update sequence.
-        """
-        observations = sampler.sample_round(participants, round_index=t)
-        if plan is None:
-            state.update(participants, observations.sums,
-                         self._job.num_pois)
-            return observations.total
-        delivered = observations.sums.copy()
-        if plan.corrupted.size:
-            position = {int(s): i for i, s in enumerate(participants)}
-            for seller, garbage in zip(plan.corrupted, plan.corrupted_sums):
-                delivered[position[int(seller)]] = garbage
-        valid = observation_mask(delivered, self._job.num_pois)
-        invalid_positions = np.flatnonzero(~valid)
-        if reg is not None and invalid_positions.size:
-            reg.counter("quarantined_reports").inc(invalid_positions.size)
-        for pos in invalid_positions:
-            if log is not None:
-                log.record(t, FaultKind.QUARANTINE, int(participants[pos]),
-                           float(delivered[pos]))
-            if tr.enabled:
-                tr.emit("fault", round_index=t,
-                        fault=FaultKind.QUARANTINE.value,
-                        seller=int(participants[pos]),
-                        value=float(delivered[pos]))
-        # Stalled reports arrive after settlement but still reach the
-        # learner; quarantined ones reach neither.
-        state.update(participants[valid], delivered[valid],
-                     self._job.num_pois)
-        settle = valid & ~np.isin(participants, plan.stalled)
-        return float(delivered[settle].sum())
-
-    def _no_trade_round(self, t: int, selected: np.ndarray) -> RoundOutcome:
-        """Fallback when every selected seller dropped out.
-
-        The round settles with no trade: zero profits on every side,
-        prices pinned to their lower bounds, empty strategy vectors,
-        and nothing learned.
-        """
-        empty = np.empty(0)
-        return RoundOutcome(
-            round_index=t,
-            selected=selected,
-            service_price=self._consumer.price_min,
-            collection_price=self._platform.price_min,
-            sensing_times=empty,
-            consumer_profit=0.0,
-            platform_profit=0.0,
-            seller_profits=empty,
-            observed_quality_total=0.0,
-            mean_estimated_quality=0.0,
-            estimated_qualities=empty,
-            participants=np.empty(0, dtype=int),
-        )
-
-    def _play_initial_round(self, selected: np.ndarray, state: LearningState,
-                            sampler: QualitySampler, *, plan=None,
-                            participants: np.ndarray | None = None,
-                            log: FaultLog | None = None,
-                            tr: Tracer = NULL_TRACER,
-                            reg: MetricsRegistry | None = None
-                            ) -> RoundOutcome:
-        """Round 0: explore all sellers at fixed time and break-even prices."""
-        if participants is None:
-            participants = selected
-        taus = np.full(participants.size, self._tau0)
-        game = GameInstance(
-            qualities=np.full(participants.size, 0.5),  # placeholder; unused by pricing
-            cost_a=self._population.cost_a[participants],
-            cost_b=self._population.cost_b[participants],
-            theta=self._platform.aggregation_cost.theta,
-            lam=self._platform.aggregation_cost.lam,
-            omega=self._consumer.valuation.omega,
-            service_price_bounds=(self._consumer.price_min,
-                                  self._consumer.price_max),
-            collection_price_bounds=(self._platform.price_min,
-                                     self._platform.price_max),
-            max_sensing_time=self._job.round_duration,
-        )
-        solve_start = perf_counter()
-        service_price, collection_price = initial_round_prices(game, self._tau0)
-        solve_elapsed = perf_counter() - solve_start
-        if reg is not None:
-            reg.timer("mechanism.solve").observe(solve_elapsed)
-        if tr.enabled:
-            tr.emit("equilibrium", round_index=0,
-                    service_price=service_price,
-                    collection_price=collection_price,
-                    tau_total=float(taus.sum()), explore=True,
-                    duration_s=solve_elapsed)
-        observed_total = self._collect(0, participants, state, sampler,
-                                       plan, log, tr, reg)
-        means = state.means[participants]
-        seller_profits = (
-            collection_price * taus
-            - (self._population.cost_a[participants] * taus * taus
-               + self._population.cost_b[participants] * taus) * means
-        )
-        total = float(taus.sum())
-        aggregation = self._platform.aggregation_cost(total)
-        platform_profit = (service_price - collection_price) * total - aggregation
-        consumer_profit = self._consumer.profit(
-            service_price, total, float(means.mean())
-        )
-        return RoundOutcome(
-            round_index=0,
-            selected=selected,
-            service_price=service_price,
-            collection_price=collection_price,
-            sensing_times=taus,
-            consumer_profit=consumer_profit,
-            platform_profit=platform_profit,
-            seller_profits=seller_profits,
-            observed_quality_total=observed_total,
-            mean_estimated_quality=float(means.mean()),
-            estimated_qualities=means.copy(),
-            participants=None if plan is None else participants,
-        )
-
-    def _play_round(self, t: int, selected: np.ndarray, state: LearningState,
-                    sampler: QualitySampler, *, plan=None,
-                    participants: np.ndarray | None = None,
-                    log: FaultLog | None = None,
-                    tr: Tracer = NULL_TRACER,
-                    reg: MetricsRegistry | None = None) -> RoundOutcome:
-        """Rounds 1..N-1: HS game on the surviving set, then learn."""
-        if participants is None:
-            participants = selected
-        means = np.maximum(state.means[participants], _QUALITY_FLOOR)
-        cost_a = self._population.cost_a[participants]
-        cost_b = self._population.cost_b[participants]
-        theta = self._platform.aggregation_cost.theta
-        lam = self._platform.aggregation_cost.lam
-        solve_start = perf_counter()
-        service_price, collection_price, taus = solve_round_fast(
-            means, cost_a, cost_b, theta, lam,
-            self._consumer.valuation.omega,
-            (self._consumer.price_min, self._consumer.price_max),
-            (self._platform.price_min, self._platform.price_max),
-            self._job.round_duration,
-            paper_variant=(self._variant is FormulaVariant.PAPER),
-        )
-        solve_elapsed = perf_counter() - solve_start
-        if reg is not None:
-            reg.timer("mechanism.solve").observe(solve_elapsed)
-        if tr.enabled:
-            tr.emit("equilibrium", round_index=t,
-                    service_price=service_price,
-                    collection_price=collection_price,
-                    tau_total=float(taus.sum()), explore=False,
-                    duration_s=solve_elapsed)
-        seller_profits = (
-            collection_price * taus
-            - (cost_a * taus * taus + cost_b * taus) * means
-        )
-        total = float(taus.sum())
-        aggregation = theta * total * total + lam * total
-        platform_profit = (service_price - collection_price) * total - aggregation
-        mean_quality = float(means.mean())
-        consumer_profit = (
-            self._consumer.valuation(total, mean_quality)
-            - service_price * total
-        )
-        observed_total = self._collect(t, participants, state, sampler,
-                                       plan, log, tr, reg)
-        return RoundOutcome(
-            round_index=t,
-            selected=selected,
-            service_price=service_price,
-            collection_price=collection_price,
-            sensing_times=taus,
-            consumer_profit=consumer_profit,
-            platform_profit=platform_profit,
-            seller_profits=seller_profits,
-            observed_quality_total=observed_total,
-            mean_estimated_quality=mean_quality,
-            estimated_qualities=means.copy(),
-            participants=None if plan is None else participants,
         )

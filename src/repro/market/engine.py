@@ -33,11 +33,9 @@ from repro.quality.distributions import (
 )
 from repro.quality.sampler import QualitySampler
 from repro.sim.rng import seed_sequence, seeded_generator
+from repro.sim.rounds import PRIOR_MEAN, QUALITY_FLOOR
 
 __all__ = ["MarketRunResult", "MarketSimulator"]
-
-_QUALITY_FLOOR = 1e-6
-_PRIOR_MEAN = 0.5
 
 
 @dataclass
@@ -175,7 +173,7 @@ class MarketSimulator:
             seeded_generator(obs_seed),
         )
         alloc_rng = seeded_generator(alloc_seed)
-        state = LearningState(m, prior_mean=_PRIOR_MEAN)
+        state = LearningState(m, prior_mean=PRIOR_MEAN)
         cost_a_all = self._population.cost_a
         cost_b_all = self._population.cost_b
         coefficient = float(self.total_demand + 1)
@@ -201,7 +199,7 @@ class MarketSimulator:
             for spec in self._specs:
                 sellers = allocation[spec.consumer_id]
                 union.append(sellers)
-                means = np.maximum(state.means[sellers], _QUALITY_FLOOR)
+                means = np.maximum(state.means[sellers], QUALITY_FLOOR)
                 p_j, p, taus = solve_round_fast(
                     means, cost_a_all[sellers], cost_b_all[sellers],
                     self._theta, self._lam, spec.omega,

@@ -60,8 +60,6 @@ _PHASE_PARENT = {
     "engine.selection": "engine.round",
     "engine.solve": "engine.round",
     "engine.round": "replication.seed",
-    "mechanism.selection": None,
-    "mechanism.solve": None,
     "replication.seed": None,
     "parallel.task": None,
 }

@@ -127,6 +127,15 @@ class TradeLedger:
         """The settled trades, in round order."""
         return tuple(self._records)
 
+    def since(self, start: int) -> list[TradeRecord]:
+        """The records from position ``start`` on, as a slice would.
+
+        Copies only the tail, so a per-request read (the newest record,
+        or what one request appended) costs what it returns, not the
+        whole history.  A negative ``start`` counts from the end.
+        """
+        return self._records[start:]
+
     def append(self, record: TradeRecord) -> None:
         """Append one settled round (rounds must arrive in order)."""
         if self._records and record.round_index <= self._records[-1].round_index:
@@ -597,8 +606,7 @@ class MarketRuntime:
         self._platform.reported_slots = []
         missing = selected[~np.isin(selected, reported)]
         if missing.size == 0:
-            play_clean_round(self._ctx, t, selected, explore)
-            participants = selected
+            settlement = play_clean_round(self._ctx, t, selected, explore)
         else:
             # Organic churn reuses the fault machinery: departures are
             # dropout faults of a synthesised plan.
@@ -609,12 +617,12 @@ class MarketRuntime:
                 corrupted_sums=np.empty(0, dtype=np.float64),
                 stalled=_EMPTY_SLOTS,
             )
-            play_degraded_round(self._ctx, t, selected, explore, plan,
-                                self._fault_log)
-            participants = selected[~np.isin(selected, missing)]
+            settlement = play_degraded_round(self._ctx, t, selected,
+                                             explore, plan, self._fault_log)
         self._ledger.append(TradeRecord(
             round_index=t,
-            participants=np.asarray(participants, dtype=np.int64).copy(),
+            participants=np.asarray(settlement.participants,
+                                    dtype=np.int64).copy(),
             service_price=float(self._series["service"][t]),
             collection_price=float(self._series["collection"][t]),
             tau_total=float(self._series["totals"][t]),

@@ -94,8 +94,8 @@ class MarketService:
         runtime = self._runtime
         slot = runtime.session_slot(session)
         state = runtime.learning_state
-        records = runtime.ledger.records
-        last = records[-1] if records else None
+        newest = runtime.ledger.since(-1)
+        last = newest[0] if newest else None
         return {
             "session": int(session),
             "slot": slot,
@@ -131,7 +131,7 @@ class MarketService:
                 "tau_total": record.tau_total,
                 "realized": record.realized,
             }
-            for record in runtime.ledger.records[before:]
+            for record in runtime.ledger.since(before)
         ]
         return {"rounds_played": played,
                 "next_round": runtime.next_round,

@@ -5,8 +5,12 @@ CDT pipeline — selection, the three-stage Stackelberg game (closed form),
 data collection, quality learning — and records every metric the paper's
 evaluation plots.  The engine is the workhorse behind every Fig. 7-12
 experiment; Algorithm 1 itself is also available stand-alone as
-:class:`~repro.core.mechanism.CMABHSMechanism` (the two agree round for
-round when driven by the same seeds, which the integration tests assert).
+:class:`~repro.core.mechanism.CMABHSMechanism`.  Both play their rounds
+through :mod:`repro.sim.rounds`, but they draw observations from
+different streams (the engine from its ``RngFactory``'s
+``"observations"`` stream, the mechanism from its own seeded
+generator), so they agree round for round only under a noise-free
+quality model — which is what the integration tests assert.
 
 Pricing rules per round:
 
@@ -93,7 +97,6 @@ from repro.sim.results import PolicyComparison, RunMetrics
 from repro.sim.rng import RngFactory
 from repro.sim.rounds import (
     PRIOR_MEAN,
-    QUALITY_FLOOR,
     SERIES_NAMES,
     RoundContext,
     play_clean_round,
@@ -104,18 +107,6 @@ __all__ = ["TradingSimulator", "run_seed_comparison"]
 
 #: Builds fresh (stateful) per-seed policies from expected qualities.
 PolicyFactory = Callable[[np.ndarray], "list[SelectionPolicy]"]
-
-#: Neutral unobserved-seller estimate — canonical home is
-#: :mod:`repro.sim.rounds`; kept here as the historical spelling.
-_PRIOR_MEAN = PRIOR_MEAN
-
-#: Floor applied to estimated qualities entering the game (see
-#: :data:`repro.sim.rounds.QUALITY_FLOOR`).
-_QUALITY_FLOOR = QUALITY_FLOOR
-
-#: Metric series checkpointed/restored round-by-round (regret lives in
-#: the tracker snapshot instead).
-_SERIES_NAMES = SERIES_NAMES
 
 #: Per-seller gauge name lists keyed by population size — building
 #: 2M f-strings dominates the end-of-run metrics dump otherwise, and
@@ -400,14 +391,14 @@ class TradingSimulator:
         sampler = QualitySampler(self._quality_model, num_pois,
                                  observation_rng)
         policy_rng = self._factory.generator("policy", policy.name)
-        state = LearningState(m, prior_mean=_PRIOR_MEAN)
+        state = LearningState(m, prior_mean=PRIOR_MEAN)
         tracker = RegretTracker(qualities_truth, k, num_pois)
         policy.reset(m, k, n)
         log = fault_log
         if log is None and fault_model is not None:
             log = FaultLog()
 
-        series = {name: np.empty(n) for name in _SERIES_NAMES}
+        series = {name: np.empty(n) for name in SERIES_NAMES}
         selection_counts = np.zeros(m, dtype=np.int64)
         tr = tracer if tracer is not None else NULL_TRACER
         reg = metrics if metrics is not None else MetricsRegistry()
@@ -488,10 +479,10 @@ class TradingSimulator:
                     ucb_values=getattr(policy, "last_ucb_values", None),
                 )
             if fault_model is None:
-                self._play_clean_round(ctx, t, selected, explore_round)
+                play_clean_round(ctx, t, selected, explore_round)
             else:
-                self._play_faulty_round(ctx, t, selected, explore_round,
-                                        fault_model, log)
+                play_faulty_round(ctx, t, selected, explore_round,
+                                  fault_model, log)
             if monitor is not None:
                 monitor.check_learning(
                     t, state, selection_counts,
@@ -605,26 +596,6 @@ class TradingSimulator:
             )
         return comparison
 
-    # -- round bodies --------------------------------------------------------------
-
-    def _play_clean_round(self, ctx: RoundContext, t: int,
-                          selected: np.ndarray,
-                          explore_round: bool) -> None:
-        """One happy-path round (see :func:`repro.sim.rounds.play_clean_round`)."""
-        play_clean_round(ctx, t, selected, explore_round)
-
-    def _play_faulty_round(self, ctx: RoundContext, t: int,
-                           selected: np.ndarray, explore_round: bool,
-                           fault_model: FaultModel,
-                           log: FaultLog | None) -> None:
-        """One fault-injected round with graceful degradation.
-
-        With an all-zero fault plan this produces bit-identical metrics
-        to :meth:`_play_clean_round` (asserted by the test suite); see
-        :func:`repro.sim.rounds.play_faulty_round`.
-        """
-        play_faulty_round(ctx, t, selected, explore_round, fault_model, log)
-
     # -- checkpointing -------------------------------------------------------------
 
     def _graceful_shutdown(self, t: int, start_round: int,
@@ -710,7 +681,7 @@ class TradingSimulator:
             "regret_history": tracker_snapshot["history"],
             "selection_counts": selection_counts,
         }
-        for name in _SERIES_NAMES:
+        for name in SERIES_NAMES:
             arrays[f"series_{name}"] = series[name][:next_round]
         if log is not None:
             for key, value in log.to_arrays().items():
@@ -775,7 +746,7 @@ class TradingSimulator:
                     meta, "tracker_expected_revenue", float, path),
                 "history": arrays["regret_history"],
             })
-            for name in _SERIES_NAMES:
+            for name in SERIES_NAMES:
                 partial = arrays[f"series_{name}"]
                 series[name][:partial.size] = partial
             selection_counts[:] = arrays["selection_counts"]

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.incentive import FormulaVariant
 from repro.core.mechanism import CMABHSMechanism
 from repro.entities.consumer import Consumer
 from repro.entities.job import Job
@@ -207,11 +206,3 @@ class TestAccessors:
             assert total_profit == pytest.approx(welfare, rel=1e-9), (
                 outcome.round_index
             )
-
-    def test_paper_variant_changes_prices(self):
-        derived = make_mechanism(num_rounds=20, seed=3).run()
-        paper = make_mechanism(num_rounds=20, seed=3,
-                               formula_variant=FormulaVariant.PAPER).run()
-        assert derived.rounds[5].service_price != pytest.approx(
-            paper.rounds[5].service_price
-        )

@@ -63,6 +63,33 @@ class TestRequests:
         with pytest.raises(ConfigurationError, match="no open session"):
             service.quote(first["session"])
 
+        second = first["session"] + 1
+        # Across several requests: a quote carries the newest ledger
+        # record's prices, and a trade returns exactly the records it
+        # appended.
+        ledger = service.runtime.ledger
+        for rounds in (1, 4, 2):
+            before = len(ledger)
+            trades = service.trade(rounds)["trades"]
+            appended = ledger.records[before:]
+            assert len(appended) == rounds
+            assert [t["round"] for t in trades] == [
+                r.round_index for r in appended
+            ]
+            for trade, record in zip(trades, appended):
+                assert trade == {
+                    "round": record.round_index,
+                    "participants": record.participants.size,
+                    "service_price": record.service_price,
+                    "collection_price": record.collection_price,
+                    "tau_total": record.tau_total,
+                    "realized": record.realized,
+                }
+            quote = service.quote(second)
+            last = ledger.records[-1]
+            assert quote["service_price"] == last.service_price
+            assert quote["collection_price"] == last.collection_price
+
     def test_trade_stops_at_the_round_budget(self):
         service = MarketService(_config(num_rounds=5), start_online=True)
         assert service.trade(99)["rounds_played"] == 5
