@@ -16,7 +16,7 @@ bench:
 # Static analysis: the in-tree determinism linter always runs (stdlib
 # only); ruff and mypy run when installed (pip install -e '.[dev]').
 lint:
-	PYTHONPATH=src $(PYTHON) -m repro lint --flow --jobs 4 \
+	PYTHONPATH=src $(PYTHON) -m repro lint --flow \
 		--baseline lint-baseline.json src
 	@if command -v ruff >/dev/null 2>&1; then \
 		ruff check .; \

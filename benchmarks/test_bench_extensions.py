@@ -1,7 +1,6 @@
 """Benches for the extension experiments (beyond the paper).
 
 * ``ext-drift`` — sliding-window UCB under drifting qualities;
-* ``ext-market`` — multi-consumer allocation strategies;
 * budgeted trading — revenue within a fixed consumer budget.
 """
 
@@ -28,36 +27,6 @@ def test_ext_drift(benchmark, scale):
     random = result.series("total_revenue", "random").y
     vanilla = result.series("total_revenue", "CMAB-HS").y
     assert np.all(vanilla > random)
-
-
-def test_ext_market(benchmark, scale):
-    result = run_once(benchmark, run_experiment, "ext-market", scale)
-    print()
-    print(result.to_text())
-    welfare = result.series("welfare", "total welfare").y
-    # richest-first (index 0) maximises value-weighted welfare.
-    assert int(np.argmax(welfare)) == 0
-    # Every strategy produces positive welfare and platform profit.
-    assert np.all(welfare > 0.0)
-    platform = result.series("welfare", "platform profit").y
-    assert np.all(platform > 0.0)
-
-
-def test_ext_coverage(benchmark, scale):
-    result = run_once(benchmark, run_experiment, "ext-coverage", scale)
-    print()
-    print(result.to_text())
-    blind = result.series("coverage_revenue", "top-K UCB").y
-    aware = result.series("coverage_revenue", "coverage-ucb").y
-    blind_cov = result.series("mean_poi_coverage", "top-K UCB").y
-    aware_cov = result.series("mean_poi_coverage", "coverage-ucb").y
-    # At the sparsest density, coverage-awareness pays off clearly.
-    assert aware[0] > 1.1 * blind[0]
-    assert aware_cov[0] > blind_cov[0]
-    # The advantage vanishes as coverage densifies.
-    assert abs(aware[-1] / blind[-1] - 1.0) < 0.05
-    # The aware policy keeps (near-)full coverage everywhere.
-    assert np.all(aware_cov > 0.99)
 
 
 def test_ext_price_of_anarchy(benchmark, scale):

@@ -345,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "run the determinism/correctness static analyser "
             "(single-file rules RL001-RL006; whole-program rules "
-            "RL101-RL105 with --flow) over source files"
+            "RL101-RL104 with --flow) over source files"
         ),
     )
     lint_parser.add_argument(
@@ -363,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint_parser.add_argument(
         "--flow", action="store_true",
         help=(
-            "also run the whole-program flow rules (RL101-RL105) over "
+            "also run the whole-program flow rules (RL101-RL104) over "
             "a project-wide call graph"
         ),
     )
@@ -373,13 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
             "flow mode: only report on functions changed since git "
             "revision REV plus their call-graph impact set (the index "
             "and summaries stay whole-program)"
-        ),
-    )
-    lint_parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help=(
-            "shard the single-file rules over N parallel workers "
-            "(default: 1; finding order is deterministic either way)"
         ),
     )
     lint_parser.add_argument(
@@ -1045,8 +1038,7 @@ def _command_lint(args: argparse.Namespace) -> int:
             flow_select = sorted(flow_ids)
 
     session = LintSession(args.paths, select=classic_select)
-    findings = session.run_classic(jobs=args.jobs) if run_classic_pass \
-        else []
+    findings = session.run_classic() if run_classic_pass else []
     executed = list(session.rule_ids) if run_classic_pass else []
     if run_flow_pass:
         flow_result = run_flow(session, cache_path=args.cache,

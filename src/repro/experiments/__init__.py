@@ -47,7 +47,7 @@ from repro.experiments.sweeps import (
 )
 
 # Imported last (it depends on the registry above): registers the
-# extension experiments (ext-drift, ext-market, ...).
+# extension experiments (ext-drift, ext-poa, ext-replication).
 import repro.extensions  # noqa: E402
 
 __all__ = [

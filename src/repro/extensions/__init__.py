@@ -5,21 +5,16 @@
   comparison.
 * :mod:`repro.extensions.nonstationary` — drifting-quality experiments
   (the Definition-3 remark taken seriously) with sliding-window UCB.
-* :mod:`repro.extensions.coverage` — sellers covering only subsets of
-  PoIs, with a coverage-aware UCB policy.
-* :mod:`repro.extensions.market_experiment` — multi-consumer allocation
-  strategies (built on :mod:`repro.market`).
 * :mod:`repro.extensions.welfare_experiment` — price of anarchy of the
   HS mechanism (built on :mod:`repro.game.welfare`).
 * :mod:`repro.extensions.replication_experiment` — multi-seed
   replication with mean/std reporting.
 
 Importing this package registers the extension experiments
-(``ext-drift``, ``ext-market``, ``ext-coverage``, ``ext-poa``,
-``ext-replication``) in the experiment registry.
+(``ext-drift``, ``ext-poa``, ``ext-replication``) in the experiment
+registry.
 """
 
-from repro.extensions import market_experiment  # registers
 from repro.extensions import replication_experiment  # registers
 from repro.extensions import welfare_experiment  # registers
 from repro.extensions.budget import (
@@ -27,12 +22,6 @@ from repro.extensions.budget import (
     BudgetedRun,
     run_budgeted_comparison,
     truncate_to_budget,
-)
-from repro.extensions.coverage import (
-    CoverageAwareUCBPolicy,
-    CoverageMatrix,
-    CoverageRunResult,
-    run_coverage_simulation,
 )
 from repro.extensions.nonstationary import drift_comparison
 
@@ -42,8 +31,4 @@ __all__ = [
     "truncate_to_budget",
     "run_budgeted_comparison",
     "drift_comparison",
-    "CoverageMatrix",
-    "CoverageAwareUCBPolicy",
-    "CoverageRunResult",
-    "run_coverage_simulation",
 ]

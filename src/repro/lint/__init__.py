@@ -20,11 +20,10 @@ strict verification mode:
   cross the :class:`~repro.parallel.ParallelExecutor` task boundary.
 
 The *flow* layer (``repro lint --flow``) runs whole-program rules
-RL101–RL105 over a project-wide call graph with bottom-up function
+RL101–RL104 over a project-wide call graph with bottom-up function
 summaries — interprocedural RNG taint, kernel purity, event-kind
-exhaustiveness across call chains, checkpoint schema symmetry, and
-batched-kernel twin parity.  See :mod:`repro.lint.flow` and
-:mod:`repro.lint.rules_flow`.
+exhaustiveness across call chains, and checkpoint schema symmetry.
+See :mod:`repro.lint.flow` and :mod:`repro.lint.rules_flow`.
 
 Findings are suppressed per line with ``# repro-lint: disable=RL001``
 (comma-separate several ids, or ``disable=all``); a justification on
@@ -58,7 +57,7 @@ from repro.lint.reporters import (
 )
 from repro.lint.flow import FlowAnalysis, FlowResult, run_flow
 from repro.lint import rules as _rules  # registers RL001-RL006
-from repro.lint.rules_flow import (  # registers RL101-RL105
+from repro.lint.rules_flow import (  # registers RL101-RL104
     all_flow_rules,
     flow_rule_meta,
 )

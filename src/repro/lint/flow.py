@@ -12,7 +12,7 @@ Orchestrates the two analysis phases:
    modules, the call graph is condensed into SCCs, and per-function
    :class:`FunctionSummary` facts (RNG taint of return values,
    emit-kind forwarding, mutated parameters, global writes) are
-   computed bottom-up to a fixpoint.  The RL101–RL105 rules then read
+   computed bottom-up to a fixpoint.  The RL101–RL104 rules then read
    those summaries to report findings.
 
 ``--diff <rev>`` mode keeps phase 2's index/summaries whole-program

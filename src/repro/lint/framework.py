@@ -17,11 +17,10 @@ also override the inferred package with ``# repro-lint:
 package=repro.sim`` so package-scoped rules can be exercised from
 paths outside ``src/repro``.
 
-Two further directives annotate rather than suppress and are consumed
-by the flow rules: ``# repro-lint: twin=repro.core.foo`` on (or above)
-a ``def`` line declares the scalar twin of a kernel entry point
-(RL105), and ``# repro-lint: mutates=out,scratch`` declares parameters
-a kernel is allowed to write through (RL102).
+One further directive annotates rather than suppresses and is consumed
+by the flow rules: ``# repro-lint: mutates=out,scratch`` on (or above)
+a ``def`` line declares parameters a kernel is allowed to write through
+(RL102).
 
 Suppression pragmas that never match a finding are themselves
 reported (rule ``RL007``) so stale ``disable=`` comments cannot hide
@@ -55,7 +54,7 @@ __all__ = [
 #: ``# repro-lint: <directive>`` comment, e.g. ``disable=RL001,RL004``.
 _PRAGMA = re.compile(
     r"#\s*repro-lint:\s*(?P<directive>disable-file|disable|package"
-    r"|twin|mutates)\s*=\s*"
+    r"|mutates)\s*=\s*"
     r"(?P<value>[A-Za-z0-9_.,\s-]+)"
 )
 
@@ -108,8 +107,6 @@ class _Suppressions:
         self.line_rules: dict[int, set[str]] = {}
         self.file_rules: set[str] = set()
         self.package_override: str | None = None
-        #: ``lineno -> dotted scalar-twin path`` (``twin=`` directives).
-        self.twins: dict[int, str] = {}
         #: ``lineno -> declared mutable parameter names`` (``mutates=``).
         self.mutates: dict[int, tuple[str, ...]] = {}
         #: ``(scope, rule) -> pragma lineno`` for every suppression
@@ -125,9 +122,6 @@ class _Suppressions:
             value = match.group("value").strip()
             if directive == "package":
                 self.package_override = value
-                continue
-            if directive == "twin":
-                self.twins[lineno] = value
                 continue
             if directive == "mutates":
                 self.mutates[lineno] = tuple(
@@ -168,8 +162,8 @@ class _Suppressions:
                       table: dict[int, object]) -> object | None:
         """The directive value attached to lines ``start..end`` if any.
 
-        Used to bind ``twin=`` / ``mutates=`` pragmas to a ``def``
-        whose decorators may carry the comment.
+        Used to bind ``mutates=`` pragmas to a ``def`` whose
+        decorators may carry the comment.
         """
         for lineno in range(start, end + 1):
             if lineno in table:
@@ -393,31 +387,6 @@ def _iter_python_files(paths: Iterable[str]) -> Iterator[str]:
             yield path
 
 
-def _lint_file_task(payload: dict, context: object) -> dict:
-    """Worker-side runner for ``--jobs`` sharding (must be picklable).
-
-    Returns finding dicts plus the file's pragma inventory so the
-    coordinator can still compute orphaned-pragma findings across the
-    process boundary.
-    """
-    path = payload["path"]
-    select = payload["select"]
-    try:
-        with open(path, encoding="utf-8") as handle:
-            source = handle.read()
-    except OSError as error:
-        raise ConfigurationError(f"cannot read {path}: {error}") from error
-    file_context = build_context(source, path)
-    findings = _check_context(file_context, _select_rules(select))
-    inventory = file_context.suppressions.inventory()
-    return {
-        "findings": [finding.to_dict() for finding in findings],
-        "inventory": [[scope, rule, lineno, used]
-                      for (scope, rule), (lineno, used)
-                      in inventory.items()],
-    }
-
-
 class LintSession:
     """One lint run: shared parsed files, classic rules, pragma audit.
 
@@ -437,7 +406,7 @@ class LintSession:
         self.on_file = on_file
         self._contexts: dict[str, LintContext] = {}
         #: ``path -> {(scope, rule): (pragma_lineno, used)}`` merged
-        #: across classic, flow, and worker-side passes.
+        #: across the classic and flow passes.
         self._inventories: dict[str, dict[tuple[int, str],
                                           tuple[int, bool]]] = {}
 
@@ -470,43 +439,18 @@ class LintSession:
         for path in self.files:
             yield self.context(path)
 
-    def run_classic(self, jobs: int = 1) -> list[Finding]:
+    def run_classic(self) -> list[Finding]:
         """Run the registered single-file rules over every file.
 
-        ``jobs > 1`` shards files over
-        :class:`repro.parallel.ParallelExecutor`; finding order is
-        deterministic either way (files are pre-sorted and findings
-        are fully sorted before returning).
+        Finding order is deterministic: files are pre-sorted and
+        findings are fully sorted before returning.
         """
-        if jobs > 1 and len(self.files) > 1:
-            findings = self._run_classic_parallel(jobs)
-        else:
-            findings = []
-            for path in self.files:
-                if self.on_file is not None:
-                    self.on_file(path)
-                findings.extend(_check_context(self.context(path),
-                                               self.rules))
-        findings.sort()
-        return findings
-
-    def _run_classic_parallel(self, jobs: int) -> list[Finding]:
-        from repro.parallel import ParallelExecutor
-
-        payloads = [{"path": path, "select": self.rule_ids}
-                    for path in self.files]
-        executor = ParallelExecutor(_lint_file_task,
-                                    workers=min(jobs, len(payloads)))
         findings: list[Finding] = []
-        for result in executor.map(payloads):
-            path = payloads[result.task_id]["path"]
+        for path in self.files:
             if self.on_file is not None:
                 self.on_file(path)
-            value = result.value
-            findings.extend(Finding(**item) for item in value["findings"])
-            inventory = {(scope, rule): (lineno, used)
-                         for scope, rule, lineno, used in value["inventory"]}
-            self._merge_inventory(path, inventory)
+            findings.extend(_check_context(self.context(path), self.rules))
+        findings.sort()
         return findings
 
     # -- orphaned-pragma audit (RL007) --------------------------------
@@ -577,13 +521,12 @@ class LintSession:
 def lint_paths(paths: Iterable[str],
                select: Iterable[str] | None = None,
                on_file: Callable[[str], None] | None = None,
-               jobs: int = 1,
                ) -> tuple[list[Finding], int]:
     """Lint files and directory trees.
 
     Returns ``(findings, files_checked)``.  ``on_file`` (if given) is
     called with each path before it is linted — the CLI uses it for
-    verbose progress.  ``jobs`` shards files over worker processes.
+    verbose progress.
 
     Raises
     ------
@@ -591,5 +534,5 @@ def lint_paths(paths: Iterable[str],
         On unreadable/unparsable files or unknown paths or rules.
     """
     session = LintSession(paths, select=select, on_file=on_file)
-    findings = session.run_classic(jobs=jobs)
+    findings = session.run_classic()
     return findings, session.files_checked

@@ -1,4 +1,4 @@
-"""Whole-program rules RL101–RL105 (the ``--flow`` family).
+"""Whole-program rules RL101–RL104 (the ``--flow`` family).
 
 Where the classic RL001–RL006 rules see one file at a time, these see
 the :class:`~repro.lint.flow.FlowAnalysis` — project index, call
@@ -21,10 +21,6 @@ value across helper calls, modules, and method boundaries.
 * **RL104** — checkpoint schema symmetry: every key a ``save_X``
   closure writes must be read (or defaulted) by the paired ``load_X``
   closure, and every key ``load_X`` requires must be written.
-* **RL105** — twin parity: each public ``repro.kernels`` entry
-  point needs a resolvable, signature-compatible scalar twin
-  (``# repro-lint: twin=...``) and must be exercised by the
-  differential harness (``repro.verify.kernels``).
 """
 
 from __future__ import annotations
@@ -469,140 +465,4 @@ class CheckpointSchemaSymmetryRule(FlowRule):
                     load_facts.col,
                     f"{load_name} requires key {key!r} (no default) but "
                     f"{save_name} never writes it",
-                )
-
-
-@register_flow_rule
-class BackendParityRule(FlowRule):
-    """RL105 — every public kernel has a scalar twin and harness leg."""
-
-    rule_id = "RL105"
-    title = "public kernel entry point without scalar-twin coverage"
-    rationale = (
-        "the differential harness proves each batched kernel "
-        "equivalent to its twin; an entry point without a declared "
-        "twin or a harness reference can silently lose that coverage"
-    )
-
-    kernels_package = "repro.kernels"
-    harness_module = "repro.verify.kernels"
-
-    def check(self, analysis: FlowAnalysis) -> Iterable[Finding]:
-        index = analysis.index
-        package = index.modules.get(self.kernels_package)
-        if package is None:
-            return
-        exported = package.constants.get("__all__")
-        if exported is None:
-            return
-        names = index.eval_constexpr(self.kernels_package, exported[0])
-        if not names:
-            return
-        harness = index.modules.get(self.harness_module)
-        harness_refs: set[str] = set()
-        if harness is not None:
-            for ref in harness.refs:
-                harness_refs.add(index.resolve(self.harness_module, ref))
-            for target in harness.imports_objects.values():
-                harness_refs.add(index.canonicalize(target))
-        for name in sorted(names):
-            fq = index.resolve(self.kernels_package, name)
-            yield from self._check_symbol(analysis, name, fq,
-                                          harness_refs, exported[1],
-                                          package.path)
-
-    def _check_symbol(self, analysis: FlowAnalysis, name: str, fq: str,
-                      harness_refs: set[str], all_line: int,
-                      package_path: str) -> Iterable[Finding]:
-        index = analysis.index
-        function = index.lookup_function(fq)
-        klass = index.lookup_class(fq)
-        if function is not None:
-            module_facts, facts = function
-            path, line, col = module_facts.path, facts.lineno, facts.col
-            twin = facts.twin
-        elif klass is not None:
-            module_facts, cls_name, info = klass
-            path, line, col = module_facts.path, int(info["lineno"]), 0
-            twin = info.get("twin")
-        else:
-            yield self.finding(
-                analysis, package_path, all_line, 0,
-                f"__all__ exports {name!r} but it does not resolve to a "
-                f"project function or class",
-            )
-            return
-        if not twin:
-            yield self.finding(
-                analysis, path, line, col,
-                f"public kernel entry point {name!r} declares no scalar "
-                f"twin (add '# repro-lint: twin=<dotted scalar "
-                f"reference>')",
-            )
-        else:
-            twin_fq = index.canonicalize(twin)
-            twin_fn = index.lookup_function(twin_fq)
-            twin_cls = index.lookup_class(twin_fq)
-            if twin_fn is None and twin_cls is None:
-                yield self.finding(
-                    analysis, path, line, col,
-                    f"declared scalar twin {twin!r} of {name!r} does "
-                    f"not resolve to a project function or class",
-                )
-            elif function is not None and twin_fn is not None:
-                yield from self._check_signatures(
-                    analysis, path, line, col, name, facts, twin_fq,
-                    twin_fn[1])
-            elif klass is not None and twin_cls is not None:
-                yield from self._check_class_twin(
-                    analysis, path, line, name, module_facts.module,
-                    cls_name, info, twin_fq)
-        if fq not in harness_refs:
-            yield self.finding(
-                analysis, path, line, col,
-                f"public kernel entry point {name!r} is not referenced "
-                f"by the differential harness "
-                f"({self.harness_module}); the kernel-vs-twin "
-                f"equivalence leg lost coverage",
-            )
-
-    def _check_signatures(self, analysis: FlowAnalysis, path: str,
-                          line: int, col: int, name: str,
-                          kernel: FunctionFacts, twin_fq: str,
-                          twin: FunctionFacts) -> Iterable[Finding]:
-        kernel_params = [p for p in kernel.params
-                         if p not in kernel.out_params]
-        twin_params = [p for p in twin.params + twin.kwonly
-                       if p not in twin.out_params]
-        shared = [p for p in kernel_params if p in twin_params]
-        if not shared:
-            yield self.finding(
-                analysis, path, line, col,
-                f"kernel {name!r} and its twin {twin_fq} share no "
-                f"parameter names; the differential harness cannot map "
-                f"arguments between backends",
-            )
-            return
-        twin_order = [p for p in twin_params if p in shared]
-        if twin_order != shared:
-            yield self.finding(
-                analysis, path, line, col,
-                f"kernel {name!r} and twin {twin_fq} disagree on the "
-                f"relative order of shared parameters "
-                f"({shared} vs {twin_order})",
-            )
-
-    def _check_class_twin(self, analysis: FlowAnalysis, path: str,
-                          line: int, name: str, module_name: str,
-                          cls_name: str, info: dict[str, Any],
-                          twin_fq: str) -> Iterable[Finding]:
-        index = analysis.index
-        for method in sorted(info["methods"]):
-            if method.startswith("_"):
-                continue
-            if index.lookup_method(twin_fq, method) is None:
-                yield self.finding(
-                    analysis, path, line, 0,
-                    f"kernel class {name!r} exposes method {method!r} "
-                    f"with no counterpart on scalar twin {twin_fq}",
                 )

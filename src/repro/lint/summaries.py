@@ -4,7 +4,7 @@
 :class:`ModuleFacts`: import tables, top-level constants, classes, and
 per-function :class:`FunctionFacts` holding a tiny JSON-serialisable
 IR (assignments, returns, calls, mutations, dict-key traffic).  The
-IR is deliberately lossy — just enough structure for the RL101–RL105
+IR is deliberately lossy — just enough structure for the RL101–RL104
 rules — and is cached on disk keyed by file content hash
 (:class:`FactsCache`), so incremental ``repro lint --flow`` runs skip
 re-extraction of unchanged files entirely.
@@ -46,7 +46,7 @@ __all__ = [
 
 #: Bump whenever the extraction output changes shape — invalidates
 #: every cached entry at once.
-FACTS_VERSION = 1
+FACTS_VERSION = 2
 
 #: Method names that mutate their receiver in place.
 _MUTATING_METHODS = frozenset({
@@ -97,7 +97,6 @@ class FunctionFacts:
     required: int = 0
     is_method: bool = False
     out_params: list[str] = field(default_factory=list)
-    twin: str | None = None
     #: ``["assign", name, vexpr, line, col]`` / ``["ret", vexpr, line, col]``
     ops: list[list[Any]] = field(default_factory=list)
     #: Every call expression in the body (``["call", ...]`` vexprs).
@@ -119,7 +118,7 @@ class FunctionFacts:
             "end_lineno": self.end_lineno, "col": self.col,
             "params": self.params, "kwonly": self.kwonly,
             "required": self.required, "is_method": self.is_method,
-            "out_params": self.out_params, "twin": self.twin,
+            "out_params": self.out_params,
             "ops": self.ops, "calls": self.calls,
             "mutations": self.mutations,
             "global_decls": self.global_decls,
@@ -149,13 +148,10 @@ class ModuleFacts:
     top_names: list[str] = field(default_factory=list)
     #: ``name -> [constexpr, lineno]`` for evaluable top-level assigns.
     constants: dict[str, list[Any]] = field(default_factory=dict)
-    #: ``class -> {"bases": [dotted], "methods": [names],
-    #: "lineno": int, "twin": str | None}``
+    #: ``class -> {"bases": [dotted], "methods": [names], "lineno": int}``
     classes: dict[str, dict[str, Any]] = field(default_factory=dict)
     #: qualname (``f`` / ``Cls.m`` / ``<module>``) -> facts
     functions: dict[str, FunctionFacts] = field(default_factory=dict)
-    #: Every dotted reference appearing anywhere in the file.
-    refs: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -168,7 +164,6 @@ class ModuleFacts:
             "classes": self.classes,
             "functions": {name: facts.to_dict()
                           for name, facts in self.functions.items()},
-            "refs": self.refs,
         }
 
     @classmethod
@@ -214,11 +209,9 @@ class _BodyExtractor(ast.NodeVisitor):
     one level deep.
     """
 
-    def __init__(self, facts: FunctionFacts, local_names: set[str],
-                 refs: list[str]) -> None:
+    def __init__(self, facts: FunctionFacts, local_names: set[str]) -> None:
         self.facts = facts
         self.locals = local_names
-        self.refs = refs
         #: comprehension/loop variable -> key-domain constexpr (or None)
         self.var_domains: dict[str, list[Any] | None] = {}
 
@@ -232,14 +225,12 @@ class _BodyExtractor(ast.NodeVisitor):
         if isinstance(node, ast.Name):
             if node.id in self.locals:
                 return ["name", node.id]
-            self.refs.append(node.id)
             return ["ref", node.id]
         if isinstance(node, ast.Attribute):
             dotted = _dotted_chain(node)
             if dotted is not None:
                 root = dotted.split(".", 1)[0]
                 if root not in self.locals:
-                    self.refs.append(dotted)
                     return ["ref", dotted]
             return ["attr", self.vexpr(node.value), node.attr]
         if isinstance(node, ast.Call):
@@ -548,8 +539,7 @@ def _function_locals(node: ast.AST) -> tuple[set[str], set[str]]:
 
 def _extract_function(node: ast.FunctionDef | ast.AsyncFunctionDef,
                       qualname: str, is_method: bool,
-                      context: LintContext,
-                      refs: list[str]) -> FunctionFacts:
+                      context: LintContext) -> FunctionFacts:
     args = node.args
     positional = [arg.arg for arg in (args.posonlyargs + args.args)]
     if is_method and positional and positional[0] in ("self", "cls"):
@@ -572,12 +562,8 @@ def _extract_function(node: ast.FunctionDef | ast.AsyncFunctionDef,
     pragma_start = min([node.lineno]
                        + [deco.lineno for deco in node.decorator_list]) - 1
     suppressions = context.suppressions
-    twin = suppressions.directive_for(pragma_start, node.lineno,
-                                      suppressions.twins)
     declared = suppressions.directive_for(pragma_start, node.lineno,
                                           suppressions.mutates)
-    if isinstance(twin, str):
-        facts.twin = twin
     if isinstance(declared, tuple):
         out_params.extend(name for name in declared
                           if name not in out_params)
@@ -591,14 +577,13 @@ def _extract_function(node: ast.FunctionDef | ast.AsyncFunctionDef,
         local_names.add(args.kwarg.arg)
     if is_method:
         local_names |= {"self", "cls"}
-    extractor = _BodyExtractor(facts, local_names, refs)
+    extractor = _BodyExtractor(facts, local_names)
     for statement in node.body:
         extractor.visit(statement)
     return facts
 
 
-def _extract_module_body(tree: ast.Module, context: LintContext,
-                         refs: list[str]) -> FunctionFacts:
+def _extract_module_body(tree: ast.Module) -> FunctionFacts:
     facts = FunctionFacts(name="<module>", lineno=1, end_lineno=1, col=0)
     top_level = [statement for statement in tree.body
                  if not isinstance(statement, (ast.FunctionDef,
@@ -608,7 +593,7 @@ def _extract_module_body(tree: ast.Module, context: LintContext,
         facts.end_lineno = max(statement.end_lineno or statement.lineno
                                for statement in top_level)
     local_names: set[str] = set()
-    extractor = _BodyExtractor(facts, local_names, refs)
+    extractor = _BodyExtractor(facts, local_names)
     for statement in top_level:
         extractor.visit(statement)
     return facts
@@ -624,7 +609,6 @@ def extract_module_facts(context: LintContext,
         path=context.path,
         content_hash=content_hash(context.source),
     )
-    refs = facts.refs
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
@@ -656,7 +640,7 @@ def extract_module_facts(context: LintContext,
             facts.top_names.append(statement.name)
             facts.functions[statement.name] = _extract_function(
                 statement, statement.name, is_method=False,
-                context=context, refs=refs)
+                context=context)
         elif isinstance(statement, ast.ClassDef):
             facts.top_names.append(statement.name)
             bases = [base for base in
@@ -670,18 +654,11 @@ def extract_module_facts(context: LintContext,
                     qualname = f"{statement.name}.{item.name}"
                     facts.functions[qualname] = _extract_function(
                         item, qualname, is_method=True,
-                        context=context, refs=refs)
-            pragma_start = min(
-                [statement.lineno]
-                + [deco.lineno for deco in statement.decorator_list]) - 1
-            twin = context.suppressions.directive_for(
-                pragma_start, statement.lineno,
-                context.suppressions.twins)
+                        context=context)
             facts.classes[statement.name] = {
                 "bases": bases,
                 "methods": methods,
                 "lineno": statement.lineno,
-                "twin": twin if isinstance(twin, str) else None,
             }
         elif isinstance(statement, (ast.Assign, ast.AnnAssign)):
             targets = (statement.targets
@@ -695,8 +672,7 @@ def extract_module_facts(context: LintContext,
                         if expr is not None:
                             facts.constants[target.id] = [
                                 expr, statement.lineno]
-    facts.functions["<module>"] = _extract_module_body(tree, context, refs)
-    facts.refs = sorted(set(refs))
+    facts.functions["<module>"] = _extract_module_body(tree)
     return facts
 
 

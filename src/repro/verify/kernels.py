@@ -3,8 +3,8 @@
 ``repro verify --only kernels`` checks the round loop's kernels — the
 incrementally maintained :class:`~repro.core.state.LearningState`, the
 ``O(M)`` partition :func:`~repro.core.selection.top_k_indices`, and the
-buffered :func:`~repro.kernels.selection.estimation_error` — and the
-batched :mod:`repro.kernels` solves, at the strength each contracts for:
+buffered :func:`~repro.kernels.selection.estimation_error` — bit for
+bit:
 
 1. **State reference oracle** — random update/restore/reset histories
    must give *bit-identical* values to the naive references kept in this
@@ -13,15 +13,7 @@ batched :mod:`repro.kernels` solves, at the strength each contracts for:
    quantized, infinite and NaN scores); plus the estimation error
    against its allocating form
    :func:`~repro.sim.rounds.estimation_error_scalar`.
-2. **Batch-stage oracle** — :func:`repro.kernels.masked_stage_sums` and
-   :func:`repro.kernels.solve_rounds_batch` against per-market scalar
-   :func:`~repro.core.incentive.solve_round_fast` solves at ``<= 1e-9``
-   relative tolerance (summation order differs, see
-   :mod:`repro.kernels.batch`), with exact profit ties between Stage-1
-   candidates accepted as equally optimal; plus
-   :func:`repro.kernels.stage3_golden_batch` against
-   :func:`repro.game.stackelberg.solve_stage3_batch` row for row.
-3. **Mutation canary** — a 1% inflation of the confidence bonus
+2. **Mutation canary** — a 1% inflation of the confidence bonus
    (:data:`repro.core.state._MUTATION_SCALE`) must make the state
    oracle *fail*, proving it has the power to catch a real kernel
    defect of that size.
@@ -45,13 +37,9 @@ __all__ = [
     "reference_ucb",
     "reference_top_k",
     "check_state_kernels",
-    "check_batch_kernels",
     "check_mutation_canary",
     "check_kernels",
 ]
-
-#: Relative tolerance of the batch-stage oracle.
-_BATCH_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -221,144 +209,6 @@ def check_state_kernels(*, seed: int = 0, trials: int = 60) -> KernelsCheck:
     )
 
 
-def check_batch_kernels(*, seed: int = 0, trials: int = 40) -> KernelsCheck:
-    """Batched Stage 1-3 solves vs per-market scalar solves at 1e-9.
-
-    Exact Stage-1 profit ties between distinct candidates are accepted:
-    the scalar cascade iterates a deduplicated candidate *set* while the
-    batch kernel evaluates ordered columns, so tied optima may resolve
-    to different (equally optimal) prices — the consumer profit must
-    still agree to ``1e-9``.
-    """
-    import math
-
-    from repro.core.incentive import solve_round_fast
-    from repro.game.profits import GameInstance
-    from repro.game.stackelberg import solve_stage3_batch
-    from repro.kernels.batch import (
-        masked_stage_sums,
-        solve_rounds_batch,
-        stage3_golden_batch,
-    )
-
-    rng = seeded_generator(seed)
-    rows = 0
-    ties = 0
-    for trial in range(trials):
-        m = int(rng.integers(3, 25))
-        markets = int(rng.integers(1, 8))
-        qualities = rng.uniform(0.05, 1.0, (markets, m))
-        cost_a = rng.uniform(0.2, 2.0, (markets, m))
-        cost_b = rng.uniform(0.0, 0.5, (markets, m))
-        mask = rng.random((markets, m)) < 0.6
-        for r in range(markets):
-            if not mask[r].any():
-                mask[r, int(rng.integers(0, m))] = True
-        theta = float(rng.uniform(0.01, 0.5))
-        lam = float(rng.uniform(0.1, 2.0))
-        omega = float(rng.uniform(1.0, 60.0))
-        svc_bounds = ((0.0, float(rng.uniform(5.0, 200.0)))
-                      if trial % 3 else (0.0, float("inf")))
-        col_bounds = (0.0, float(rng.uniform(1.0, 50.0)))
-        tau_max = (float(rng.uniform(0.5, 10.0)) if trial % 2
-                   else float("inf"))
-        paper_variant = bool(trial % 4 == 0)
-        a_sums, b_sums, mean_q = masked_stage_sums(qualities, cost_a,
-                                                   cost_b, mask)
-        services, collections, taus, __ = solve_rounds_batch(
-            qualities, cost_a, cost_b, mask, theta, lam, omega,
-            svc_bounds, col_bounds, tau_max, paper_variant,
-        )
-        for r in range(markets):
-            selected = np.flatnonzero(mask[r])
-            q_sel = qualities[r, selected]
-            a_ref = float(np.sum(1.0 / (2.0 * q_sel * cost_a[r, selected])))
-            b_ref = float(np.sum(
-                cost_b[r, selected] / (2.0 * cost_a[r, selected])
-            ))
-            q_ref = float(q_sel.mean())
-            for got, ref, label in ((a_sums[r], a_ref, "A"),
-                                    (b_sums[r], b_ref, "B"),
-                                    (mean_q[r], q_ref, "qbar")):
-                if abs(got - ref) > _BATCH_RTOL * max(abs(ref), 1.0):
-                    return KernelsCheck(
-                        "batch-stage", False,
-                        f"masked {label} sum off by "
-                        f"{abs(got - ref):.3e} in trial {trial}"
-                    )
-            ref_service, ref_collection, ref_taus = solve_round_fast(
-                q_sel, cost_a[r, selected], cost_b[r, selected], theta,
-                lam, omega, svc_bounds, col_bounds, tau_max,
-                paper_variant,
-            )
-
-            def consumer_profit(service_price: float,
-                                sensing: np.ndarray) -> float:
-                total = float(np.sum(sensing))
-                return (omega * math.log1p(q_ref * total)
-                        - service_price * total)
-
-            profit_ref = consumer_profit(ref_service, ref_taus)
-            profit_got = consumer_profit(float(services[r]),
-                                         taus[r, selected])
-            scale = max(abs(profit_ref), 1.0)
-            if abs(profit_got - profit_ref) > _BATCH_RTOL * scale:
-                return KernelsCheck(
-                    "batch-stage", False,
-                    f"consumer profit diverged by "
-                    f"{abs(profit_got - profit_ref):.3e} in trial "
-                    f"{trial} market {r}"
-                )
-            price_scale = max(abs(ref_service), 1.0)
-            if abs(float(services[r]) - ref_service) > _BATCH_RTOL * price_scale:
-                ties += 1  # exact profit tie resolved differently
-            else:
-                col_scale = max(abs(ref_collection), 1.0)
-                tau_scale = np.maximum(np.abs(ref_taus), 1.0)
-                if (abs(float(collections[r]) - ref_collection)
-                        > _BATCH_RTOL * col_scale
-                        or np.any(np.abs(taus[r, selected] - ref_taus)
-                                  > _BATCH_RTOL * tau_scale)):
-                    return KernelsCheck(
-                        "batch-stage", False,
-                        f"collection price / sensing times diverged in "
-                        f"trial {trial} market {r}"
-                    )
-            # Masked-out sellers must hold an exact 0.0 (assigned, not
-            # computed), so a nonzero count is the right exact test.
-            if np.count_nonzero(taus[r, ~mask[r]]):
-                return KernelsCheck(
-                    "batch-stage", False,
-                    f"masked-out sellers received nonzero sensing time "
-                    f"in trial {trial} market {r}"
-                )
-            rows += 1
-        # Batched Stage-3 golden section vs the per-game reference.
-        prices = rng.uniform(0.5, 20.0, markets)
-        game = GameInstance(
-            qualities=qualities[0], cost_a=cost_a[0], cost_b=cost_b[0],
-            theta=theta, lam=lam, omega=omega,
-            max_sensing_time=tau_max if math.isfinite(tau_max) else 10.0,
-        )
-        reference = solve_stage3_batch(game, prices)
-        batched = stage3_golden_batch(
-            prices, qualities[0], cost_a[0], cost_b[0],
-            game.max_sensing_time,
-        )
-        if not np.allclose(batched, reference, rtol=_BATCH_RTOL,
-                           atol=1e-9):
-            return KernelsCheck(
-                "batch-stage", False,
-                f"stage3_golden_batch diverged from solve_stage3_batch "
-                f"in trial {trial}"
-            )
-    return KernelsCheck(
-        "batch-stage", True,
-        f"{rows} market rows solved batched vs scalar at rtol {_BATCH_RTOL:g} "
-        f"({ties} exact candidate ties resolved to equal-profit optima)"
-    )
-
-
 def check_mutation_canary(*, seed: int = 0) -> KernelsCheck:
     """A 1% kernel mutation must make the state oracle fail.
 
@@ -393,7 +243,6 @@ def check_kernels(*, seed: int = 0) -> KernelsCheckResult:
     """Run every kernels leg and collect one result."""
     checks = (
         check_state_kernels(seed=seed),
-        check_batch_kernels(seed=seed),
         check_mutation_canary(seed=seed),
     )
     return KernelsCheckResult(checks=checks)

@@ -146,8 +146,14 @@ class TestCommands:
     def test_list_includes_extensions(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
-        assert "ext-drift" in out
-        assert "ext-market" in out
+        for experiment_id in ("ext-drift", "ext-poa", "ext-replication"):
+            assert experiment_id in out
+
+    def test_retired_extension_fails_loudly(self, capsys):
+        assert main(["run", "ext-market"]) == 1
+        err = capsys.readouterr().err
+        assert "unknown experiment 'ext-market'" in err
+        assert "known: " in err and "ext-drift" in err
 
     def test_trace(self, capsys, tmp_path):
         out_file = str(tmp_path / "trace.csv")

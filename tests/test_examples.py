@@ -19,7 +19,6 @@ EXPECTED_SNIPPETS = {
     "policy_comparison.py": ["stationary qualities",
                              "drifting qualities"],
     "equilibrium_exploration.py": ["SE verification", "closed form"],
-    "multi_consumer_market.py": ["multi-consumer", "richest-first"],
     "reproduce_figures.py": ["saved", "reloaded"],
 }
 

@@ -15,13 +15,11 @@ from repro.experiments import Scale, list_experiments, run_experiment
 class TestRegistryIncludesExtensions:
     def test_all_extension_ids_registered(self):
         ids = {experiment_id for experiment_id, __ in list_experiments()}
-        assert {"ext-drift", "ext-market", "ext-coverage", "ext-poa",
-                "ext-replication"} <= ids
+        assert {"ext-drift", "ext-poa", "ext-replication"} <= ids
 
     def test_extension_titles_marked(self):
         titles = dict(list_experiments())
-        for experiment_id in ("ext-drift", "ext-market", "ext-coverage",
-                              "ext-poa", "ext-replication"):
+        for experiment_id in ("ext-drift", "ext-poa", "ext-replication"):
             assert titles[experiment_id].startswith("EXTENSION"), (
                 experiment_id
             )
@@ -46,41 +44,3 @@ class TestExtPoa:
         se = result.series("total_sensing_time", "SE").y
         optimum = result.series("total_sensing_time", "social optimum").y
         assert np.all(optimum > se)
-
-
-class TestExtMarket:
-    @pytest.fixture(scope="class")
-    def result(self):
-        return run_experiment("ext-market", Scale.SMALL)
-
-    def test_three_strategies(self, result):
-        welfare = result.series("welfare", "total welfare")
-        assert welfare.y.size == 3
-
-    def test_consumer_ordering_by_omega(self, result):
-        series = result.panel("consumer_profit")
-        # omega 1400 consumer earns most under every strategy.
-        top = next(s for s in series if "1400" in s.label)
-        bottom = next(s for s in series if "600" in s.label)
-        assert np.all(top.y > bottom.y)
-
-
-class TestExtCoverage:
-    @pytest.fixture(scope="class")
-    def result(self):
-        return run_experiment("ext-coverage", Scale.SMALL)
-
-    def test_coverage_aware_always_fully_covers(self, result):
-        aware = result.series("mean_poi_coverage", "coverage-ucb").y
-        assert np.all(aware > 0.99)
-
-    def test_blind_coverage_improves_with_density(self, result):
-        blind = result.series("mean_poi_coverage", "top-K UCB").y
-        assert np.all(np.diff(blind) >= -1e-9)
-        assert blind[0] < 0.9
-
-    def test_revenue_gap_shrinks_with_density(self, result):
-        blind = result.series("coverage_revenue", "top-K UCB").y
-        aware = result.series("coverage_revenue", "coverage-ucb").y
-        relative_gap = aware / blind - 1.0
-        assert relative_gap[0] > relative_gap[-1]

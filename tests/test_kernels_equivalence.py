@@ -1,17 +1,9 @@
 """Kernels-vs-reference tests for the round loop and :mod:`repro.kernels`.
 
-The kernels contract (DESIGN.md §15) has two strengths and every test
-here pins one of them:
-
-* **bit-identity** for the learning state, UCB indices, top-K, the
-  estimation error, and whole-run metric series — each kernel must be
-  indistinguishable from the naive reference kept in
-  :mod:`repro.verify.kernels`, not merely close;
-* **``<= 1e-9`` relative** for the batched ``(markets, M)`` Stage 1-3
-  solves, whose masked reductions legitimately sum in a different order
-  than the compacted scalar vectors.  Exact Stage-1 profit ties may
-  resolve to different (equally optimal) candidates, so those rows are
-  compared on consumer profit, not price identity.
+The kernels contract (DESIGN.md §15) is **bit-identity** for the
+learning state, UCB indices, top-K, the estimation error, and whole-run
+metric series: each kernel must be indistinguishable from the naive
+reference kept in :mod:`repro.verify.kernels`, not merely close.
 """
 
 from __future__ import annotations
@@ -28,16 +20,10 @@ import repro.runtime.market
 import repro.sim.engine
 import repro.sim.rounds
 from repro.bandits.policies import UCBPolicy
-from repro.core.incentive import solve_round_fast
 from repro.core.selection import top_k_indices
 from repro.core.state import LearningState
 from repro.exceptions import ConfigurationError, SelectionError
 from repro.faults.model import FaultSpec
-from repro.kernels import (
-    masked_stage_sums,
-    solve_rounds_batch,
-    stage3_golden_batch,
-)
 from repro.kernels.selection import estimation_error
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import TradingSimulator
@@ -47,8 +33,6 @@ from repro.verify.kernels import (
     reference_top_k,
     reference_ucb,
 )
-
-RTOL = 1e-9
 
 #: RunMetrics fields the engine differential compares bit-for-bit.
 METRIC_FIELDS = (
@@ -185,115 +169,6 @@ class TestSelectionKernels:
         assert state.total_count == restored.total_count
 
 
-@st.composite
-def batch_instances(draw):
-    """Random ``(markets, M)`` game instances with participation masks."""
-    seed = draw(st.integers(0, 2**16))
-    paper_variant = draw(st.booleans())
-    bounded = draw(st.booleans())
-    rng = np.random.default_rng(seed)
-    m = int(rng.integers(2, 20))
-    markets = int(rng.integers(1, 6))
-    mask = rng.random((markets, m)) < 0.6
-    for r in range(markets):
-        if not mask[r].any():
-            mask[r, int(rng.integers(0, m))] = True
-    return {
-        "qualities": rng.uniform(0.05, 1.0, (markets, m)),
-        "cost_a": rng.uniform(0.2, 2.0, (markets, m)),
-        "cost_b": rng.uniform(0.0, 0.5, (markets, m)),
-        "mask": mask,
-        "theta": float(rng.uniform(0.01, 0.5)),
-        "lam": float(rng.uniform(0.1, 2.0)),
-        "omega": float(rng.uniform(1.0, 60.0)),
-        "svc_bounds": ((0.0, float(rng.uniform(5.0, 200.0)))
-                       if bounded else (0.0, float("inf"))),
-        "col_bounds": (0.0, float(rng.uniform(1.0, 50.0))),
-        "tau_max": (float(rng.uniform(0.5, 10.0))
-                    if bounded else float("inf")),
-        "paper_variant": paper_variant,
-    }
-
-
-class TestBatchKernels:
-    @given(batch_instances())
-    @settings(max_examples=40, deadline=None)
-    def test_masked_sums_match_compacted_sums(self, inst):
-        a_sums, b_sums, mean_q = masked_stage_sums(
-            inst["qualities"], inst["cost_a"], inst["cost_b"],
-            inst["mask"])
-        for r in range(inst["mask"].shape[0]):
-            sel = np.flatnonzero(inst["mask"][r])
-            q = inst["qualities"][r, sel]
-            a = inst["cost_a"][r, sel]
-            b = inst["cost_b"][r, sel]
-            np.testing.assert_allclose(
-                a_sums[r], np.sum(1.0 / (2.0 * q * a)), rtol=RTOL)
-            np.testing.assert_allclose(
-                b_sums[r], np.sum(b / (2.0 * a)), rtol=RTOL, atol=1e-12)
-            np.testing.assert_allclose(mean_q[r], q.mean(), rtol=RTOL)
-
-    @given(batch_instances())
-    @settings(max_examples=40, deadline=None)
-    def test_batch_solve_profit_equals_scalar_solve(self, inst):
-        services, collections, taus, __ = solve_rounds_batch(
-            inst["qualities"], inst["cost_a"], inst["cost_b"],
-            inst["mask"], inst["theta"], inst["lam"], inst["omega"],
-            inst["svc_bounds"], inst["col_bounds"], inst["tau_max"],
-            inst["paper_variant"],
-        )
-        for r in range(inst["mask"].shape[0]):
-            sel = np.flatnonzero(inst["mask"][r])
-            q = inst["qualities"][r, sel]
-            ref_svc, ref_col, ref_taus = solve_round_fast(
-                q, inst["cost_a"][r, sel], inst["cost_b"][r, sel],
-                inst["theta"], inst["lam"], inst["omega"],
-                inst["svc_bounds"], inst["col_bounds"], inst["tau_max"],
-                inst["paper_variant"],
-            )
-            q_bar = float(q.mean())
-
-            def profit(svc, sensing):
-                total = float(np.sum(sensing))
-                return (inst["omega"] * math.log1p(q_bar * total)
-                        - svc * total)
-
-            # The consumer profit must always agree — candidate ties
-            # resolve to equally optimal strategies.
-            np.testing.assert_allclose(
-                profit(float(services[r]), taus[r, sel]),
-                profit(ref_svc, ref_taus), rtol=RTOL, atol=1e-9)
-            price_close = abs(float(services[r]) - ref_svc) <= (
-                RTOL * max(abs(ref_svc), 1.0))
-            if price_close:
-                np.testing.assert_allclose(float(collections[r]),
-                                           ref_col, rtol=RTOL, atol=1e-9)
-                np.testing.assert_allclose(taus[r, sel], ref_taus,
-                                           rtol=RTOL, atol=1e-9)
-            # Masked-out sellers never sense.
-            assert np.all(taus[r, ~inst["mask"][r]] == 0.0)
-
-    @given(st.integers(0, 2**16))
-    @settings(max_examples=25, deadline=None)
-    def test_stage3_batch_matches_game_reference(self, seed):
-        from repro.game.profits import GameInstance
-        from repro.game.stackelberg import solve_stage3_batch
-
-        rng = np.random.default_rng(seed)
-        m = int(rng.integers(2, 12))
-        markets = int(rng.integers(1, 6))
-        qualities = rng.uniform(0.05, 1.0, m)
-        cost_a = rng.uniform(0.2, 2.0, m)
-        cost_b = rng.uniform(0.0, 0.5, m)
-        prices = rng.uniform(0.5, 20.0, markets)
-        game = GameInstance(qualities=qualities, cost_a=cost_a,
-                            cost_b=cost_b, theta=0.1, lam=1.0,
-                            omega=10.0, max_sensing_time=8.0)
-        np.testing.assert_allclose(
-            stage3_golden_batch(prices, qualities, cost_a, cost_b, 8.0),
-            solve_stage3_batch(game, prices), rtol=RTOL, atol=1e-9)
-
-
 class ReferenceLearningState(LearningState):
     """A learning state whose every read is a from-scratch reference."""
 
@@ -387,7 +262,7 @@ class TestKernelsVerifySection:
         result = check_kernels(seed=0)
         assert result.passed, [c.describe() for c in result.failures()]
         assert {c.name for c in result.checks} == {
-            "state-reference", "batch-stage", "mutation-canary",
+            "state-reference", "mutation-canary",
         }
 
     def test_mutation_canary_detects_kernel_defect(self):

@@ -1,7 +1,7 @@
 """End-to-end tests for ``repro lint --flow``: CLI surface, baseline
-workflow, SARIF emission, ``--jobs`` determinism, ``--strict-pragmas``,
-and the git ``--diff`` fast path (impact restriction + identical
-findings for the changed region).
+workflow, SARIF emission, ``--strict-pragmas``, and the git ``--diff``
+fast path (impact restriction + identical findings for the changed
+region).
 """
 
 import json
@@ -58,7 +58,7 @@ class TestCliFlow:
         assert {r["ruleId"] for r in run["results"]} == {"RL101"}
         rule_ids = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
         # flow runs list the full combined policy
-        assert {"RL001", "RL101", "RL105", "RL007"} <= rule_ids
+        assert {"RL001", "RL101", "RL104", "RL007"} <= rule_ids
 
     def test_baseline_accept_then_gate(self, tmp_path, capsys):
         write_project(tmp_path, {"tainted.py": TAINTED})
@@ -76,17 +76,6 @@ class TestCliFlow:
         assert main(["lint", "--flow", str(tmp_path),
                      "--baseline", str(baseline)]) == 1
 
-    def test_jobs_output_matches_serial(self, tmp_path, capsys):
-        files = {f"m{i}.py": CLEAN_MODULE.format(i=i) for i in range(6)}
-        files["bad.py"] = ("import numpy as np\n"
-                           "rng = np.random.default_rng()\n")
-        write_project(tmp_path, files)
-        assert main(["lint", str(tmp_path)]) == 1
-        serial_out = capsys.readouterr().out
-        assert main(["lint", "--jobs", "4", str(tmp_path)]) == 1
-        parallel_out = capsys.readouterr().out
-        assert serial_out == parallel_out
-
     def test_strict_pragmas_gates_orphans(self, tmp_path, capsys):
         write_project(tmp_path, {
             "mod.py": "x = 1  # repro-lint: disable=RL004\n",
@@ -98,7 +87,7 @@ class TestCliFlow:
     def test_list_rules_includes_flow_family(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("RL001", "RL007", "RL101", "RL105"):
+        for rule_id in ("RL001", "RL007", "RL101", "RL104"):
             assert rule_id in out
 
     def test_unknown_flow_rule_is_a_cli_error(self, tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Mutation meta-tests for the whole-program flow rules RL101-RL105.
+"""Mutation meta-tests for the whole-program flow rules RL101-RL104.
 
 Each test copies the clean fixture project from
 ``tests/lint_fixtures/flow/<rule>/`` into a temp directory, applies a
@@ -155,52 +155,6 @@ class TestRL104SchemaSymmetry:
         # defaults it via .get(..., 0)
         mutate("persist.py", '        "version": _schema_version(),\n', "")
         assert findings("RL104") == []
-
-
-class TestRL105BackendParity:
-    def test_missing_twin_pragma(self, project):
-        load, mutate, findings = project
-        load("rl105")
-        mutate("kernels_pkg.py",
-               "# repro-lint: twin=repro.core.reference.slow_scores\n", "")
-        (finding,) = findings("RL105")
-        assert "declares no scalar twin" in finding.message
-
-    def test_unresolvable_twin(self, project):
-        load, mutate, findings = project
-        load("rl105")
-        mutate("kernels_pkg.py", "twin=repro.core.reference.slow_scores",
-               "twin=repro.core.reference.gone_scores")
-        (finding,) = findings("RL105")
-        assert "does not resolve" in finding.message
-
-    def test_twin_parameter_order_drift(self, project):
-        load, mutate, findings = project
-        load("rl105")
-        mutate("reference.py",
-               "def slow_scores(counts, means, coefficient):",
-               "def slow_scores(means, counts, coefficient):")
-        (finding,) = findings("RL105")
-        assert "relative order of shared parameters" in finding.message
-
-    def test_harness_coverage_loss(self, project):
-        load, mutate, findings = project
-        load("rl105")
-        mutate("harness.py", "from repro.kernels import fast_scores\n", "")
-        mutate("harness.py", "fast = fast_scores(counts, means, coefficient)",
-               "fast = slow_scores(counts, means, coefficient)")
-        (finding,) = findings("RL105")
-        assert "not referenced by the differential harness" \
-            in finding.message
-
-    def test_phantom_export(self, project):
-        load, mutate, findings = project
-        load("rl105")
-        mutate("kernels_pkg.py", '__all__ = ["fast_scores"]',
-               '__all__ = ["fast_scores", "phantom_kernel"]')
-        (finding,) = findings("RL105")
-        assert "'phantom_kernel'" in finding.message
-        assert "does not resolve" in finding.message
 
 
 class TestSuppression:

@@ -27,7 +27,7 @@ def test_source_tree_lints_clean():
 
 
 def test_source_tree_flow_lints_clean():
-    """The whole-program rules (RL101-RL105) self-host clean too —
+    """The whole-program rules (RL101-RL104) self-host clean too —
     including an empty orphan-pragma audit over the combined run."""
     from repro.lint.framework import LintSession
     from repro.lint.flow import run_flow

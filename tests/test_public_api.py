@@ -20,7 +20,6 @@ PACKAGES = [
     "repro.quality",
     "repro.data",
     "repro.sim",
-    "repro.market",
     "repro.extensions",
     "repro.experiments",
 ]
