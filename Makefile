@@ -16,8 +16,7 @@ bench:
 # Static analysis: the in-tree determinism linter always runs (stdlib
 # only); ruff and mypy run when installed (pip install -e '.[dev]').
 lint:
-	PYTHONPATH=src $(PYTHON) -m repro lint --flow \
-		--baseline lint-baseline.json src
+	PYTHONPATH=src $(PYTHON) -m repro lint src
 	@if command -v ruff >/dev/null 2>&1; then \
 		ruff check .; \
 	else \

@@ -343,9 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
     lint_parser = subparsers.add_parser(
         "lint",
         help=(
-            "run the determinism/correctness static analyser "
-            "(single-file rules RL001-RL006; whole-program rules "
-            "RL101-RL104 with --flow) over source files"
+            "run the determinism/correctness static analyser (rules "
+            "RL002, RL004-RL006 and RL101-RL104, plus the RL007 pragma "
+            "audit) over source files as one whole program"
         ),
     )
     lint_parser.add_argument(
@@ -355,45 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     lint_parser.add_argument(
         "--select", action="append", metavar="RULES", default=None,
         help=(
-            "comma-separated rule ids to run, e.g. RL001,RL103 "
-            "(repeatable; default: all rules; naming a flow rule "
-            "implies --flow)"
-        ),
-    )
-    lint_parser.add_argument(
-        "--flow", action="store_true",
-        help=(
-            "also run the whole-program flow rules (RL101-RL104) over "
-            "a project-wide call graph"
-        ),
-    )
-    lint_parser.add_argument(
-        "--diff", metavar="REV", default=None,
-        help=(
-            "flow mode: only report on functions changed since git "
-            "revision REV plus their call-graph impact set (the index "
-            "and summaries stay whole-program)"
-        ),
-    )
-    lint_parser.add_argument(
-        "--cache", metavar="PATH.json", default=None,
-        help=(
-            "flow mode: persist per-file analysis facts keyed by "
-            "content hash so unchanged files skip re-extraction"
-        ),
-    )
-    lint_parser.add_argument(
-        "--baseline", metavar="PATH.json", default=None,
-        help=(
-            "suppress findings whose fingerprints appear in this "
-            "baseline file (exit code then reflects new findings only)"
-        ),
-    )
-    lint_parser.add_argument(
-        "--write-baseline", metavar="PATH.json", default=None,
-        help=(
-            "write the surviving findings' fingerprints to PATH and "
-            "exit 0 (accepts the current state as the baseline)"
+            "comma-separated rule ids to run, e.g. RL002,RL103 "
+            "(repeatable; default: all rules)"
         ),
     )
     lint_parser.add_argument(
@@ -990,99 +953,35 @@ def _command_lint(args: argparse.Namespace) -> int:
     import json
 
     from repro.lint import (
-        LintSession,
-        all_flow_rules,
-        all_rules,
-        filter_baselined,
         findings_to_json,
         findings_to_sarif,
-        flow_rule_meta,
-        load_baseline,
+        lint_paths,
         render_findings,
-        run_flow,
-        write_baseline,
+        rule_meta,
     )
 
     if args.list_rules:
-        for rule in all_rules():
-            print(f"{rule.rule_id}  {rule.title}")
-            print(f"       {rule.rationale}")
-        for rule_id, meta in sorted(flow_rule_meta().items()):
-            tag = " [flow]" if rule_id != "RL007" else ""
-            print(f"{rule_id}  {meta['title']}{tag}")
+        for rule_id, meta in rule_meta().items():
+            print(f"{rule_id}  {meta['title']}")
             print(f"       {meta['rationale']}")
         return 0
 
-    classic_ids = {rule.rule_id for rule in all_rules()}
-    flow_ids = {rule.rule_id for rule in all_flow_rules()}
-    classic_select = flow_select = None
-    run_classic_pass = True
-    run_flow_pass = args.flow or args.diff is not None
+    select = None
     if args.select:
-        selected = [rule_id.strip().upper()
-                    for chunk in args.select
-                    for rule_id in chunk.split(",") if rule_id.strip()]
-        unknown = [s for s in selected
-                   if s not in classic_ids and s not in flow_ids]
-        if unknown:
-            from repro.exceptions import ConfigurationError
-
-            raise ConfigurationError(
-                f"unknown lint rule(s): {', '.join(sorted(unknown))}"
-            )
-        classic_select = [s for s in selected if s in classic_ids]
-        flow_select = [s for s in selected if s in flow_ids]
-        run_classic_pass = bool(classic_select)
-        run_flow_pass = run_flow_pass or bool(flow_select)
-        if run_flow_pass and not flow_select:
-            flow_select = sorted(flow_ids)
-
-    session = LintSession(args.paths, select=classic_select)
-    findings = session.run_classic() if run_classic_pass else []
-    executed = list(session.rule_ids) if run_classic_pass else []
-    if run_flow_pass:
-        flow_result = run_flow(session, cache_path=args.cache,
-                               diff_rev=args.diff, select=flow_select)
-        findings.extend(flow_result.findings)
-        executed.extend(sorted(flow_ids) if flow_select is None
-                        else flow_select)
-    findings.extend(session.orphan_findings(
-        executed, strict=args.strict_pragmas))
-    findings.sort()
-
-    if args.write_baseline:
-        count = write_baseline(args.write_baseline, findings)
-        print(f"wrote {count} fingerprint(s) to {args.write_baseline}")
-        return 0
-    suppressed = 0
-    if args.baseline:
-        findings, suppressed = filter_baselined(
-            findings, load_baseline(args.baseline))
-
-    rule_meta = None
-    if run_flow_pass:
-        rule_meta = {}
-        if run_classic_pass:
-            rule_meta.update({
-                rule.rule_id: {"title": rule.title,
-                               "rationale": rule.rationale}
-                for rule in session.rules
-            })
-        rule_meta.update(flow_rule_meta())
+        select = [rule_id.strip().upper()
+                  for chunk in args.select
+                  for rule_id in chunk.split(",") if rule_id.strip()]
+    findings, files_checked = lint_paths(args.paths, select=select,
+                                         strict=args.strict_pragmas)
     if args.format == "sarif":
-        report = findings_to_sarif(findings, rules=rule_meta)
+        report = findings_to_sarif(findings)
         print(json.dumps(report, indent=2))
     else:
-        report = findings_to_json(findings,
-                                  files_checked=session.files_checked,
-                                  rules=rule_meta)
+        report = findings_to_json(findings, files_checked=files_checked)
         if args.format == "json":
             print(json.dumps(report, indent=2))
         else:
-            print(render_findings(findings,
-                                  files_checked=session.files_checked))
-            if suppressed:
-                print(f"({suppressed} baselined finding(s) suppressed)")
+            print(render_findings(findings, files_checked=files_checked))
     if args.report:
         from repro.sim.persistence import atomic_write_json
 

@@ -1,16 +1,16 @@
 """Determinism & correctness static analysis for the reproduction.
 
-``repro.lint`` is an AST-based linter in two layers.  The *classic*
-single-file rules encode repo-specific invariants that keep CMAB-HS
-runs bit-identical across checkpoint/resume, parallel workers, and
-strict verification mode:
+``repro.lint`` is an AST-based linter.  Every run is one whole-program
+pass: the driver parses each file once, builds a project-wide call
+graph with bottom-up function summaries, and runs one registry of rules
+that encode the repo-specific invariants keeping CMAB-HS runs
+bit-identical across checkpoint/resume, parallel workers, and strict
+verification mode.
 
-* **RL001** — RNG construction (``np.random.*``, stdlib ``random``)
-  only inside :mod:`repro.sim.rng`.
+Single-file rules (:mod:`repro.lint.rules`):
+
 * **RL002** — no wall-clock reads in the ``sim``/``game``/``bandits``/
-  ``core`` hot paths; use the :mod:`repro.obs.timing` shim.
-* **RL003** — every literal ``Tracer.emit(kind, ...)`` kind must be a
-  member of :data:`repro.obs.events.EVENT_KINDS`.
+  ``core``/``runtime`` hot paths; use the :mod:`repro.obs.timing` shim.
 * **RL004** — no float ``==``/``!=`` on model quantities in
   ``game``/``verify``; use ``math.isclose`` or
   :mod:`repro.verify.compare`.
@@ -19,70 +19,60 @@ strict verification mode:
 * **RL006** — nothing unpicklable (lambdas, nested functions) may
   cross the :class:`~repro.parallel.ParallelExecutor` task boundary.
 
-The *flow* layer (``repro lint --flow``) runs whole-program rules
-RL101–RL104 over a project-wide call graph with bottom-up function
-summaries — interprocedural RNG taint, kernel purity, event-kind
-exhaustiveness across call chains, and checkpoint schema symmetry.
-See :mod:`repro.lint.flow` and :mod:`repro.lint.rules_flow`.
+Whole-program rules (:mod:`repro.lint.rules_flow`):
 
-Findings are suppressed per line with ``# repro-lint: disable=RL001``
-(comma-separate several ids, or ``disable=all``); a justification on
-the same comment is encouraged — suppressions that stop matching any
-finding are themselves reported (RL007).  Run it as ``repro lint
-src/`` (optionally ``--flow``) or via :func:`lint_paths`.
+* **RL101** — RNG streams are born only in
+  ``repro.sim.rng.seeded_generator`` / ``seed_sequence``; no other
+  ``numpy.random`` / stdlib ``random`` call, direct or laundered.
+* **RL102** — ``repro.kernels`` functions are pure.
+* **RL103** — every emitted event kind is in
+  :data:`repro.obs.events.EVENT_KINDS`, across call chains, and every
+  declared kind is emitted somewhere.
+* **RL104** — ``save_X``/``load_X`` pairs agree on their key schema.
+
+Findings are suppressed per line with ``# repro-lint: disable=RL101``
+(comma-separate several ids, or ``disable=all``; trailing text is the
+justification).  Unknown ids and suppressions that stop matching any
+finding are themselves reported (RL007).  Run it as ``repro lint src``
+or via :func:`lint_paths`.
 """
 
 from repro.lint.framework import (
+    FileRule,
     Finding,
     LintContext,
     LintRule,
-    LintSession,
     ORPHAN_PRAGMA_RULE,
     all_rules,
     get_rule,
-    lint_paths,
-    lint_source,
     register_rule,
-)
-from repro.lint.baseline import (
-    filter_baselined,
-    finding_fingerprint,
-    load_baseline,
-    write_baseline,
+    rule_meta,
 )
 from repro.lint.reporters import (
+    finding_fingerprint,
     findings_to_json,
     findings_to_sarif,
     render_findings,
 )
-from repro.lint.flow import FlowAnalysis, FlowResult, run_flow
-from repro.lint import rules as _rules  # registers RL001-RL006
-from repro.lint.rules_flow import (  # registers RL101-RL104
-    all_flow_rules,
-    flow_rule_meta,
-)
+from repro.lint.flow import FlowAnalysis, lint_paths, lint_source
+from repro.lint import rules as _rules  # registers RL002, RL004-RL006
+from repro.lint import rules_flow as _rules_flow  # registers RL101-RL104
 
 __all__ = [
+    "FileRule",
     "Finding",
     "FlowAnalysis",
-    "FlowResult",
     "LintContext",
     "LintRule",
-    "LintSession",
     "ORPHAN_PRAGMA_RULE",
-    "all_flow_rules",
     "all_rules",
-    "filter_baselined",
     "finding_fingerprint",
     "findings_to_json",
     "findings_to_sarif",
-    "flow_rule_meta",
     "get_rule",
     "lint_paths",
     "lint_source",
-    "load_baseline",
     "register_rule",
     "render_findings",
-    "run_flow",
-    "write_baseline",
+    "rule_meta",
 ]

@@ -1,30 +1,31 @@
 """Core machinery of the ``repro.lint`` static analyser.
 
-The framework is deliberately small: a :class:`LintRule` registry, a
+The framework is deliberately small: one :class:`LintRule` registry, a
 :class:`LintContext` describing one source file (its AST, raw lines,
-inferred package, and suppression table), and a :class:`LintSession`
-driver that parses each file exactly once per run and shares the
-parsed contexts between the classic single-file rules and the
-whole-program flow engine (:mod:`repro.lint.flow`).
+inferred package, and suppression table), and the pragma audit.  The
+driver in :mod:`repro.lint.flow` parses each file once, builds the
+whole-program analysis, and runs every registered rule over it —
+single-file rules (:class:`FileRule`) and whole-program rules alike.
 
 Pragma syntax
 -------------
 A finding is suppressed when the flagged line carries a comment of the
-form ``# repro-lint: disable=RL001`` (several ids comma-separated, or
-``all``).  A whole file opts out of one rule with
-``# repro-lint: disable-file=RL001`` on any line.  Fixture files may
-also override the inferred package with ``# repro-lint:
-package=repro.sim`` so package-scoped rules can be exercised from
-paths outside ``src/repro``.
+form ``# repro-lint: disable=RL101``.  The ids are comma-separated
+``RLnnn`` or ``all`` tokens; any text after them is the justification,
+e.g. ``# repro-lint: disable=RL101, RL002 -- seeded upstream``.  A
+whole file opts out of one rule with ``# repro-lint: disable-file=RL101``
+on any line.  Fixture files may also override the inferred package with
+``# repro-lint: package=repro.sim`` so package-scoped rules can be
+exercised from paths outside ``src/repro``.
 
 One further directive annotates rather than suppresses and is consumed
-by the flow rules: ``# repro-lint: mutates=out,scratch`` on (or above)
-a ``def`` line declares parameters a kernel is allowed to write through
-(RL102).
+by RL102: ``# repro-lint: mutates=out,scratch`` on (or above) a ``def``
+line declares parameters a kernel is allowed to write through.
 
-Suppression pragmas that never match a finding are themselves
-reported (rule ``RL007``) so stale ``disable=`` comments cannot hide
-regressions silently; see :meth:`LintSession.orphan_findings`.
+The pragma audit (rule ``RL007``, see :func:`audit_pragmas`) reports
+every ``disable=`` id that names no registered rule as an error, and
+every suppression that never matched a finding as a warning (an error
+under ``--strict-pragmas``), so stale comments cannot hide regressions.
 """
 
 from __future__ import annotations
@@ -34,31 +35,36 @@ import os
 import re
 import tokenize
 from dataclasses import dataclass, field
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING
 
 from repro.exceptions import ConfigurationError
 
+if TYPE_CHECKING:
+    from repro.lint.flow import FlowAnalysis
+
 __all__ = [
+    "FileRule",
     "Finding",
     "LintContext",
     "LintRule",
-    "LintSession",
     "ORPHAN_PRAGMA_RULE",
     "all_rules",
+    "audit_pragmas",
     "get_rule",
-    "lint_paths",
-    "lint_source",
     "register_rule",
+    "rule_meta",
+    "select_rules",
 ]
 
-#: ``# repro-lint: <directive>`` comment, e.g. ``disable=RL001,RL004``.
+#: ``# repro-lint: <directive>=<ids>`` comment; text after the
+#: comma-separated id list is a free-form justification.
 _PRAGMA = re.compile(
     r"#\s*repro-lint:\s*(?P<directive>disable-file|disable|package"
-    r"|mutates)\s*=\s*"
-    r"(?P<value>[A-Za-z0-9_.,\s-]+)"
+    r"|mutates)\s*=\s*(?P<value>[\w.]+(?:\s*,\s*[\w.]+)*)"
 )
 
-#: Rule id under which unused suppression pragmas are reported.
+#: Rule id under which pragma-audit findings are reported.
 ORPHAN_PRAGMA_RULE = "RL007"
 
 #: Scope key used for file-level pragma entries in inventories.
@@ -104,8 +110,6 @@ class _Suppressions:
     """Per-file pragma table parsed from ``# repro-lint:`` comments."""
 
     def __init__(self, source: str) -> None:
-        self.line_rules: dict[int, set[str]] = {}
-        self.file_rules: set[str] = set()
         self.package_override: str | None = None
         #: ``lineno -> declared mutable parameter names`` (``mutates=``).
         self.mutates: dict[int, tuple[str, ...]] = {}
@@ -119,31 +123,21 @@ class _Suppressions:
             if match is None:
                 continue
             directive = match.group("directive")
-            value = match.group("value").strip()
+            items = [item.strip() for item in match.group("value").split(",")]
             if directive == "package":
-                self.package_override = value
-                continue
-            if directive == "mutates":
-                self.mutates[lineno] = tuple(
-                    item.strip() for item in value.split(",") if item.strip()
-                )
-                continue
-            rules = {item.strip().upper() for item in value.split(",")
-                     if item.strip()}
-            if directive == "disable-file":
-                self.file_rules |= rules
-                for rule in rules:
-                    self.entries.setdefault((_FILE_SCOPE, rule), lineno)
+                self.package_override = items[0]
+            elif directive == "mutates":
+                self.mutates[lineno] = tuple(items)
             else:
-                self.line_rules.setdefault(lineno, set()).update(rules)
-                for rule in rules:
-                    self.entries.setdefault((lineno, rule), lineno)
+                scope = _FILE_SCOPE if directive == "disable-file" else lineno
+                for rule in items:
+                    self.entries.setdefault((scope, rule.upper()), lineno)
 
     def is_suppressed(self, rule: str, line: int) -> bool:
         """Whether ``rule`` is disabled at ``line`` (1-based).
 
-        Matching pragma entries are recorded as *used* so the session
-        can later report the orphaned ones (``RL007``).
+        Matching pragma entries are recorded as *used* so the audit can
+        later report the orphaned ones (``RL007``).
         """
         suppressed = False
         for scope, entry_rule in ((_FILE_SCOPE, "ALL"), (_FILE_SCOPE, rule),
@@ -158,17 +152,13 @@ class _Suppressions:
         return {key: (lineno, key in self._used)
                 for key, lineno in self.entries.items()}
 
-    def directive_for(self, start: int, end: int,
-                      table: dict[int, object]) -> object | None:
-        """The directive value attached to lines ``start..end`` if any.
-
-        Used to bind ``mutates=`` pragmas to a ``def`` whose
-        decorators may carry the comment.
-        """
+    def mutates_for(self, start: int, end: int) -> tuple[str, ...]:
+        """Parameters a ``mutates=`` pragma on lines ``start..end``
+        declares (a ``def`` whose decorators may carry the comment)."""
         for lineno in range(start, end + 1):
-            if lineno in table:
-                return table[lineno]
-        return None
+            if lineno in self.mutates:
+                return self.mutates[lineno]
+        return ()
 
 
 def _iter_comments(source: str) -> Iterator[tuple[int, str]]:
@@ -229,12 +219,12 @@ class LintContext:
             for prefix in prefixes
         )
 
-    def snippet(self, node: ast.AST) -> str:
-        """The first source line of ``node``, stripped (for reports)."""
-        lineno = getattr(node, "lineno", None)
-        if lineno is None or lineno > len(self.lines):
-            return ""
-        return self.lines[lineno - 1].strip()
+    def snippet_at(self, lineno: int) -> str:
+        """Source line ``lineno`` (1-based), stripped (for reports)."""
+        lines = self.lines
+        if 1 <= lineno <= len(lines):
+            return lines[lineno - 1].strip()
+        return ""
 
 
 def build_context(source: str, path: str) -> LintContext:
@@ -263,27 +253,48 @@ class LintRule:
     """Base class for one named check.
 
     Subclasses set :attr:`rule_id` / :attr:`title` / :attr:`rationale`
-    and implement :meth:`check`, yielding :class:`Finding`\\ s (the
-    driver applies suppressions afterwards, so rules never need to).
+    and implement :meth:`check` over the whole-program
+    :class:`~repro.lint.flow.FlowAnalysis`, yielding
+    :class:`Finding`\\ s (the driver applies suppressions afterwards, so
+    rules never need to).
     """
 
     rule_id: str = ""
     title: str = ""
     rationale: str = ""
 
-    def check(self, context: LintContext) -> Iterable[Finding]:
+    def check(self, analysis: FlowAnalysis) -> Iterable[Finding]:
+        raise NotImplementedError
+
+    def finding_at(self, analysis: FlowAnalysis, path: str, line: int,
+                   col: int, message: str) -> Finding:
+        """A :class:`Finding` at ``path:line:col`` with its snippet."""
+        return Finding(path=path, line=line, column=col,
+                       rule=self.rule_id, message=message,
+                       snippet=analysis.snippet(path, line))
+
+
+class FileRule(LintRule):
+    """A rule that looks at one file at a time (:meth:`check_file`)."""
+
+    def check(self, analysis: FlowAnalysis) -> Iterable[Finding]:
+        for context in analysis.contexts:
+            yield from self.check_file(context)
+
+    def check_file(self, context: LintContext) -> Iterable[Finding]:
         raise NotImplementedError
 
     def finding(self, context: LintContext, node: ast.AST,
                 message: str) -> Finding:
         """A :class:`Finding` for ``node`` in ``context``."""
+        line = getattr(node, "lineno", 1)
         return Finding(
             path=context.path,
-            line=getattr(node, "lineno", 1),
+            line=line,
             column=getattr(node, "col_offset", 0),
             rule=self.rule_id,
             message=message,
-            snippet=context.snippet(node),
+            snippet=context.snippet_at(line),
         )
 
 
@@ -325,214 +336,59 @@ def get_rule(rule_id: str) -> LintRule:
         ) from None
 
 
-def _select_rules(select: Iterable[str] | None) -> tuple[LintRule, ...]:
+def select_rules(select: Iterable[str] | None) -> tuple[LintRule, ...]:
+    """The rules named by ``select`` (default: every registered rule)."""
     if select is None:
         return all_rules()
     return tuple(get_rule(rule_id) for rule_id in select)
 
 
-def _check_context(context: LintContext,
-                   rules: Sequence[LintRule]) -> list[Finding]:
-    """Run ``rules`` over one parsed file, applying suppressions."""
+def rule_meta() -> dict[str, dict[str, str]]:
+    """Title and rationale of every rule, the RL007 audit included."""
+    meta = {rule.rule_id: {"title": rule.title,
+                           "rationale": rule.rationale}
+            for rule in all_rules()}
+    meta[ORPHAN_PRAGMA_RULE] = {
+        "title": "unknown or unused suppression pragma",
+        "rationale": ("a disable= pragma that names no rule or matches no "
+                      "finding hides future regressions at that site"),
+    }
+    return dict(sorted(meta.items()))
+
+
+def audit_pragmas(contexts: Sequence[LintContext],
+                  executed_rules: Iterable[str],
+                  strict: bool = False) -> list[Finding]:
+    """RL007 findings for unknown and unused suppression pragmas.
+
+    A ``disable=`` id that names no registered rule is always an error.
+    An unused entry is audited only if its rule ran (``disable=all``
+    only when every registered rule ran); it is a warning, or an error
+    when ``strict``.
+    """
+    executed = {rule_id.upper() for rule_id in executed_rules}
+    registered = set(_REGISTRY)
+    audit_all = registered <= executed
     findings: list[Finding] = []
-    for rule in rules:
-        for finding in rule.check(context):
-            if not context.suppressions.is_suppressed(finding.rule,
-                                                      finding.line):
-                findings.append(finding)
-    return findings
-
-
-def lint_source(source: str, path: str = "<string>",
-                select: Iterable[str] | None = None) -> list[Finding]:
-    """Lint one source string, returning unsuppressed findings.
-
-    Parameters
-    ----------
-    source:
-        Python source text.
-    path:
-        Path reported in findings and used to infer the package (a
-        ``# repro-lint: package=...`` pragma overrides the inference).
-    select:
-        Optional iterable of rule ids to run (default: all).
-
-    Raises
-    ------
-    ConfigurationError
-        If the source does not parse, or ``select`` names an unknown
-        rule.
-    """
-    rules = _select_rules(select)
-    findings = _check_context(build_context(source, path), rules)
-    findings.sort()
-    return findings
-
-
-def _iter_python_files(paths: Iterable[str]) -> Iterator[str]:
-    """Every ``.py`` file under the given files/directories, sorted."""
-    for path in paths:
-        if os.path.isdir(path):
-            for root, dirs, names in os.walk(path):
-                dirs[:] = sorted(
-                    d for d in dirs
-                    if d != "__pycache__" and not d.startswith(".")
-                )
-                for name in sorted(names):
-                    if name.endswith(".py"):
-                        yield os.path.join(root, name)
-        elif not os.path.exists(path):
-            raise ConfigurationError(f"cannot lint {path!r}: no such file")
-        elif path.endswith(".py"):
-            yield path
-
-
-class LintSession:
-    """One lint run: shared parsed files, classic rules, pragma audit.
-
-    The session owns the file list and a parse cache so each file is
-    read and parsed exactly once per run even when several analysis
-    passes (classic rules, the flow engine, the orphan audit) need the
-    same AST.
-    """
-
-    def __init__(self, paths: Iterable[str],
-                 select: Iterable[str] | None = None,
-                 on_file: Callable[[str], None] | None = None) -> None:
-        self.rules = _select_rules(select)
-        self.rule_ids = [rule.rule_id for rule in self.rules]
-        self.full_rule_set = select is None
-        self.files: list[str] = list(_iter_python_files(paths))
-        self.on_file = on_file
-        self._contexts: dict[str, LintContext] = {}
-        #: ``path -> {(scope, rule): (pragma_lineno, used)}`` merged
-        #: across the classic and flow passes.
-        self._inventories: dict[str, dict[tuple[int, str],
-                                          tuple[int, bool]]] = {}
-
-    @property
-    def files_checked(self) -> int:
-        return len(self.files)
-
-    def context(self, path: str) -> LintContext:
-        """The parsed context for ``path`` (cached)."""
-        cached = self._contexts.get(path)
-        if cached is not None:
-            return cached
-        try:
-            with open(path, encoding="utf-8") as handle:
-                source = handle.read()
-        except OSError as error:
-            raise ConfigurationError(
-                f"cannot read {path}: {error}"
-            ) from error
-        context = build_context(source, path)
-        self._contexts[path] = context
-        return context
-
-    def parsed(self, path: str) -> LintContext | None:
-        """The already-parsed context for ``path``, if any (no I/O)."""
-        return self._contexts.get(path)
-
-    def contexts(self) -> Iterator[LintContext]:
-        """Parsed contexts for every file in the session, in order."""
-        for path in self.files:
-            yield self.context(path)
-
-    def run_classic(self) -> list[Finding]:
-        """Run the registered single-file rules over every file.
-
-        Finding order is deterministic: files are pre-sorted and
-        findings are fully sorted before returning.
-        """
-        findings: list[Finding] = []
-        for path in self.files:
-            if self.on_file is not None:
-                self.on_file(path)
-            findings.extend(_check_context(self.context(path), self.rules))
-        findings.sort()
-        return findings
-
-    # -- orphaned-pragma audit (RL007) --------------------------------
-
-    def _merge_inventory(self, path: str,
-                         inventory: dict[tuple[int, str],
-                                         tuple[int, bool]]) -> None:
-        merged = self._inventories.setdefault(path, {})
-        for key, (lineno, used) in inventory.items():
-            prev = merged.get(key)
-            merged[key] = (lineno, used or (prev is not None and prev[1]))
-
-    def merge_inventory(self, path: str,
-                        suppressions: _Suppressions) -> None:
-        """Fold an external pass's pragma usage into the audit."""
-        self._merge_inventory(path, suppressions.inventory())
-
-    def collect_usage(self) -> None:
-        """Fold pragma usage from every parsed context into the audit."""
-        for path, context in self._contexts.items():
-            self._merge_inventory(path, context.suppressions.inventory())
-
-    def orphan_findings(self, executed_rules: Iterable[str],
-                        strict: bool = False) -> list[Finding]:
-        """Findings for suppression pragmas that never fired.
-
-        Only pragmas naming a rule in ``executed_rules`` are audited
-        (a ``disable=RL101`` comment is not orphaned just because the
-        flow pass was skipped); ``disable=all`` entries are audited
-        only when the full rule set ran.  Orphans are warnings by
-        default and errors under ``--strict-pragmas``.
-        """
-        self.collect_usage()
-        executed = {rule_id.upper() for rule_id in executed_rules}
-        # ``disable=all`` can only be judged orphaned when every
-        # registered rule (classic and flow alike) actually ran.
-        from repro.lint.rules_flow import all_flow_rules
-
-        registered = {rule.rule_id for rule in _REGISTRY.values()}
-        registered |= {rule.rule_id for rule in all_flow_rules()}
-        audit_all = registered <= executed
-        severity = "error" if strict else "warning"
-        findings: list[Finding] = []
-        for path in self.files:
-            inventory = self._inventories.get(path, {})
-            for (scope, rule), (lineno, used) in inventory.items():
-                if used:
+    for context in contexts:
+        for (scope, rule), (lineno, used) in \
+                context.suppressions.inventory().items():
+            where = "file-wide" if scope == _FILE_SCOPE else f"line {scope}"
+            if rule != "ALL" and rule not in registered:
+                known = ", ".join(sorted(registered))
+                message = (f"unknown rule id {rule!r} in suppression pragma "
+                           f"({where}); known: {known}")
+                severity = "error"
+            else:
+                audited = audit_all if rule == "ALL" else rule in executed
+                if used or not audited:
                     continue
-                if rule == "ALL":
-                    if not audit_all:
-                        continue
-                elif rule not in executed:
-                    continue
-                where = ("file-wide" if scope == _FILE_SCOPE
-                         else f"line {scope}")
-                findings.append(Finding(
-                    path=path, line=lineno, column=0,
-                    rule=ORPHAN_PRAGMA_RULE,
-                    message=(f"unused suppression pragma: disable="
-                             f"{rule} ({where}) never matched a finding"),
-                    snippet="",
-                    severity=severity,
-                ))
-        findings.sort()
-        return findings
-
-
-def lint_paths(paths: Iterable[str],
-               select: Iterable[str] | None = None,
-               on_file: Callable[[str], None] | None = None,
-               ) -> tuple[list[Finding], int]:
-    """Lint files and directory trees.
-
-    Returns ``(findings, files_checked)``.  ``on_file`` (if given) is
-    called with each path before it is linted — the CLI uses it for
-    verbose progress.
-
-    Raises
-    ------
-    ConfigurationError
-        On unreadable/unparsable files or unknown paths or rules.
-    """
-    session = LintSession(paths, select=select, on_file=on_file)
-    findings = session.run_classic()
-    return findings, session.files_checked
+                message = (f"unused suppression pragma: disable={rule} "
+                           f"({where}) never matched a finding")
+                severity = "error" if strict else "warning"
+            findings.append(Finding(
+                path=context.path, line=lineno, column=0,
+                rule=ORPHAN_PRAGMA_RULE, message=message,
+                snippet=context.snippet_at(lineno), severity=severity,
+            ))
+    return findings

@@ -7,11 +7,11 @@ The JSON schema (``version`` 2) is the artifact CI uploads::
       "tool": "repro-lint",
       "files_checked": 124,
       "findings": [
-        {"path": "...", "line": 10, "column": 4, "rule": "RL001",
+        {"path": "...", "line": 10, "column": 4, "rule": "RL101",
          "message": "...", "snippet": "...", "severity": "error"}
       ],
-      "counts": {"RL001": 1},
-      "rules": {"RL001": {"title": "...", "rationale": "..."}}
+      "counts": {"RL101": 1},
+      "rules": {"RL101": {"title": "...", "rationale": "..."}}
     }
 
 Version 2 added the per-finding ``severity`` field ("error" or
@@ -20,18 +20,25 @@ Version 2 added the per-finding ``severity`` field ("error" or
 :func:`findings_to_sarif` emits a minimal SARIF 2.1.0 log (one run,
 one ``tool.driver``) suitable for GitHub code-scanning upload; each
 result carries a line-number-independent ``partialFingerprints`` entry
-shared with the baseline file so annotations survive rebases.
+(:func:`finding_fingerprint`) so annotations survive rebases.  Both
+machine formats list the metadata of every rule, RL007 included.
 """
 
 from __future__ import annotations
 
+import hashlib
+import os
 from collections import Counter
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 
-from repro.lint.baseline import finding_fingerprint
-from repro.lint.framework import Finding, all_rules
+from repro.lint.framework import Finding, rule_meta
 
-__all__ = ["findings_to_json", "findings_to_sarif", "render_findings"]
+__all__ = [
+    "finding_fingerprint",
+    "findings_to_json",
+    "findings_to_sarif",
+    "render_findings",
+]
 
 #: Schema version of the JSON report.
 JSON_REPORT_VERSION = 2
@@ -42,11 +49,21 @@ SARIF_SCHEMA = ("https://raw.githubusercontent.com/oasis-tcs/sarif-spec/"
                 "master/Schemata/sarif-schema-2.1.0.json")
 
 
-def _default_rule_meta() -> dict[str, dict[str, str]]:
-    return {
-        rule.rule_id: {"title": rule.title, "rationale": rule.rationale}
-        for rule in all_rules()
-    }
+def finding_fingerprint(finding: Finding, root: str = ".") -> str:
+    """Stable, line-number-independent fingerprint of one finding.
+
+    Hashes the root-relative path, the rule id, the message, and the
+    flagged snippet — but not the line number, so unrelated edits above
+    a finding do not churn it.
+    """
+    try:
+        rel = os.path.relpath(finding.path, root)
+    except ValueError:  # different drive on windows
+        rel = finding.path
+    rel = rel.replace(os.sep, "/")
+    payload = "|".join((rel, finding.rule, finding.message,
+                        finding.snippet))
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def render_findings(findings: Sequence[Finding],
@@ -71,44 +88,33 @@ def render_findings(findings: Sequence[Finding],
 
 
 def findings_to_json(findings: Iterable[Finding],
-                     files_checked: int = 0,
-                     rules: Mapping[str, Mapping[str, str]] | None = None,
-                     ) -> dict[str, object]:
-    """The machine-readable report dict (see module docstring).
-
-    ``rules`` overrides the rule-metadata block (the flow driver passes
-    the union of classic and flow rules); the default is the classic
-    registry.
-    """
+                     files_checked: int = 0) -> dict[str, object]:
+    """The machine-readable report dict (see module docstring)."""
     items = [finding.to_dict() for finding in findings]
     counts = Counter(str(item["rule"]) for item in items)
-    rule_meta = dict(rules) if rules is not None else _default_rule_meta()
     return {
         "version": JSON_REPORT_VERSION,
         "tool": "repro-lint",
         "files_checked": int(files_checked),
         "findings": items,
         "counts": dict(sorted(counts.items())),
-        "rules": {rule_id: dict(meta)
-                  for rule_id, meta in sorted(rule_meta.items())},
+        "rules": rule_meta(),
     }
 
 
 def findings_to_sarif(findings: Sequence[Finding],
-                      rules: Mapping[str, Mapping[str, str]] | None = None,
                       root: str = ".") -> dict[str, object]:
     """A SARIF 2.1.0 log for ``findings``.
 
-    ``rules`` supplies the driver rule metadata (defaults to the
-    classic registry); rules never mentioned by a finding are still
-    listed so code-scanning UIs can show the full policy.
+    Rules never mentioned by a finding are still listed so
+    code-scanning UIs can show the full policy.
     """
-    rule_meta = dict(rules) if rules is not None else _default_rule_meta()
-    rule_ids = sorted(set(rule_meta) | {f.rule for f in findings})
+    metadata = rule_meta()
+    rule_ids = sorted(set(metadata) | {f.rule for f in findings})
     rule_index = {rule_id: index for index, rule_id in enumerate(rule_ids)}
     driver_rules = []
     for rule_id in rule_ids:
-        meta = rule_meta.get(rule_id, {})
+        meta = metadata.get(rule_id, {})
         driver_rules.append({
             "id": rule_id,
             "shortDescription": {

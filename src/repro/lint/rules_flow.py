@@ -1,23 +1,23 @@
-"""Whole-program rules RL101–RL104 (the ``--flow`` family).
+"""Whole-program rules RL101–RL104.
 
-Where the classic RL001–RL006 rules see one file at a time, these see
-the :class:`~repro.lint.flow.FlowAnalysis` — project index, call
-graph, and bottom-up function summaries — and can therefore follow a
-value across helper calls, modules, and method boundaries.
+Where the single-file rules in :mod:`repro.lint.rules` see one file at
+a time, these read the :class:`~repro.lint.flow.FlowAnalysis` — project
+index, call graph, and bottom-up function summaries — and can therefore
+follow a value across helper calls, modules, and method boundaries.
 
-* **RL101** — interprocedural RNG-stream taint: a generator born from
-  a raw constructor (``numpy.random.default_rng`` and friends) outside
-  ``repro.sim.rng.seeded_generator`` / ``seed_sequence`` is flagged
-  even when the constructor is laundered through a local alias, a
-  helper that invokes a constructor passed as a parameter, or a
-  factory whose return value is tainted.
+* **RL101** — RNG streams are born only in
+  ``repro.sim.rng.seeded_generator`` / ``seed_sequence``: every other
+  call into ``numpy.random`` or stdlib ``random`` (a constructor or a
+  global-state draw) is flagged, and so is a raw constructor laundered
+  through a local alias or handed to a helper that invokes it.
 * **RL102** — kernel purity: ``repro.kernels`` functions must not
   mutate non-``out`` parameters, write module-level state, or call a
   callee that (transitively) does.
 * **RL103** — event-kind exhaustiveness across call chains: literals
-  forwarded into ``Tracer.emit`` through wrapper parameters and
-  ``TraceEvent(...)`` constructions must be members of ``EVENT_KINDS``;
-  declared kinds that no call site can ever produce are dead.
+  passed to ``Tracer.emit`` directly, forwarded through wrapper
+  parameters, or given to ``TraceEvent(...)`` must be members of
+  ``EVENT_KINDS``; declared kinds that no call site can ever produce
+  are dead.
 * **RL104** — checkpoint schema symmetry: every key a ``save_X``
   closure writes must be read (or defaulted) by the paired ``load_X``
   closure, and every key ``load_X`` requires must be written.
@@ -28,88 +28,23 @@ from __future__ import annotations
 from collections.abc import Iterable
 from typing import Any
 
-from repro.exceptions import ConfigurationError
-from repro.lint.flow import (FlowAnalysis, RAW_RNG_CONSTRUCTORS,
-                             SANCTIONED_RNG_FUNCTIONS, _emit_kind_arg)
-from repro.lint.framework import Finding, ORPHAN_PRAGMA_RULE
+from repro.lint.flow import (FlowAnalysis, SANCTIONED_RNG_FUNCTIONS,
+                             _emit_kind_arg)
+from repro.lint.framework import Finding, LintRule, register_rule
 from repro.lint.project import function_env
 from repro.lint.summaries import FunctionFacts
 
 __all__ = [
-    "FlowRule",
-    "all_flow_rules",
-    "flow_rule_meta",
-    "select_flow_rules",
+    "CheckpointSchemaSymmetryRule",
+    "EventKindFlowRule",
+    "InterproceduralRngTaintRule",
+    "KernelPurityRule",
 ]
 
 #: Max functions walked per save/load closure (RL104) — keeps a
 #: pathological call web from turning one pair into a whole-program
 #: traversal.
 _MAX_CLOSURE = 25
-
-
-class FlowRule:
-    """Base class for one whole-program check."""
-
-    rule_id: str = ""
-    title: str = ""
-    rationale: str = ""
-
-    def check(self, analysis: FlowAnalysis) -> Iterable[Finding]:
-        raise NotImplementedError
-
-    def finding(self, analysis: FlowAnalysis, path: str, line: int,
-                col: int, message: str) -> Finding:
-        return Finding(path=path, line=line, column=col,
-                       rule=self.rule_id, message=message,
-                       snippet=analysis.snippet(path, line))
-
-
-_FLOW_REGISTRY: dict[str, FlowRule] = {}
-
-
-def register_flow_rule(cls: type[FlowRule]) -> type[FlowRule]:
-    rule = cls()
-    if not rule.rule_id:
-        raise ConfigurationError(f"rule {cls.__name__} lacks a rule_id")
-    if rule.rule_id in _FLOW_REGISTRY:
-        raise ConfigurationError(
-            f"duplicate flow rule id {rule.rule_id!r}")
-    _FLOW_REGISTRY[rule.rule_id] = rule
-    return cls
-
-
-def all_flow_rules() -> tuple[FlowRule, ...]:
-    """Every registered flow rule, ordered by id."""
-    return tuple(rule for __, rule in sorted(_FLOW_REGISTRY.items()))
-
-
-def select_flow_rules(select: list[str] | None) -> tuple[FlowRule, ...]:
-    """The flow rules matching ``select`` (default: all)."""
-    if select is None:
-        return all_flow_rules()
-    chosen: list[FlowRule] = []
-    for rule_id in select:
-        rule = _FLOW_REGISTRY.get(rule_id.upper())
-        if rule is None:
-            known = ", ".join(sorted(_FLOW_REGISTRY))
-            raise ConfigurationError(
-                f"unknown lint rule {rule_id!r} (known: {known})")
-        chosen.append(rule)
-    return tuple(chosen)
-
-
-def flow_rule_meta() -> dict[str, dict[str, str]]:
-    """Rule metadata (incl. the orphan-pragma pseudo-rule) for reports."""
-    meta = {rule.rule_id: {"title": rule.title,
-                           "rationale": rule.rationale}
-            for rule in all_flow_rules()}
-    meta[ORPHAN_PRAGMA_RULE] = {
-        "title": "unused suppression pragma",
-        "rationale": ("a disable= pragma that matches no finding hides "
-                      "future regressions at that site"),
-    }
-    return meta
 
 
 def _literal_string(env: dict[str, Any], value: Any,
@@ -126,16 +61,17 @@ def _literal_string(env: dict[str, Any], value: Any,
     return None
 
 
-@register_flow_rule
-class InterproceduralRngTaintRule(FlowRule):
+@register_rule
+class InterproceduralRngTaintRule(LintRule):
     """RL101 — RNG streams must be born in ``repro.sim.rng``."""
 
     rule_id = "RL101"
-    title = "RNG stream born outside repro.sim.rng (interprocedural)"
+    title = "RNG stream born outside repro.sim.rng"
     rationale = (
         "a generator constructed from a raw numpy/stdlib constructor — "
-        "even through an alias or a helper — escapes the seed-universe "
-        "discipline that makes runs replayable"
+        "even through an alias or a helper — or a draw from global RNG "
+        "state escapes the seed-universe discipline that makes runs "
+        "replayable"
     )
 
     def check(self, analysis: FlowAnalysis) -> Iterable[Finding]:
@@ -146,22 +82,16 @@ class InterproceduralRngTaintRule(FlowRule):
             path = analysis.path_of_module(module_name)
             for call in facts.calls:
                 func = call[1]
+                message = self._direct_message(
+                    analysis.imported_name(module_name, func))
                 kind = analysis.rng_callable(module_name, env, func)
-                if kind == "raw":
-                    direct = (
-                        isinstance(func, list) and func
-                        and func[0] == "ref"
-                        and analysis.index.resolve(module_name, func[1])
-                        in RAW_RNG_CONSTRUCTORS
-                    )
-                    if direct and module_name != "repro.sim.rng":
-                        continue  # the single-file RL001 already flags it
-                    yield self.finding(
-                        analysis, path, call[4], call[5],
-                        "RNG stream born from a raw constructor; route "
-                        "it through repro.sim.rng.seeded_generator / "
-                        "seed_sequence",
-                    )
+                if message is None and kind == "raw":
+                    message = ("RNG stream born from a raw constructor; "
+                               "route it through repro.sim.rng."
+                               "seeded_generator / seed_sequence")
+                if message is not None:
+                    yield self.finding_at(analysis, path, call[4],
+                                          call[5], message)
                     continue
                 if kind.startswith("func:"):
                     callee_fq = kind[5:]
@@ -175,7 +105,7 @@ class InterproceduralRngTaintRule(FlowRule):
                             continue
                         if analysis.rng_callable(module_name, env,
                                                  arg) == "raw":
-                            yield self.finding(
+                            yield self.finding_at(
                                 analysis, path, call[4], call[5],
                                 f"raw RNG constructor passed to "
                                 f"{callee_fq} (parameter {param!r}), "
@@ -183,9 +113,27 @@ class InterproceduralRngTaintRule(FlowRule):
                                 f"outside repro.sim.rng",
                             )
 
+    @staticmethod
+    def _direct_message(resolved: str | None) -> str | None:
+        """The finding for a call spelled as ``numpy.random.*`` /
+        ``random.*`` through an import, else None."""
+        if resolved is None:
+            return None
+        if resolved.startswith("numpy.random."):
+            attr = resolved.removeprefix("numpy.random.")
+            return (f"np.random.{attr}(...) constructs or draws from an "
+                    "RNG stream outside repro.sim.rng; use "
+                    "repro.sim.rng.seeded_generator / seed_sequence / "
+                    "RngFactory instead")
+        if resolved.startswith("random."):
+            return (f"stdlib {resolved}(...) is unseeded global-state "
+                    "randomness; derive a generator from repro.sim.rng "
+                    "instead")
+        return None
 
-@register_flow_rule
-class KernelPurityRule(FlowRule):
+
+@register_rule
+class KernelPurityRule(LintRule):
     """RL102 — ``repro.kernels`` functions must be pure."""
 
     rule_id = "RL102"
@@ -227,7 +175,7 @@ class KernelPurityRule(FlowRule):
                     continue
                 if target in params:
                     if target not in out_params:
-                        yield self.finding(
+                        yield self.finding_at(
                             analysis, path, line, col,
                             f"kernel {facts.name!r} mutates parameter "
                             f"{target!r} which is not a declared out= "
@@ -239,7 +187,7 @@ class KernelPurityRule(FlowRule):
                     continue
                 if (kind == "global"
                         or analysis.is_module_state(module_name, root)):
-                    yield self.finding(
+                    yield self.finding_at(
                         analysis, path, line, col,
                         f"kernel {facts.name!r} writes module-level "
                         f"state {root!r}; kernels must be pure "
@@ -253,7 +201,7 @@ class KernelPurityRule(FlowRule):
                 if summary.writes_global:
                     via = (f" (via {summary.impure_via})"
                            if summary.impure_via else "")
-                    yield self.finding(
+                    yield self.finding_at(
                         analysis, path, site.line, site.col,
                         f"kernel {facts.name!r} calls impure "
                         f"{site.target}{via}, which writes "
@@ -266,7 +214,7 @@ class KernelPurityRule(FlowRule):
                     if (isinstance(arg, list) and arg
                             and arg[0] == "name" and arg[1] in params
                             and arg[1] not in out_params):
-                        yield self.finding(
+                        yield self.finding_at(
                             analysis, path, site.line, site.col,
                             f"kernel {facts.name!r} passes parameter "
                             f"{arg[1]!r} to {site.target}, which "
@@ -274,8 +222,8 @@ class KernelPurityRule(FlowRule):
                         )
 
 
-@register_flow_rule
-class EventKindFlowRule(FlowRule):
+@register_rule
+class EventKindFlowRule(LintRule):
     """RL103 — event kinds are exhaustive across call chains."""
 
     rule_id = "RL103"
@@ -293,8 +241,12 @@ class EventKindFlowRule(FlowRule):
         index = analysis.index
         kinds = index.eval_constexpr(self.events_module,
                                      ["ref", "EVENT_KINDS"])
-        if not kinds:
-            return
+        if kinds is None:
+            # The schema module is not part of this run (a lone file,
+            # say): check against the installed registry instead.
+            from repro.obs.events import EVENT_KINDS
+
+            kinds = set(EVENT_KINDS)
         census: set[str] = set()
         event_class = f"{self.events_module}.TraceEvent"
         for fq, (module_name, facts) in sorted(analysis.functions.items()):
@@ -307,10 +259,16 @@ class EventKindFlowRule(FlowRule):
                 if kind_arg is None:
                     continue
                 literal = _literal_string(env, kind_arg)
-                if literal is not None:
-                    census.add(literal)
-                    # membership of *direct* emit literals is RL003's
-                    # single-file job; the census is all RL103 needs
+                if literal is None:
+                    continue
+                census.add(literal)
+                if literal not in kinds:
+                    yield self.finding_at(
+                        analysis, path, call[4], call[5],
+                        f"emit kind {literal!r} is not a member of "
+                        f"EVENT_KINDS; register it in {self.events_module} "
+                        f"(with docs) or fix the typo",
+                    )
             for site in analysis.call_graph.get(fq, ()):
                 # the call-graph target is ``Cls.__init__`` when the
                 # class defines one, the bare class fq otherwise
@@ -320,7 +278,7 @@ class EventKindFlowRule(FlowRule):
                     if literal is not None:
                         census.add(literal)
                         if literal not in kinds:
-                            yield self.finding(
+                            yield self.finding_at(
                                 analysis, path, site.line, site.col,
                                 f"TraceEvent constructed with kind "
                                 f"{literal!r}, which is not in "
@@ -340,7 +298,7 @@ class EventKindFlowRule(FlowRule):
                         continue
                     census.add(literal)
                     if literal not in kinds:
-                        yield self.finding(
+                        yield self.finding_at(
                             analysis, path, site.line, site.col,
                             f"event kind {literal!r} reaches "
                             f"Tracer.emit through {site.target} but is "
@@ -352,7 +310,7 @@ class EventKindFlowRule(FlowRule):
         constant = events_facts.constants.get("EVENT_KINDS")
         anchor_line = constant[1] if constant else 1
         for kind in sorted(kinds - census):
-            yield self.finding(
+            yield self.finding_at(
                 analysis, events_facts.path, anchor_line, 0,
                 f"event kind {kind!r} is declared in EVENT_KINDS but no "
                 f"call chain can emit it (dead kind)",
@@ -368,8 +326,8 @@ class EventKindFlowRule(FlowRule):
         return None
 
 
-@register_flow_rule
-class CheckpointSchemaSymmetryRule(FlowRule):
+@register_rule
+class CheckpointSchemaSymmetryRule(LintRule):
     """RL104 — ``save_X``/``load_X`` pairs agree on their key schema."""
 
     rule_id = "RL104"
@@ -449,7 +407,7 @@ class CheckpointSchemaSymmetryRule(FlowRule):
                 if key in reads:
                     continue
                 path, line, col = writes[key]
-                yield self.finding(
+                yield self.finding_at(
                     analysis, path, line, col,
                     f"key {key!r} written by {save_name} is never read "
                     f"or defaulted by {load_name} (schema drift)",
@@ -460,7 +418,7 @@ class CheckpointSchemaSymmetryRule(FlowRule):
             for key in sorted(required):
                 if key in writes or key in write_domain:
                     continue
-                yield self.finding(
+                yield self.finding_at(
                     analysis, load_path, load_facts.lineno,
                     load_facts.col,
                     f"{load_name} requires key {key!r} (no default) but "

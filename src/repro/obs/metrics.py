@@ -50,7 +50,7 @@ class QuantileReservoir:
 
     Uses systematic (stride) decimation instead of random reservoir
     sampling: the deterministic runtime forbids stray RNG draws (lint
-    rule RL001), and a stride keeps replayed runs byte-identical.
+    rule RL101), and a stride keeps replayed runs byte-identical.
     Snapshots emit :meth:`sorted_samples` (the retained multiset in
     canonical order), so merging worker snapshots in any completion
     order yields the same state until decimation kicks in; beyond the

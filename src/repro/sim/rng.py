@@ -21,7 +21,7 @@ def seeded_generator(seed: SeedLike) -> np.random.Generator:
     """A generator explicitly seeded with ``seed``.
 
     This is the repo's sole sanctioned spelling of
-    ``np.random.default_rng`` outside this module (the RL001 lint rule
+    ``np.random.default_rng`` outside this module (the RL101 lint rule
     enforces it): funnelling every construction through here keeps the
     seeding discipline auditable in one place and makes an accidental
     *unseeded* generator impossible — ``seed`` is mandatory.  The

@@ -3,7 +3,7 @@
 Clean as committed: ``invoke`` is a generic factory applicator and no
 call site hands it a raw RNG constructor.  The meta-test mutates
 ``make_stream`` to alias ``np.random.default_rng`` through a local —
-the single-file RL001 pattern cannot see the aliased call, RL101 must.
+a call not spelled through an import, which RL101 must still trace.
 """
 # repro-lint: package=repro.quality.launder
 import numpy as np

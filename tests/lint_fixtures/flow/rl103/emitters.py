@@ -4,15 +4,15 @@ Clean as committed: every literal forwarded through ``forward`` (and
 every ``TraceEvent`` construction) is a member of ``EVENT_KINDS``, and
 every declared kind is produced by some call chain.  The meta-tests
 mutate a forwarded literal to a typo (invalid kind through a wrapper —
-invisible to the single-file RL003) and add a kind nobody emits (dead
-kind).
+invisible to a check of literal ``emit`` calls alone) and add a kind
+nobody emits (dead kind).
 """
 # repro-lint: package=repro.sim.emitters
 from repro.obs.events import TraceEvent
 
 
 def forward(tracer, kind):
-    """Wrapper the single-file emit check cannot see through."""
+    """Wrapper a literal-``emit`` check cannot see through."""
     tracer.emit(kind)
 
 

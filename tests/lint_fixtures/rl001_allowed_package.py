@@ -1,7 +1,12 @@
 # repro-lint: package=repro.sim.rng
-"""RL001 fixture: direct construction is legal *inside* repro.sim.rng."""
+"""RL101 fixture: inside repro.sim.rng only the sanctioned helpers may
+construct streams (1 finding, in ``make``)."""
 
 import numpy as np
+
+
+def seeded_generator(seed):
+    return np.random.default_rng(seed)
 
 
 def make(seed):

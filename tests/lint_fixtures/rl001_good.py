@@ -1,4 +1,4 @@
-"""RL001 fixture: the sanctioned way to obtain RNG streams (clean)."""
+"""RL101 fixture: the sanctioned way to obtain RNG streams (clean)."""
 
 from repro.sim.rng import RngFactory, seed_sequence, seeded_generator
 

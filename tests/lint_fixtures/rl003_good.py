@@ -1,4 +1,4 @@
-"""RL003 fixture: registered literal kinds and dynamic kinds (clean)."""
+"""RL103 fixture: registered literal kinds and dynamic kinds (clean)."""
 
 
 def trace_round(tracer, index, kind):

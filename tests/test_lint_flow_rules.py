@@ -13,14 +13,13 @@ import shutil
 
 import pytest
 
-from repro.lint.framework import LintSession
-from repro.lint.flow import run_flow
+from repro.lint import lint_paths
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "lint_fixtures", "flow")
 
 
 def flow_findings(paths):
-    return run_flow(LintSession(paths)).findings
+    return lint_paths(paths)[0]
 
 
 @pytest.fixture
@@ -57,8 +56,8 @@ class TestRL101RngTaint:
     def test_local_alias_launders_past_single_file_rule(self, project):
         load, mutate, findings = project
         load("rl101")
-        # the aliased call is exactly what RL001's direct-call pattern
-        # cannot see — RL101's env resolution must still catch it
+        # the aliased call is not spelled through an import — RL101's
+        # env resolution must still catch it
         mutate("launder.py", "return invoke(str, seed)",
                "ctor = np.random.default_rng\n    return ctor(seed)")
         (finding,) = findings("RL101")

@@ -2,7 +2,7 @@
 
 Plus the mutation meta-test the linter exists for: injecting an
 unseeded RNG construction into a copy of the engine must produce
-exactly one RL001 finding — proving the gate would catch the exact
+exactly one RL101 finding — proving the gate would catch the exact
 regression class it was built against, not just stay quiet on today's
 clean tree.
 """
@@ -27,22 +27,10 @@ def test_source_tree_lints_clean():
 
 
 def test_source_tree_flow_lints_clean():
-    """The whole-program rules (RL101-RL104) self-host clean too —
-    including an empty orphan-pragma audit over the combined run."""
-    from repro.lint.framework import LintSession
-    from repro.lint.flow import run_flow
-    from repro.lint.rules_flow import all_flow_rules
-
-    session = LintSession([SRC])
-    classic = session.run_classic()
-    result = run_flow(session)
-    assert classic == []
-    assert result.findings == [], \
-        "\n".join(f.format() for f in result.findings)
-    executed = list(session.rule_ids) \
-        + [rule.rule_id for rule in all_flow_rules()]
-    orphans = session.orphan_findings(executed)
-    assert orphans == [], "\n".join(f.format() for f in orphans)
+    """The CI gate: the whole-program run is clean even with unused
+    pragmas counted as errors (``--strict-pragmas``)."""
+    findings, __ = lint_paths([SRC], strict=True)
+    assert findings == [], "\n".join(f.format() for f in findings)
 
 
 def test_rng_module_is_the_only_construction_site():
@@ -65,16 +53,16 @@ class TestMutationMetaTest:
 
     def test_unmutated_copy_is_clean(self, tmp_path):
         findings, __ = lint_paths([self._engine_copy(tmp_path)],
-                                  select=["RL001"])
+                                  select=["RL101"])
         assert findings == []
 
-    def test_injected_unseeded_rng_yields_exactly_one_rl001(self, tmp_path):
+    def test_injected_unseeded_rng_yields_exactly_one_rl101(self, tmp_path):
         mutation = "\n_rogue_rng = np.random.default_rng()\n"
         path = self._engine_copy(tmp_path, extra=mutation)
-        findings, __ = lint_paths([path], select=["RL001"])
+        findings, __ = lint_paths([path], select=["RL101"])
         assert len(findings) == 1
         (finding,) = findings
-        assert finding.rule == "RL001"
+        assert finding.rule == "RL101"
         assert finding.snippet == "_rogue_rng = np.random.default_rng()"
         # The finding points at the injected line, not somewhere nearby.
         original_lines = open(ENGINE, encoding="utf-8").read().count("\n")
