@@ -27,7 +27,7 @@ Package map:
   equilibrium, regret bound, SE verification.
 * :mod:`repro.entities` — consumer / platform / sellers / jobs.
 * :mod:`repro.game` — Stackelberg profit functions and numerical solvers.
-* :mod:`repro.bandits` — selection policies and a CMAB environment.
+* :mod:`repro.bandits` — seller-selection policies.
 * :mod:`repro.quality` — quality observation models.
 * :mod:`repro.data` — synthetic Chicago-style taxi-trace pipeline.
 * :mod:`repro.sim` — simulation engine, configs, metrics.
@@ -37,7 +37,6 @@ Package map:
 """
 
 from repro.bandits import (
-    CMABEnvironment,
     EpsilonFirstPolicy,
     EpsilonGreedyPolicy,
     OptimalPolicy,
@@ -156,7 +155,6 @@ __all__ = [
     "EpsilonGreedyPolicy",
     "ThompsonSamplingPolicy",
     "SlidingWindowUCBPolicy",
-    "CMABEnvironment",
     # quality
     "QualityModel",
     "TruncatedGaussianQuality",

@@ -1,19 +1,12 @@
 """Combinatorial multi-armed bandit substrate.
 
-Selection policies (the paper's CMAB-HS UCB plus its baselines and
-several extensions) and a selection-only environment for bandit
-experiments.
+Selection policies: the paper's CMAB-HS UCB (the one Eq.-19 top-K
+selection site, :meth:`UCBPolicy.select`), its three comparison
+baselines and the extension policies of the ablation experiments.
+Every policy is played by the one round loop in :mod:`repro.sim.rounds`.
 """
 
 from repro.bandits.base import SelectionPolicy
-from repro.bandits.cucb import (
-    GreedyKnapsackOracle,
-    Oracle,
-    OraclePolicy,
-    TopKOracle,
-    WeightedCoverageOracle,
-)
-from repro.bandits.environment import BanditRunResult, CMABEnvironment
 from repro.bandits.policies import (
     EpsilonFirstPolicy,
     EpsilonGreedyPolicy,
@@ -33,11 +26,4 @@ __all__ = [
     "EpsilonGreedyPolicy",
     "ThompsonSamplingPolicy",
     "SlidingWindowUCBPolicy",
-    "CMABEnvironment",
-    "BanditRunResult",
-    "Oracle",
-    "TopKOracle",
-    "WeightedCoverageOracle",
-    "GreedyKnapsackOracle",
-    "OraclePolicy",
 ]

@@ -70,7 +70,8 @@ class UCBPolicy(SelectionPolicy):
         self._coefficient_override = exploration_coefficient
         self._initial_full_exploration = bool(initial_full_exploration)
         #: The full Eq.-19 index vector of the most recent selection
-        #: (``None`` before the first UCB-driven round); read by the
+        #: (``None`` before the first UCB-driven round; offline sellers
+        #: read ``-inf`` after a masked selection); read by the
         #: engine's selection trace events.
         self.last_ucb_values: np.ndarray | None = None
 
@@ -83,16 +84,29 @@ class UCBPolicy(SelectionPolicy):
         return float(self._k + 1)
 
     def select(self, round_index: int, state: LearningState,
-               rng: np.random.Generator) -> np.ndarray:
+               rng: np.random.Generator,
+               online: np.ndarray | None = None) -> np.ndarray:
+        """Select this round's sellers, optionally from a partial roster.
+
+        ``online`` is a boolean per-seller mask (``None`` means every
+        seller is online).  The exploration round then selects every
+        online seller, and later rounds the top ``min(K, online)`` UCB
+        indices among the online sellers.
+        """
         self._require_reset()
         if round_index == 0 and self._initial_full_exploration:
             self.last_ucb_values = None
-            return np.arange(self._num_sellers)
+            if online is None:
+                return np.arange(self._num_sellers)
+            return np.flatnonzero(online)
         ucb = state.ucb_values(self.exploration_coefficient)
         # Stash the indices for observability (the engine's selection
         # trace events read them back instead of recomputing Eq. 19).
         self.last_ucb_values = ucb
-        return top_k_indices(ucb, self._k)
+        if online is None:
+            return top_k_indices(ucb, self._k)
+        ucb[~online] = -np.inf
+        return top_k_indices(ucb, min(self._k, int(np.count_nonzero(online))))
 
 
 class OptimalPolicy(SelectionPolicy):
@@ -193,10 +207,9 @@ class EpsilonGreedyPolicy(SelectionPolicy):
     """Classic epsilon-greedy extension.
 
     Each round, with probability ``epsilon`` select randomly, otherwise
-    select the top-``K`` sample means.  Sellers never observed rank as
-    mean ``prior_mean`` (0 by default), so an initial full-exploration
-    round is emulated by selecting randomly until every seller has been
-    seen at least once is *not* required — the random rounds cover it.
+    select the top-``K`` sample means.  Sellers never observed rank at
+    the learning state's prior mean, so there is no separate
+    full-exploration round: the random rounds reach every seller.
     """
 
     def __init__(self, epsilon: float = 0.1) -> None:

@@ -1,7 +1,8 @@
 """The paper's primary contribution: the CMAB-HS mechanism.
 
 * :mod:`repro.core.state` / :mod:`repro.core.selection` — quality
-  learning and UCB-greedy seller selection (Eqs. 17-19).
+  learning with the Eq.-19 UCB indices, and the top-``K`` rule
+  (Eqs. 17-19).
 * :mod:`repro.core.incentive` — the closed-form three-stage Stackelberg
   equilibrium (Theorems 14-16).
 * :mod:`repro.core.mechanism` — Algorithm 1 end to end.
@@ -38,7 +39,7 @@ from repro.core.regret import (
     lemma18_bound,
     theorem19_bound,
 )
-from repro.core.selection import select_by_ucb, top_k_indices
+from repro.core.selection import top_k_indices
 from repro.core.state import LearningState
 
 __all__ = [
@@ -46,7 +47,6 @@ __all__ = [
     "TradingResult",
     "RoundOutcome",
     "LearningState",
-    "select_by_ucb",
     "top_k_indices",
     "FormulaVariant",
     "StageCoefficients",

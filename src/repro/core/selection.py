@@ -1,18 +1,18 @@
-"""UCB-greedy seller selection (Algorithm 1, steps 7-10).
+"""The top-``K`` rule of UCB-greedy seller selection (Algorithm 1, steps 7-10).
 
 Each round the platform sorts the sellers by their UCB indices and picks
-the top ``K``.  The module also provides the plain top-K-of-an-array
-helper shared by the baseline policies.
+the top ``K``.  :meth:`repro.bandits.UCBPolicy.select` applies
+:func:`top_k_indices` to the Eq.-19 indices; the baseline policies apply
+it to their own scores.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.state import LearningState
 from repro.exceptions import SelectionError
 
-__all__ = ["top_k_indices", "select_by_ucb"]
+__all__ = ["top_k_indices"]
 
 
 def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
@@ -58,19 +58,3 @@ def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
         return np.sort(order[:k])
     return winners
 
-
-def select_by_ucb(state: LearningState, k: int,
-                  exploration_coefficient: float) -> np.ndarray:
-    """Select the ``K`` sellers with the largest UCB indices (Eq. 19).
-
-    Parameters
-    ----------
-    state:
-        The platform's learning state.
-    k:
-        Number of sellers to select.
-    exploration_coefficient:
-        The ``K+1`` factor inside the confidence radius; exposed for the
-        confidence-width ablation.
-    """
-    return top_k_indices(state.ucb_values(exploration_coefficient), k)

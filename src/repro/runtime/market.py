@@ -51,7 +51,6 @@ import numpy as np
 from repro.bandits.base import SelectionPolicy
 from repro.bandits.policies import UCBPolicy
 from repro.core.regret import RegretTracker
-from repro.core.selection import top_k_indices
 from repro.core.state import LearningState
 from repro.entities.seller import SellerPopulation
 from repro.exceptions import (
@@ -266,7 +265,10 @@ class MarketRuntime:
         lifetime; ``num_sellers`` is the number of population *slots*).
     policy:
         Selection policy; ``None`` uses the paper's CMAB-HS
-        :class:`~repro.bandits.UCBPolicy`.
+        :class:`~repro.bandits.UCBPolicy`.  Under churn or with an
+        offline slot only a ``UCBPolicy`` can select; any other policy
+        raises :class:`~repro.exceptions.ConfigurationError` at the
+        first such round.
     population / quality_model:
         Pre-built instances; ``None`` samples/builds them exactly as
         :class:`~repro.sim.engine.TradingSimulator` does (same streams,
@@ -535,35 +537,31 @@ class MarketRuntime:
 
         With every slot online and no churn process attached, the
         policy's own :meth:`~repro.bandits.base.SelectionPolicy.select`
-        runs verbatim (the batch-equivalence path).  Otherwise selection
-        is the same UCB rule masked to the online roster: round 0
-        explores everyone online; later rounds take the top
-        ``min(K, online)`` masked UCB indices.
+        runs verbatim (the batch-equivalence path).  Otherwise the
+        policy must be a :class:`~repro.bandits.UCBPolicy`, which selects
+        from the online roster it is handed; any other policy raises
+        :class:`~repro.exceptions.ConfigurationError`.
         """
         online = self._online
         if self._churn is None and bool(online.all()):
             selected = self._policy.select(t, self._state,
                                            self._policy_rng)
-            explore = selected.size > self._k or (
-                t == 0 and selected.size == self._m
-            )
-            return selected, explore
-        online_count = int(online.sum())
-        if online_count == 0:
-            raise ConfigurationError(
-                "no seller is online: open a session or configure "
-                "arrivals before trading"
-            )
-        if t == 0:
-            selected = np.flatnonzero(online)
+            online_count = self._m
         else:
-            coefficient = getattr(self._policy,
-                                  "exploration_coefficient", None)
-            coef = (float(coefficient) if coefficient is not None
-                    else float(self._k + 1))
-            values = self._state.ucb_values(coef)
-            values[~online] = -np.inf
-            selected = top_k_indices(values, min(self._k, online_count))
+            if not isinstance(self._policy, UCBPolicy):
+                raise ConfigurationError(
+                    f"policy {self._policy.name!r} cannot select from a "
+                    "partial roster (churn or offline slots); only "
+                    "UCBPolicy selects among the online sellers"
+                )
+            online_count = int(online.sum())
+            if online_count == 0:
+                raise ConfigurationError(
+                    "no seller is online: open a session or configure "
+                    "arrivals before trading"
+                )
+            selected = self._policy.select(t, self._state,
+                                           self._policy_rng, online=online)
         explore = selected.size > self._k or (
             t == 0 and selected.size == online_count
         )

@@ -50,6 +50,8 @@ class MarketService:
         Simulation parameters (slots, rounds, pricing bounds, seed).
     policy:
         Selection policy; ``None`` uses the paper's CMAB-HS UCB policy.
+        Sessions leave slots offline, so any other policy needs
+        ``start_online=True`` and no churn.
     churn:
         Optional organic churn (spec or pre-built process).
     start_online:

@@ -156,8 +156,3 @@ class SimulationConfig:
     def derive(self, **overrides: object) -> "SimulationConfig":
         """A copy of this config with the given fields replaced."""
         return replace(self, **overrides)
-
-    @property
-    def exploration_coefficient(self) -> float:
-        """The paper's UCB confidence constant ``K+1``."""
-        return float(self.num_selected + 1)

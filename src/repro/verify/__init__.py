@@ -14,7 +14,7 @@ implementation continuously honest about them:
   as ``invariant_violation`` trace events.
 * :mod:`repro.verify.oracles` — differential oracles cross-checking the
   closed-form solvers (Theorems 14-16) against the independent
-  numerical ``solve_stage{1,2,3}_numeric`` paths, ``select_by_ucb``
+  numerical ``solve_stage{1,2,3}_numeric`` paths, ``top_k_indices``
   against a brute-force top-K reference, and the recovery-equivalence
   oracle of the chaos harness (a fault-battered sweep must end
   bit-identical to its fault-free golden).

@@ -1,7 +1,7 @@
 """Differential oracles: closed forms vs independent references.
 
 The engine's hot path trusts the paper's closed forms (Theorems 14-16)
-and the :func:`~repro.core.selection.select_by_ucb` argsort selection.
+and the :func:`~repro.core.selection.top_k_indices` partition selection.
 Both have slower, independently-derived references in this repo — the
 purely numerical ``solve_stage{1,2,3}_numeric`` backward induction and a
 brute-force top-K — that share *no code* with the trusted paths beyond

@@ -60,16 +60,22 @@ class TestCounterReport:
                            num_pois=4, num_rounds=100)
 
     def test_worst_utilisation_in_unit_range_for_real_run(self):
-        from repro.bandits.environment import CMABEnvironment
         from repro.bandits.policies import UCBPolicy
+        from repro.entities.seller import SellerPopulation
         from repro.quality.distributions import TruncatedGaussianQuality
+        from repro.sim import SimulationConfig, TradingSimulator
 
         qualities = np.array([0.9, 0.75, 0.55, 0.35, 0.2, 0.1])
-        environment = CMABEnvironment(
-            TruncatedGaussianQuality(qualities), num_pois=4, k=2,
-            num_rounds=1_500, seed=6,
-        )
-        result = environment.run(UCBPolicy())
+        config = SimulationConfig(num_sellers=qualities.size,
+                                  num_selected=2, num_pois=4,
+                                  num_rounds=1_500, seed=6)
+        result = TradingSimulator(
+            config,
+            population=SellerPopulation.from_arrays(
+                qualities, np.ones_like(qualities),
+                np.zeros_like(qualities)),
+            quality_model=TruncatedGaussianQuality(qualities),
+        ).run(UCBPolicy())
         report = counter_report(qualities, result.selection_counts, k=2,
                                 num_pois=4, num_rounds=1_500)
         assert report.all_within_bounds, report.to_table()

@@ -199,8 +199,6 @@ def on_references(monkeypatch):
                             ReferenceLearningState)
         monkeypatch.setattr(repro.bandits.policies, "top_k_indices",
                             reference_top_k)
-        monkeypatch.setattr(repro.runtime.market, "top_k_indices",
-                            reference_top_k)
         monkeypatch.setattr(
             repro.sim.rounds, "_estimation_error",
             lambda means, truth, work: estimation_error_scalar(means, truth),

@@ -52,6 +52,46 @@ class TestUCBPolicy:
         )
         np.testing.assert_array_equal(selected, expected)
 
+    def test_online_mask_round_zero_explores_the_roster(self, rng):
+        policy = UCBPolicy()
+        policy.reset(M, K, N)
+        online = np.zeros(M, dtype=bool)
+        online[[1, 4, 6, 7]] = True
+        selected = policy.select(0, LearningState(M), rng, online=online)
+        np.testing.assert_array_equal(selected, [1, 4, 6, 7])
+
+    def test_online_mask_takes_top_ucb_among_online(self, rng):
+        policy = UCBPolicy()
+        policy.reset(M, K, N)
+        state = warmed_state()
+        online = np.ones(M, dtype=bool)
+        online[[8, 9]] = False  # the two best sellers are offline
+        selected = policy.select(1, state, rng, online=online)
+        ucb = state.ucb_values(K + 1.0)
+        ucb[~online] = -np.inf
+        expected = np.sort(np.argsort(-ucb, kind="stable")[:K])
+        np.testing.assert_array_equal(selected, expected)
+        assert online[selected].all()
+
+    def test_online_mask_caps_k_at_the_roster(self, rng):
+        policy = UCBPolicy()
+        policy.reset(M, K, N)
+        online = np.zeros(M, dtype=bool)
+        online[[2, 5]] = True
+        selected = policy.select(1, warmed_state(), rng, online=online)
+        np.testing.assert_array_equal(selected, [2, 5])
+
+    def test_full_online_mask_matches_unmasked(self, rng):
+        policy = UCBPolicy()
+        policy.reset(M, K, N)
+        state = warmed_state()
+        everyone = np.ones(M, dtype=bool)
+        for t in (0, 1):
+            np.testing.assert_array_equal(
+                policy.select(t, state, rng, online=everyone),
+                policy.select(t, state, rng),
+            )
+
     def test_default_coefficient_is_k_plus_one(self):
         policy = UCBPolicy()
         policy.reset(M, K, N)

@@ -74,15 +74,25 @@ class TestObserve:
     def test_learning_still_converges(self):
         # CMAB-HS's per-seller learning remains well-posed under PoI
         # heterogeneity: estimates converge to q_i.
-        from repro.bandits.environment import CMABEnvironment
         from repro.bandits.policies import UCBPolicy
+        from repro.entities.seller import SellerPopulation
+        from repro.runtime import MarketRuntime
+        from repro.sim import SimulationConfig
 
         qualities = np.array([0.85, 0.6, 0.35, 0.15])
         model = PoiHeterogeneousQuality(qualities, num_pois=5,
                                         poi_sigma=0.1, sigma=0.05,
                                         offset_seed=2)
-        environment = CMABEnvironment(model, num_pois=5, k=2,
-                                      num_rounds=800, seed=4)
-        result = environment.run(UCBPolicy())
-        np.testing.assert_allclose(result.final_means, qualities,
+        config = SimulationConfig(num_sellers=qualities.size,
+                                  num_selected=2, num_pois=5,
+                                  num_rounds=800, seed=4)
+        runtime = MarketRuntime(
+            config, UCBPolicy(),
+            population=SellerPopulation.from_arrays(
+                qualities, np.ones_like(qualities),
+                np.zeros_like(qualities)),
+            quality_model=model,
+        )
+        runtime.run()
+        np.testing.assert_allclose(runtime.learning_state.means, qualities,
                                    atol=0.08)

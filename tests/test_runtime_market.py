@@ -12,7 +12,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.bandits.policies import EpsilonGreedyPolicy, UCBPolicy
+from repro.bandits.policies import (
+    EpsilonGreedyPolicy,
+    RandomPolicy,
+    UCBPolicy,
+)
 from repro.exceptions import (
     ConfigurationError,
     GracefulShutdownInterrupt,
@@ -173,6 +177,23 @@ class TestSessions:
     def test_no_online_sellers_cannot_trade(self):
         runtime = MarketRuntime(_config(), start_online=False)
         with pytest.raises(ConfigurationError, match="no seller is online"):
+            runtime.play_round()
+
+    def test_churn_rejects_a_policy_that_cannot_mask(self):
+        # Random selection has no notion of an online roster; the
+        # runtime must not quietly play masked UCB under its name.
+        runtime = MarketRuntime(
+            _config(), RandomPolicy(),
+            churn=ChurnSpec(arrival_rate=0.1, departure_rate=0.1),
+        )
+        with pytest.raises(ConfigurationError, match="'random'"):
+            runtime.run()
+
+    def test_offline_slot_rejects_a_policy_that_cannot_mask(self):
+        runtime = MarketRuntime(_config(), EpsilonGreedyPolicy(),
+                                start_online=False)
+        runtime.open_session()
+        with pytest.raises(ConfigurationError, match="'0.1-greedy'"):
             runtime.play_round()
 
     def test_closed_slot_is_never_selected_afterwards(self):

@@ -1,11 +1,11 @@
-"""Unit tests for UCB-greedy seller selection."""
+"""Unit tests for the top-K rule of UCB-greedy seller selection."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core.selection import select_by_ucb, top_k_indices
+from repro.core.selection import top_k_indices
 from repro.core.state import LearningState
 from repro.exceptions import SelectionError
 
@@ -49,14 +49,14 @@ class TestSelectByUCB:
     def test_prefers_unseen_sellers(self):
         state = LearningState(4)
         state.update(np.array([0, 1]), np.array([2.0, 2.0]), 4)
-        selected = select_by_ucb(state, 2, exploration_coefficient=3.0)
+        selected = top_k_indices(state.ucb_values(3.0), 2)
         np.testing.assert_array_equal(selected, [2, 3])
 
     def test_selects_top_ucb_when_all_seen(self):
         state = LearningState(3)
         state.update(np.array([0, 1, 2]), np.array([0.8, 2.0, 3.6]), 4)
         # Means 0.2, 0.5, 0.9; equal counts so the bonus is constant.
-        selected = select_by_ucb(state, 2, exploration_coefficient=3.0)
+        selected = top_k_indices(state.ucb_values(3.0), 2)
         np.testing.assert_array_equal(selected, [1, 2])
 
     def test_exploration_can_override_mean(self):
@@ -65,5 +65,5 @@ class TestSelectByUCB:
         # few observations -> bigger bonus wins with a large coefficient.
         state.update(np.array([0]), np.array([90.0]), 100)
         state.update(np.array([1]), np.array([0.6]), 1)
-        selected = select_by_ucb(state, 1, exploration_coefficient=10.0)
+        selected = top_k_indices(state.ucb_values(10.0), 1)
         np.testing.assert_array_equal(selected, [1])

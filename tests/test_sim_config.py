@@ -31,10 +31,6 @@ class TestDefaults:
         ]
         assert TABLE_II["omega"]["values"] == [600, 800, 1_000, 1_200, 1_400]
 
-    def test_exploration_coefficient_is_k_plus_one(self):
-        config = SimulationConfig(num_selected=7, num_sellers=50)
-        assert config.exploration_coefficient == 8.0
-
 
 class TestValidation:
     def test_rejects_k_above_m(self):

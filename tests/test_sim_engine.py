@@ -57,6 +57,10 @@ class TestRunMetrics:
         assert run.num_rounds == tiny_config.num_rounds
         assert run.consumer_profit.shape == (tiny_config.num_rounds,)
         assert run.selection_counts.shape == (tiny_config.num_sellers,)
+        # Random selects K every round, round 0 included.
+        assert run.selection_counts.sum() == (
+            tiny_config.num_rounds * tiny_config.num_selected
+        )
 
     def test_optimal_policy_zero_regret(self, simulator):
         run = simulator.run(
@@ -67,10 +71,23 @@ class TestRunMetrics:
     def test_regret_history_monotone(self, simulator):
         run = simulator.run(RandomPolicy())
         assert np.all(np.diff(run.regret) >= -1e-9)
+        # Random never learns: its per-round regret stays roughly
+        # constant, so the second half adds about as much as the first.
+        half = run.num_rounds // 2
+        first = run.regret[half - 1] / half
+        second = (run.regret[-1] - run.regret[half - 1]) / (
+            run.num_rounds - half)
+        assert second > 0.6 * first
 
-    def test_ucb_initial_round_selects_everyone(self, simulator):
+    def test_ucb_initial_round_selects_everyone(self, simulator,
+                                                tiny_config):
         run = simulator.run(UCBPolicy())
         assert np.all(run.selection_counts >= 1)
+        # Round 0 takes all M sellers, every later round exactly K.
+        assert run.selection_counts.sum() == (
+            tiny_config.num_sellers
+            + (tiny_config.num_rounds - 1) * tiny_config.num_selected
+        )
 
     def test_ucb_initial_round_break_even_platform(self, simulator):
         run = simulator.run(UCBPolicy())
@@ -114,6 +131,8 @@ class TestRunMetrics:
         # error right after the first exploration round.
         assert run.estimation_error[-1] < 0.5 * run.estimation_error[0]
         assert run.final_estimation_error == run.estimation_error[-1]
+        # ... and the estimates end up at the true means.
+        assert run.final_estimation_error < 0.02
 
     def test_estimation_error_nonnegative(self, simulator):
         run = simulator.run(RandomPolicy())
@@ -125,6 +144,10 @@ class TestRunMetrics:
         np.testing.assert_array_equal(a.realized_revenue,
                                       b.realized_revenue)
         np.testing.assert_array_equal(a.consumer_profit, b.consumer_profit)
+        other = TradingSimulator(tiny_config.derive(seed=10)).run(
+            UCBPolicy())
+        assert not np.array_equal(a.selection_counts,
+                                  other.selection_counts)
 
     def test_num_rounds_override(self, simulator):
         run = simulator.run(RandomPolicy(), num_rounds=17)

@@ -162,18 +162,24 @@ class TestLemma18Bound:
 
     def test_measured_counters_below_lemma18(self):
         """Suboptimal sellers' selection counts respect Lemma 18."""
-        from repro.bandits.environment import CMABEnvironment
         from repro.bandits.policies import UCBPolicy
         from repro.core.regret import lemma18_bound
+        from repro.entities.seller import SellerPopulation
         from repro.quality.distributions import TruncatedGaussianQuality
+        from repro.sim import SimulationConfig, TradingSimulator
 
         qualities = np.array([0.9, 0.8, 0.6, 0.4, 0.2, 0.1])
         k, num_pois, num_rounds = 2, 4, 2_000
-        environment = CMABEnvironment(
-            TruncatedGaussianQuality(qualities), num_pois=num_pois, k=k,
-            num_rounds=num_rounds, seed=3,
-        )
-        result = environment.run(UCBPolicy())
+        config = SimulationConfig(num_sellers=qualities.size,
+                                  num_selected=k, num_pois=num_pois,
+                                  num_rounds=num_rounds, seed=3)
+        result = TradingSimulator(
+            config,
+            population=SellerPopulation.from_arrays(
+                qualities, np.ones_like(qualities),
+                np.zeros_like(qualities)),
+            quality_model=TruncatedGaussianQuality(qualities),
+        ).run(UCBPolicy())
         # Per-seller gap to the optimal set's weakest member.
         weakest_optimal = np.sort(qualities)[::-1][k - 1]
         for seller in range(qualities.size):
