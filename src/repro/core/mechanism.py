@@ -342,7 +342,7 @@ class CMABHSMechanism:
             svc_bounds=(self._consumer.price_min, self._consumer.price_max),
             col_bounds=(self._platform.price_min, self._platform.price_max),
             tau_max=self._job.round_duration, tau0=self._tau0,
-            tracer=tr, metrics=reg, work=np.empty(m),
+            tracer=tr, metrics=reg,
         )
         log = fault_log
         if log is None and fault_model is not None:
@@ -362,10 +362,10 @@ class CMABHSMechanism:
             reg.timer("engine.selection").observe(select_duration)
             explore = t == 0
             if tr.enabled:
-                ucb = policy.last_ucb_values
                 tr.emit("selection", round_index=t, selected=selected,
                         explore=explore,
-                        ucb=None if ucb is None else ucb[selected],
+                        ucb=None if explore else state.ucb_at(
+                            policy.exploration_coefficient, selected),
                         duration_s=select_duration)
             if fault_model is None:
                 settled = play_clean_round(ctx, t, selected, explore)

@@ -185,6 +185,16 @@ class RegretTracker:
         self._rounds = 0
         self._expected_revenue = 0.0
         self._history: list[float] = []
+        self._last_value = 0.0
+
+    @property
+    def last_selection_value(self) -> float:
+        """``sum_{i in S^t} q_i`` of the most recently recorded selection.
+
+        The round core reads it back for the expected-revenue series
+        instead of summing the same qualities a second time.
+        """
+        return self._last_value
 
     @property
     def optimal_round_revenue(self) -> float:
@@ -222,6 +232,7 @@ class RegretTracker:
         """
         selected = np.asarray(selected, dtype=int)
         value = float(self._qualities[selected].sum())
+        self._last_value = value
         self._expected_revenue += value * self._num_pois
         if selected.size > self._k:
             best = np.sort(self._qualities[selected])[::-1][: self._k]

@@ -17,16 +17,39 @@ of the counts, the mean vector, and the running total.  Each mirrored
 mean is patched with the same ``sums[i] / counts[i]`` division a
 from-scratch rebuild performs, so the values are bit-identical to
 recomputing them.
+
+Count classes
+-------------
+Eq. 19's bonus depends on a seller only through its count ``n_i``, so
+inside one *count class* (the sellers that share a count) the UCB order
+is the order of the means.  For selection the state keeps a *pool* of
+candidates (:meth:`LearningState.count_classes`): every member of a
+class with at most ``depth`` members, and the first ``depth`` members by
+(-mean, index) of every larger class.  A class with members left out is
+*partial*; for each, the pool records a mean that no left-out member
+exceeds and an index that every left-out member is at or above.  Those
+two numbers bound the Eq.-19 index of everything the pool omits, which
+is what lets :meth:`repro.bandits.UCBPolicy.select` prove a top-K over
+the pool exact.
+
+A member leaves its class lazily: when an update changes its count, it
+joins the pool (if it is not there already), and its old class simply
+has one member fewer.  The pool is derived from the counts and means
+alone, so :meth:`LearningState.restore` and :meth:`LearningState.reset`
+drop it and the next selection rebuilds it; the checkpoint format does
+not change.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.obs.logconfig import get_logger
 
-__all__ = ["LearningState", "observation_mask"]
+__all__ = ["CountClasses", "LearningState", "observation_mask"]
 
 _log = get_logger(__name__)
 
@@ -56,8 +79,28 @@ def observation_mask(observation_sums: np.ndarray,
     return np.isfinite(sums) & (sums >= 0.0) & (sums <= float(num_observations))
 
 
+class CountClasses(NamedTuple):
+    """The selection pool and what it leaves out (see the module notes).
+
+    ``pool`` is sorted and unique.  The other three fields are aligned,
+    one entry per partial class: its count (as a float, the form Eq. 19
+    divides by), a mean no left-out member exceeds, and an index no
+    left-out member is below.
+    """
+
+    pool: np.ndarray
+    counts: np.ndarray
+    rest_means: np.ndarray
+    rest_first: np.ndarray
+
+
 class LearningState:
     """Running quality estimates for a population of ``M`` sellers.
+
+    Beside the raw counts and sums it keeps the float counts, the means
+    and the total as ``O(K)``-patched mirrors, and the count-class
+    selection pool (:meth:`count_classes`), which is built on first use
+    and dropped by :meth:`restore` and :meth:`reset`.
 
     Parameters
     ----------
@@ -85,6 +128,8 @@ class LearningState:
         self._counts_f = np.zeros(num_sellers)
         self._means = np.full(num_sellers, self._prior_mean)
         self._total = 0
+        self._classes: CountClasses | None = None
+        self._in_pool: np.ndarray | None = None
 
     def _rebuild(self) -> None:
         """Recompute every mirror from the raw counts/sums arrays."""
@@ -94,6 +139,8 @@ class LearningState:
         means[seen] = self._sums[seen] / self._counts[seen]
         self._means = means
         self._total = int(self._counts.sum())
+        self._classes = None
+        self._in_pool = None
 
     # -- basic accessors -------------------------------------------------------
 
@@ -138,7 +185,9 @@ class LearningState:
         Parameters
         ----------
         seller_indices:
-            The sellers selected this round (each index at most once).
+            The sellers selected this round (each index at most once),
+            as integers; float and boolean arrays are rejected rather
+            than truncated or read as positions.
         observation_sums:
             Per-seller sums of this round's quality observations (the
             ``sum_l q_{i,l}^t`` term of Eq. 18), aligned with
@@ -147,7 +196,14 @@ class LearningState:
             Observations per seller this round — the number of PoIs ``L``
             (Eq. 17 increments ``n_i`` by ``L``).
         """
-        sellers = np.asarray(seller_indices, dtype=int)
+        sellers = np.asarray(seller_indices)
+        if sellers.dtype.kind not in "iu":
+            if sellers.dtype.kind == "b" or sellers.size:
+                raise ConfigurationError(
+                    "seller_indices must be integers, got an array of "
+                    f"dtype {sellers.dtype}"
+                )
+            sellers = sellers.astype(np.int64)
         sums = np.asarray(observation_sums, dtype=float)
         if sellers.shape != sums.shape or sellers.ndim != 1:
             raise ConfigurationError(
@@ -159,9 +215,15 @@ class LearningState:
             )
         if sellers.size == 0:
             return
-        if np.unique(sellers).size != sellers.size:
+        # Every policy returns its selection sorted, and strictly
+        # increasing indices are distinct: one pass, no hashing.
+        if np.all(sellers[1:] > sellers[:-1]):
+            lowest, highest = sellers[0], sellers[-1]
+        elif np.unique(sellers).size != sellers.size:
             raise ConfigurationError("a seller cannot be updated twice per round")
-        if sellers.min() < 0 or sellers.max() >= self._num_sellers:
+        else:
+            lowest, highest = sellers.min(), sellers.max()
+        if lowest < 0 or highest >= self._num_sellers:
             raise ConfigurationError("seller index out of range")
         invalid = ~observation_mask(sums, num_observations)
         if invalid.any():
@@ -181,8 +243,41 @@ class LearningState:
         self._total += int(num_observations) * sellers.size
         self._counts_f[sellers] = self._counts[sellers]
         self._means[sellers] = self._sums[sellers] / self._counts[sellers]
+        if self._in_pool is not None:
+            # A seller whose count changed has left its class; if the
+            # pool did not hold it, it joins now, so no class ever gains
+            # a member outside the pool.
+            joined = ~self._in_pool[sellers]
+            if joined.any():
+                fresh = sellers[joined]
+                self._in_pool[fresh] = True
+                self._classes = self._classes._replace(
+                    pool=np.union1d(self._classes.pool, fresh))
 
     # -- UCB indices (Eq. 19) -----------------------------------------------------
+
+    def _bonuses(self, coefficient: float, counts: np.ndarray) -> np.ndarray:
+        if coefficient <= 0.0:
+            raise ConfigurationError(
+                f"exploration coefficient must be positive, got {coefficient}"
+            )
+        if self._total <= 1:
+            # ln(total) <= 0: no meaningful confidence radius yet.
+            return np.full(counts.shape, np.inf)
+        # A positive numerator over a zero count is the +inf bonus of an
+        # unseen seller.
+        with np.errstate(divide="ignore"):
+            bonuses = np.divide(coefficient * np.log(self._total), counts)
+        return np.sqrt(bonuses, out=bonuses)
+
+    def _indices(self, coefficient: float, counts: np.ndarray,
+                 means: np.ndarray) -> np.ndarray:
+        """Eq. 19, elementwise: every UCB index is computed here."""
+        scores = self._bonuses(coefficient, counts)
+        if _MUTATION_SCALE != 1.0:  # pragma: no cover - mutation hook
+            scores *= _MUTATION_SCALE
+        scores += means
+        return scores
 
     def exploration_bonuses(self, coefficient: float) -> np.ndarray:
         """The confidence radii ``eps_i = sqrt(c * ln(sum_j n_j) / n_i)``.
@@ -191,30 +286,95 @@ class LearningState:
         ablation experiments can sweep the confidence width.  Sellers with
         no observations get an infinite bonus, forcing exploration.
         """
-        if coefficient <= 0.0:
-            raise ConfigurationError(
-                f"exploration coefficient must be positive, got {coefficient}"
-            )
-        if self._total <= 1:
-            # ln(total) <= 0: no meaningful confidence radius yet.
-            return np.full(self._num_sellers, np.inf)
-        # A positive numerator over a zero count is the +inf bonus of an
-        # unseen seller.
-        with np.errstate(divide="ignore"):
-            bonuses = np.divide(coefficient * np.log(self._total),
-                                self._counts_f)
-        return np.sqrt(bonuses, out=bonuses)
+        return self._bonuses(coefficient, self._counts_f)
 
     def ucb_values(self, coefficient: float) -> np.ndarray:
-        """UCB indices ``qhat_i = qbar_i + eps_i`` (Eq. 19).
+        """UCB indices ``qhat_i = qbar_i + eps_i`` (Eq. 19) of every seller.
 
-        Returned as a fresh writable vector (callers mask it in place).
+        Returned as a fresh writable vector.  Selection never builds it
+        (see :meth:`ucb_at`); traced and strict runs do.
         """
-        scores = self.exploration_bonuses(coefficient)
-        if _MUTATION_SCALE != 1.0:  # pragma: no cover - mutation hook
-            scores *= _MUTATION_SCALE
-        scores += self._means
-        return scores
+        return self._indices(coefficient, self._counts_f, self._means)
+
+    def ucb_at(self, coefficient: float, sellers: np.ndarray) -> np.ndarray:
+        """The Eq.-19 indices of ``sellers`` only.
+
+        Element for element the same bits as
+        ``ucb_values(coefficient)[sellers]``, in ``O(len(sellers))``.
+        """
+        return self._indices(coefficient, self._counts_f[sellers],
+                             self._means[sellers])
+
+    # -- count classes (selection pool) -------------------------------------------
+
+    def count_classes(self, depth: int) -> CountClasses:
+        """The selection pool, built to ``depth`` if none is live.
+
+        A pool survives updates (they patch it) and is dropped by
+        :meth:`restore` and :meth:`reset`; ``depth`` only matters for
+        the build.
+        """
+        if self._classes is None:
+            self._build_classes(depth)
+        return self._classes
+
+    def rebuild_count_classes(self, depth: int) -> CountClasses:
+        """Build the pool afresh to ``depth``, whatever it held before."""
+        self._build_classes(depth)
+        return self._classes
+
+    def class_bounds(self, coefficient: float,
+                     classes: CountClasses) -> np.ndarray:
+        """Per partial class, an Eq.-19 index no left-out member exceeds.
+
+        Within a class every member has the same bonus, and
+        floating-point addition is monotone, so the class bonus plus
+        ``rest_means`` bounds every left-out member's index.
+        """
+        return self._indices(coefficient, classes.counts, classes.rest_means)
+
+    def _build_classes(self, depth: int) -> None:
+        """Pool each class's first ``depth`` members by (-mean, index).
+
+        Classes are visited in increasing count, one ``O(M)`` pass each.
+        """
+        counts, means = self._counts, self._means
+        parts = []
+        partial_counts, rest_means, rest_first = [], [], []
+        count, top = counts.min(), counts.max()
+        while True:
+            in_class = counts == count
+            members = np.flatnonzero(in_class)
+            if members.size <= depth:
+                parts.append(members)
+            else:
+                scores = np.where(in_class, means, -np.inf)
+                cut = np.partition(scores, scores.size - depth)[
+                    scores.size - depth]
+                above = np.flatnonzero(scores > cut)
+                at_cut = np.flatnonzero(scores == cut)
+                taken = depth - above.size
+                parts.append(above)
+                parts.append(at_cut[:taken])
+                partial_counts.append(float(count))
+                rest_means.append(cut)
+                # Left-out members all at the cut mean come after the
+                # taken ones in index order; otherwise claim nothing.
+                only_at_cut = above.size + at_cut.size == members.size
+                rest_first.append(int(at_cut[taken]) if only_at_cut else 0)
+            if count == top:
+                break
+            count = np.min(counts, where=counts > count, initial=top)
+        pool = np.sort(np.concatenate(parts))
+        in_pool = np.zeros(self._num_sellers, dtype=bool)
+        in_pool[pool] = True
+        self._classes = CountClasses(
+            pool=pool,
+            counts=np.array(partial_counts),
+            rest_means=np.array(rest_means, dtype=float),
+            rest_first=np.array(rest_first, dtype=np.int64),
+        )
+        self._in_pool = in_pool
 
     # -- maintenance ---------------------------------------------------------------
 

@@ -1,9 +1,10 @@
-"""The round loop's buffered estimation-error reduction.
+"""The round loop's incremental estimation-error reduction.
 
 :func:`estimation_error` is the per-round accounting kernel of
-:mod:`repro.sim.rounds`; its naive reference is
-:func:`repro.sim.rounds.estimation_error_scalar`, and
-``repro verify --only kernels`` checks the two bit for bit.
+:mod:`repro.sim.rounds`; its from-scratch reference is
+:func:`repro.sim.rounds.estimation_error_scalar`, and the kernel
+differential (``tests/test_kernels_equivalence.py``) checks whole runs
+of the two bit for bit.
 """
 
 from __future__ import annotations
@@ -13,17 +14,22 @@ import numpy as np
 __all__ = ["estimation_error"]
 
 
-# repro-lint: mutates=work
+# repro-lint: mutates=abs_error
 def estimation_error(means: np.ndarray, truth: np.ndarray,
-                     work: np.ndarray) -> float:
+                     abs_error: np.ndarray, touched: np.ndarray) -> float:
     """Mean absolute estimation error ``mean |qbar_i - q_i|``.
 
-    Bit-identical to ``float(np.abs(means - truth).mean())`` — the same
-    subtract/abs/mean sequence, with the two ``O(M)`` temporaries
-    replaced by the caller-owned ``work`` buffer.
+    ``abs_error`` holds ``|qbar_i - q_i|`` as of the last call; only the
+    ``touched`` sellers' means have changed since, so only they are
+    recomputed, with the same subtract/abs per element as
+    ``np.abs(means - truth)``.  The reduction then runs over the same
+    values as ``float(np.abs(means - truth).mean())`` — same bits, at
+    ``O(touched)`` plus one ``O(M)`` sum.
     """
-    np.subtract(means, truth, out=work)
-    np.abs(work, out=work)
+    patch = means[touched]
+    np.subtract(patch, truth[touched], out=patch)
+    np.abs(patch, out=patch)
+    abs_error[touched] = patch
     # add.reduce is the same pairwise summation ndarray.mean() runs,
     # minus the reduction-machinery overhead — same bits.
-    return float(np.add.reduce(work) / work.size)
+    return float(np.add.reduce(abs_error) / abs_error.size)

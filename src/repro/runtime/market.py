@@ -368,7 +368,7 @@ class MarketRuntime:
             col_bounds=config.collection_price_bounds,
             tau_max=config.max_sensing_time,
             tau0=config.initial_sensing_time,
-            tracer=self._tracer, metrics=self._reg, work=np.empty(m),
+            tracer=self._tracer, metrics=self._reg,
         )
 
         self._kernel = EventKernel(self._tracer)
@@ -851,6 +851,7 @@ class MarketRuntime:
             next_round = read_field(meta, "next_round", int, path)
             self._state.restore({"counts": arrays["state_counts"],
                                  "sums": arrays["state_sums"]})
+            self._ctx.resync_estimation_error()
             self._tracker.restore({
                 "cumulative": read_field(meta, "tracker_cumulative",
                                          float, path),

@@ -63,6 +63,7 @@ if TYPE_CHECKING:  # runtime import would cycle: repro.verify runs this engine
     from repro.verify.invariants import InvariantMonitor
 
 from repro.bandits.base import SelectionPolicy
+from repro.bandits.policies import UCBPolicy
 from repro.core.regret import RegretTracker
 from repro.core.state import LearningState
 from repro.entities.seller import SellerPopulation
@@ -437,7 +438,7 @@ class TradingSimulator:
             svc_bounds=cfg.service_price_bounds,
             col_bounds=cfg.collection_price_bounds,
             tau_max=cfg.max_sensing_time, tau0=cfg.initial_sensing_time,
-            tracer=tr, metrics=reg, work=np.empty(m), monitor=monitor,
+            tracer=tr, metrics=reg, monitor=monitor,
         )
 
         if tr.enabled:
@@ -474,9 +475,15 @@ class TradingSimulator:
                         ucb=self._ucb_of(policy, state, selected),
                         duration_s=selection_duration)
             if monitor is not None:
+                # Strict runs cross-check UCB selections against the
+                # full Eq.-19 vector, which selection itself never builds.
                 monitor.check_selection(
                     t, selected, k, m, bool(explore_round),
-                    ucb_values=getattr(policy, "last_ucb_values", None),
+                    ucb_values=(
+                        state.ucb_values(policy.exploration_coefficient)
+                        if isinstance(policy, UCBPolicy) and not explore_round
+                        else None
+                    ),
                 )
             if fault_model is None:
                 play_clean_round(ctx, t, selected, explore_round)
@@ -553,20 +560,16 @@ class TradingSimulator:
                 selected: np.ndarray) -> np.ndarray | None:
         """The selected sellers' UCB indices (Eq. 19), if computable.
 
-        Prefers the vector the policy stashed during its own ``select``
-        (free); falls back to a read-only recomputation for policies
-        that expose an ``exploration_coefficient`` without stashing.
-        Policies with neither (random, optimal, ...) yield ``None``.
-        Unobserved sellers carry an infinite index.
+        Computed at the selected sellers only, for policies that expose
+        an ``exploration_coefficient``; policies without one (random,
+        optimal, ...) yield ``None``.  Unobserved sellers carry an
+        infinite index.
         """
-        stashed = getattr(policy, "last_ucb_values", None)
-        if stashed is not None:
-            return stashed[selected]
         coefficient = getattr(policy, "exploration_coefficient", None)
         if coefficient is None:
             return None
         try:
-            return state.ucb_values(float(coefficient))[selected]
+            return state.ucb_at(float(coefficient), selected)
         except (ReproError, TypeError, ValueError):
             return None
 

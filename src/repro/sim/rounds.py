@@ -33,7 +33,7 @@ stream construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -108,20 +108,29 @@ class RoundContext:
     tau0: float
     tracer: Tracer
     metrics: MetricsRegistry
-    #: Caller-owned ``(M,)`` buffer the per-round estimation-error
-    #: reduction works in, so the round allocates no ``O(M)`` temporary.
-    work: np.ndarray
     monitor: "InvariantMonitor | None" = None
+    #: ``|qbar_i - q_i|`` per seller, kept in step with ``state``: each
+    #: round patches the sellers it taught, so the estimation error is
+    #: one reduction, with no ``O(M)`` subtract.  Call
+    #: :meth:`resync_estimation_error` after restoring or resetting the
+    #: state.
+    abs_error: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.resync_estimation_error()
+
+    def resync_estimation_error(self) -> None:
+        """Rebuild :attr:`abs_error` from the state's current means."""
+        self.abs_error = np.abs(self.state.means - self.qualities_truth)
 
 
 def estimation_error_scalar(means: np.ndarray,
                             qualities_truth: np.ndarray) -> float:
-    """Allocation-naive mean absolute estimation error.
+    """From-scratch mean absolute estimation error.
 
-    The reference form of :func:`repro.kernels.selection.estimation_error`
-    (the identical subtract/abs/mean sequence, with ordinary temporaries
-    instead of a caller-owned buffer); the kernels verify leg checks the
-    two bit for bit.
+    The reference form of :func:`repro.kernels.selection.estimation_error`,
+    which keeps the ``|qbar_i - q_i|`` vector patched between rounds
+    instead; the kernel differential checks the two bit for bit.
     """
     return float(np.abs(means - qualities_truth).mean())
 
@@ -239,11 +248,9 @@ def play_clean_round(ctx: RoundContext, t: int, selected: np.ndarray,
         ctx.policy.observe(t, selected, observations.sums, num_pois)
     ctx.tracker.record(selected)
     series["realized"][t] = observations.total
-    series["expected"][t] = float(
-        np.add.reduce(ctx.qualities_truth[selected])
-    ) * num_pois
+    series["expected"][t] = ctx.tracker.last_selection_value * num_pois
     series["estimation_error"][t] = _estimation_error(
-        state.means, ctx.qualities_truth, ctx.work
+        state.means, ctx.qualities_truth, ctx.abs_error, selected
     )
     ctx.selection_counts[selected] += 1
     if ctx.tracer.enabled:
@@ -289,9 +296,7 @@ def play_degraded_round(ctx: RoundContext, t: int, selected: np.ndarray,
 
     ctx.tracker.record(selected)
     ctx.selection_counts[selected] += 1
-    series["expected"][t] = float(
-        ctx.qualities_truth[selected].sum()
-    ) * num_pois
+    series["expected"][t] = ctx.tracker.last_selection_value * num_pois
 
     if participants.size == 0:
         # Documented fallback: every selected seller dropped out, so
@@ -310,8 +315,9 @@ def play_degraded_round(ctx: RoundContext, t: int, selected: np.ndarray,
         series["service"][t] = ctx.svc_bounds[0]
         series["collection"][t] = ctx.col_bounds[0]
         series["totals"][t] = 0.0
+        # Nothing was learned, so nothing needs patching.
         series["estimation_error"][t] = _estimation_error(
-            state.means, ctx.qualities_truth, ctx.work
+            state.means, ctx.qualities_truth, ctx.abs_error, participants
         )
         empty = np.empty(0)
         return Settlement(participants, empty, empty, empty)
@@ -326,8 +332,11 @@ def play_degraded_round(ctx: RoundContext, t: int, selected: np.ndarray,
                     fault=FaultKind.DEGRADED.value,
                     survivors=int(participants.size))
 
-    def collect() -> float:
-        """Sample, inject corruption, quarantine, learn; the settled total."""
+    def collect() -> tuple[float, np.ndarray]:
+        """Sample, inject corruption, quarantine, learn.
+
+        Returns the settled total and the sellers the state learned from.
+        """
         observations = ctx.sampler.sample_round(participants, round_index=t)
         delivered = observations.sums.copy()
         if plan.corrupted.size:
@@ -353,21 +362,21 @@ def play_degraded_round(ctx: RoundContext, t: int, selected: np.ndarray,
                         value=float(delivered[pos]))
         # Stalled reports arrive after settlement but still reach
         # the learner; quarantined ones reach neither.
-        state.update(participants[valid], delivered[valid], num_pois)
-        ctx.policy.observe(t, participants[valid], delivered[valid],
-                           num_pois)
+        learned = participants[valid]
+        state.update(learned, delivered[valid], num_pois)
+        ctx.policy.observe(t, learned, delivered[valid], num_pois)
         settle_mask = valid & ~np.isin(participants, plan.stalled)
-        return float(delivered[settle_mask].sum())
+        return float(delivered[settle_mask].sum()), learned
 
     # The game is (re-)solved on the survivors only — a degraded set
     # never raises, it just trades less.
     if explore_round:
-        series["realized"][t] = collect()
+        series["realized"][t], learned = collect()
     settlement = _settle(ctx, t, participants, explore_round)
     if not explore_round:
-        series["realized"][t] = collect()
+        series["realized"][t], learned = collect()
     series["estimation_error"][t] = _estimation_error(
-        state.means, ctx.qualities_truth, ctx.work
+        state.means, ctx.qualities_truth, ctx.abs_error, learned
     )
     if tr.enabled:
         _emit_profits(ctx, t)

@@ -108,6 +108,27 @@ class TestStrictCatchesMutations:
             run(strict=True)
 
 
+class TestStrictSelectionCheck:
+    def test_non_top_k_ucb_selection_is_caught(self):
+        # Selection builds no full index vector; strict runs build one
+        # for the cross-check, so a UCB subclass that swaps a winner
+        # for a loser must still trip selection_top_k.
+        class Faulty(UCBPolicy):
+            def select(self, round_index, state, rng, online=None):
+                selected = super().select(round_index, state, rng, online)
+                if round_index != 7:
+                    return selected
+                loser = np.setdiff1d(np.arange(self.num_sellers),
+                                     selected)[0]
+                return np.sort(np.append(selected[1:], loser))
+
+        with pytest.raises(InvariantViolationError,
+                           match="selection_top_k.*round 7"):
+            run(policy=Faulty(), strict=True)
+        # The same policy passes when it behaves.
+        run(policy=UCBPolicy(), strict=True)
+
+
 class TestStrictObservability:
     def test_clean_strict_run_emits_no_violation_events(self):
         sink = RingBufferSink()

@@ -152,9 +152,13 @@ class TestSelectionKernels:
         rng = np.random.default_rng(3)
         means = rng.uniform(0.0, 1.0, 50)
         truth = rng.uniform(0.1, 1.0, 50)
-        work = np.empty(50)
-        assert estimation_error(means, truth, work) \
+        abs_error = np.abs(means - truth)
+        # Only the touched sellers' means moved since the vector was built.
+        touched = np.array([2, 7, 31])
+        means[touched] = rng.uniform(0.0, 1.0, touched.size)
+        assert estimation_error(means, truth, abs_error, touched) \
             == estimation_error_scalar(means, truth)
+        np.testing.assert_array_equal(abs_error, np.abs(means - truth))
 
     def test_vector_state_snapshot_restore_round_trip(self):
         rng = np.random.default_rng(7)
@@ -170,7 +174,11 @@ class TestSelectionKernels:
 
 
 class ReferenceLearningState(LearningState):
-    """A learning state whose every read is a from-scratch reference."""
+    """A learning state whose every read is a from-scratch reference.
+
+    It keeps the parent's private mirrors and pool, so a reference run
+    must also select without them: see :func:`reference_select`.
+    """
 
     def _raw(self):
         snapshot = self.snapshot()
@@ -188,6 +196,26 @@ class ReferenceLearningState(LearningState):
         return reference_ucb(*self._raw(), PRIOR_MEAN, coefficient)
 
 
+def reference_select(policy, round_index, state, rng, online=None):
+    """:meth:`UCBPolicy.select` as ``reference_top_k(reference_ucb(...))``.
+
+    Eq. 19 over every seller from the raw counts and sums, offline
+    sellers masked to ``-inf``: no pool, no mirror, no bound.
+    """
+    if round_index == 0 and policy._initial_full_exploration:
+        if online is None:
+            return np.arange(policy.num_sellers)
+        return np.flatnonzero(online)
+    raw = state.snapshot()
+    scores = reference_ucb(raw["counts"], raw["sums"], PRIOR_MEAN,
+                           policy.exploration_coefficient)
+    k = policy.k
+    if online is not None:
+        scores[~online] = -np.inf
+        k = min(k, int(np.count_nonzero(online)))
+    return reference_top_k(scores, k)
+
+
 @pytest.fixture
 def on_references(monkeypatch):
     """Swap every round-loop kernel for its naive reference."""
@@ -199,9 +227,11 @@ def on_references(monkeypatch):
                             ReferenceLearningState)
         monkeypatch.setattr(repro.bandits.policies, "top_k_indices",
                             reference_top_k)
+        monkeypatch.setattr(UCBPolicy, "select", reference_select)
         monkeypatch.setattr(
             repro.sim.rounds, "_estimation_error",
-            lambda means, truth, work: estimation_error_scalar(means, truth),
+            lambda means, truth, abs_error, touched:
+                estimation_error_scalar(means, truth),
         )
 
     return install
@@ -219,7 +249,8 @@ def _run(*, m, k, seed, num_rounds=80, fault=None):
 class TestEngineDifferential:
     """Whole runs on the kernels vs the same runs on the references."""
 
-    @pytest.mark.parametrize("m,k", [(12, 3), (20, 4), (6, 6), (9, 1)])
+    @pytest.mark.parametrize("m,k", [(12, 3), (20, 4), (6, 6), (9, 1),
+                                     (120, 2)])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_clean_runs_bit_identical(self, m, k, seed, on_references):
         fast = _run(m=m, k=k, seed=seed)
@@ -241,6 +272,16 @@ class TestEngineDifferential:
             np.testing.assert_array_equal(
                 np.asarray(getattr(fast, field)),
                 np.asarray(getattr(reference, field)), err_msg=field)
+
+    def test_reference_run_never_reads_the_pool(self, on_references,
+                                                monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the reference run read the selection pool")
+
+        on_references()
+        monkeypatch.setattr(LearningState, "count_classes", refuse)
+        monkeypatch.setattr(LearningState, "ucb_at", refuse)
+        _run(m=30, k=3, seed=0, num_rounds=20)
 
     def test_runtime_churn_ledger_digest_identical(self, on_references):
         from repro.verify.runtime import compute_runtime_golden

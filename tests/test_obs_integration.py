@@ -173,6 +173,36 @@ class TestTraceCompleteness:
             assert ucb is not None
             assert len(ucb) == config.num_selected
 
+    def test_selection_ucb_equals_the_full_index_vector(self, monkeypatch):
+        # Selection no longer builds the full Eq.-19 vector, so the
+        # traced indices are computed at the selected sellers alone;
+        # they must be the full vector's entries, bit for bit, as they
+        # were when selection stashed that vector.
+        from repro.bandits import UCBPolicy
+
+        select = UCBPolicy.select
+        full: list[np.ndarray] = []
+
+        def recording(self, round_index, state, rng, online=None):
+            selected = select(self, round_index, state, rng, online)
+            full.append(state.ucb_values(self.exploration_coefficient))
+            return selected
+
+        monkeypatch.setattr(UCBPolicy, "select", recording)
+        for run, explore_ucb in ((_traced_engine_run, True),
+                                 (_traced_mechanism_run, False)):
+            full.clear()
+            ring, n = run()
+            events = ring.of_kind("selection")
+            assert len(events) == len(full) == n
+            for event, vector in zip(events, full):
+                ucb = event.payload["ucb"]
+                if event.round_index == 0 and not explore_ucb:
+                    assert ucb is None
+                    continue
+                np.testing.assert_array_equal(
+                    ucb, vector[event.payload["selected"]])
+
     def test_equilibrium_events_carry_strategy_profile(self):
         ring = RingBufferSink()
         TradingSimulator(_config()).run(_ucb(), tracer=Tracer(ring))

@@ -67,10 +67,44 @@ class TestUpdate:
         with pytest.raises(ConfigurationError, match="twice"):
             state.update(np.array([1, 1]), np.array([1.0, 1.0]), 2)
 
+    def test_rejects_unsorted_duplicate_sellers(self):
+        state = LearningState(4)
+        with pytest.raises(ConfigurationError, match="twice"):
+            state.update(np.array([2, 0, 2]), np.array([1.0, 1.0, 1.0]), 2)
+        assert state.total_count == 0
+
+    def test_accepts_unsorted_distinct_sellers(self):
+        state = LearningState(4)
+        state.update(np.array([3, 0, 2]), np.array([1.0, 2.0, 0.5]), 2)
+        np.testing.assert_array_equal(state.counts, [2, 0, 2, 2])
+        assert state.mean_of(0) == 1.0
+
     def test_rejects_out_of_range_seller(self):
         state = LearningState(3)
         with pytest.raises(ConfigurationError, match="out of range"):
             state.update(np.array([3]), np.array([1.0]), 2)
+
+    def test_rejects_negative_seller_in_unsorted_input(self):
+        state = LearningState(3)
+        with pytest.raises(ConfigurationError, match="out of range"):
+            state.update(np.array([1, -1]), np.array([1.0, 1.0]), 2)
+
+    def test_rejects_float_seller_indices(self):
+        # Truncating 0.5 and 1.7 to sellers 0 and 1 would teach the
+        # wrong sellers silently.
+        state = LearningState(3)
+        with pytest.raises(ConfigurationError, match="integers"):
+            state.update([0.5, 1.7], [1.0, 1.0], 2)
+        with pytest.raises(ConfigurationError, match="integers"):
+            state.update(np.array([0.0, 1.0]), np.array([1.0, 1.0]), 2)
+        assert state.total_count == 0
+
+    def test_rejects_boolean_seller_mask(self):
+        # A mask [False, True] is not the sellers 0 and 1.
+        state = LearningState(2)
+        with pytest.raises(ConfigurationError, match="integers"):
+            state.update(np.array([False, True]), np.array([1.0, 1.0]), 2)
+        assert state.total_count == 0
 
     def test_rejects_misaligned_arrays(self):
         state = LearningState(3)
@@ -85,6 +119,7 @@ class TestUpdate:
     def test_empty_update_is_noop(self):
         state = LearningState(3)
         state.update(np.array([], dtype=int), np.array([]), 4)
+        state.update([], [], 4)
         assert state.total_count == 0
 
     def test_total_count_is_the_count_sum(self):
