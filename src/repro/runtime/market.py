@@ -50,36 +50,27 @@ import numpy as np
 
 from repro.bandits.base import SelectionPolicy
 from repro.bandits.policies import UCBPolicy
-from repro.core.regret import RegretTracker
 from repro.core.state import LearningState
 from repro.entities.seller import SellerPopulation
-from repro.exceptions import (
-    ConfigurationError,
-    GracefulShutdownInterrupt,
-    PersistenceError,
-)
+from repro.exceptions import ConfigurationError, PersistenceError
 from repro.faults import FaultLog, RoundFaultPlan
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.timing import perf_counter
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.quality.distributions import (
-    QualityModel,
-    TruncatedGaussianQuality,
-)
-from repro.quality.sampler import QualitySampler
+from repro.quality.distributions import QualityModel
 from repro.resilience.shutdown import NEVER_STOP, ShutdownSignal
 from repro.runtime.arrivals import ChurnProcess, ChurnSpec
 from repro.runtime.kernel import SETTLE, Agent, EventKernel, Message
 from repro.sim.config import SimulationConfig
-from repro.sim.persistence import load_checkpoint, read_field, save_checkpoint
+from repro.sim.persistence import load_checkpoint
 from repro.sim.results import RunMetrics
-from repro.sim.rng import RngFactory
-from repro.sim.rounds import (
-    PRIOR_MEAN,
-    SERIES_NAMES,
-    RoundContext,
-    play_clean_round,
-    play_degraded_round,
+from repro.sim.rounds import play_clean_round, play_degraded_round
+from repro.sim.runcore import (
+    RunCore,
+    build_instance,
+    check_checkpointing,
+    load_run_checkpoint,
+    save_run_checkpoint,
 )
 
 __all__ = ["TradeRecord", "TradeLedger", "SellerAgent", "PlatformAgent",
@@ -293,28 +284,9 @@ class MarketRuntime:
                  tracer: Tracer | None = None,
                  metrics: MetricsRegistry | None = None) -> None:
         self._config = config
-        self._factory = RngFactory(config.seed)
-        if population is None:
-            population = SellerPopulation.random(
-                config.num_sellers,
-                self._factory.generator("population"),
-                a_range=config.a_range,
-                b_range=config.b_range,
-            )
-        if len(population) != config.num_sellers:
-            raise ConfigurationError(
-                f"population has {len(population)} sellers but the config "
-                f"says {config.num_sellers}"
-            )
-        if quality_model is None:
-            quality_model = TruncatedGaussianQuality(
-                population.expected_qualities, sigma=config.quality_sigma
-            )
-        if quality_model.num_sellers != config.num_sellers:
-            raise ConfigurationError(
-                "quality model covers a different number of sellers than "
-                "the config"
-            )
+        self._factory, population, quality_model = build_instance(
+            config, population, quality_model
+        )
         if isinstance(churn, ChurnSpec):
             # A bare spec binds to this runtime's own factory; zero
             # rates degrade to no churn at all, keeping the static
@@ -334,42 +306,19 @@ class MarketRuntime:
         self._m, self._k, self._num_pois = m, k, num_pois
         self._num_rounds = config.num_rounds
         self._policy = policy if policy is not None else UCBPolicy()
-
-        # Stream construction mirrors TradingSimulator.run exactly —
-        # same names, same order — so a static-population runtime run
-        # consumes bit-identical randomness to the batch engine.
-        self._observation_rng = self._factory.generator("observations")
-        self._sampler = QualitySampler(quality_model, num_pois,
-                                       self._observation_rng)
-        self._policy_rng = self._factory.generator(
-            "policy", self._policy.name
-        )
-        self._state = LearningState(m, prior_mean=PRIOR_MEAN)
-        self._tracker = RegretTracker(population.expected_qualities, k,
-                                      num_pois)
-        self._policy.reset(m, k, self._num_rounds)
-
-        self._series = {name: np.empty(self._num_rounds)
-                        for name in SERIES_NAMES}
-        self._selection_counts = np.zeros(m, dtype=np.int64)
         self._tracer = tracer if tracer is not None else NULL_TRACER
-        self._metrics = metrics
-        self._reg = metrics if metrics is not None else MetricsRegistry()
-        self._fault_log: FaultLog | None = None
-
-        self._ctx = RoundContext(
-            state=self._state, tracker=self._tracker, policy=self._policy,
-            sampler=self._sampler, series=self._series,
-            selection_counts=self._selection_counts,
-            qualities_truth=population.expected_qualities,
-            cost_a_all=population.cost_a, cost_b_all=population.cost_b,
-            num_pois=num_pois, theta=config.theta, lam=config.lam,
-            omega=config.omega, svc_bounds=config.service_price_bounds,
-            col_bounds=config.collection_price_bounds,
-            tau_max=config.max_sensing_time,
-            tau0=config.initial_sensing_time,
-            tracer=self._tracer, metrics=self._reg,
+        # The same run core as TradingSimulator.run: a static-population
+        # runtime consumes bit-identical randomness to the batch engine.
+        self._run = RunCore.start(
+            config, self._factory, population, quality_model, self._policy,
+            self._num_rounds, tracer=self._tracer, metrics=metrics,
+            kind="market_runtime", driver={"churn_spec": (
+                churn.spec.to_dict() if churn is not None else None)},
         )
+        self._ctx = self._run.ctx
+        self._reg = self._ctx.metrics
+        self._series = self._ctx.series
+        self._fault_log: FaultLog | None = None
 
         self._kernel = EventKernel(self._tracer)
         self._platform = PlatformAgent()
@@ -420,7 +369,7 @@ class MarketRuntime:
     @property
     def learning_state(self) -> LearningState:
         """The platform's quality-learning state."""
-        return self._state
+        return self._ctx.state
 
     @property
     def next_round(self) -> int:
@@ -544,8 +493,8 @@ class MarketRuntime:
         """
         online = self._online
         if self._churn is None and bool(online.all()):
-            selected = self._policy.select(t, self._state,
-                                           self._policy_rng)
+            selected = self._policy.select(t, self._ctx.state,
+                                           self._run.policy_rng)
             online_count = self._m
         else:
             if not isinstance(self._policy, UCBPolicy):
@@ -560,8 +509,9 @@ class MarketRuntime:
                     "no seller is online: open a session or configure "
                     "arrivals before trading"
                 )
-            selected = self._policy.select(t, self._state,
-                                           self._policy_rng, online=online)
+            selected = self._policy.select(t, self._ctx.state,
+                                           self._run.policy_rng,
+                                           online=online)
         explore = selected.size > self._k or (
             t == 0 and selected.size == online_count
         )
@@ -633,7 +583,7 @@ class MarketRuntime:
                             realized=float(self._series["realized"][t]))
         self._reg.counter("rounds").inc()
         self._reg.gauge("cumulative_regret").set(
-            self._tracker.cumulative_regret
+            self._ctx.tracker.cumulative_regret
         )
         duration = perf_counter() - round_start_time
         self._reg.timer("runtime.round").observe(duration)
@@ -668,36 +618,24 @@ class MarketRuntime:
         :class:`~repro.exceptions.GracefulShutdownInterrupt` is raised.
         Returns the number of rounds actually played.
         """
-        if checkpoint_every < 0:
-            raise ConfigurationError(
-                f"checkpoint_every must be >= 0, got {checkpoint_every}"
-            )
-        if checkpoint_every and checkpoint_path is None:
-            raise ConfigurationError(
-                "periodic checkpointing requires checkpoint_path"
-            )
+        check_checkpointing(checkpoint_path, checkpoint_every)
         target = (self._num_rounds if rounds is None
                   else min(self._num_rounds, self._next_round + int(rounds)))
         stop = shutdown if shutdown is not None else NEVER_STOP
+
+        def save(next_round: int) -> None:
+            self.save(checkpoint_path)
+
         played = 0
         while self._next_round < target:
             t = self._next_round
             if stop.should_stop(t):
-                self._graceful_shutdown(t, checkpoint_path)
+                self._run.shutdown(t, checkpoint_path, save,
+                                   "market runtime")
             self.play_round()
             played += 1
-            if (checkpoint_path is not None and checkpoint_every
-                    and (t + 1) % checkpoint_every == 0
-                    and (t + 1) < self._num_rounds):
-                checkpoint_start = perf_counter()
-                self._reg.counter("checkpoint_writes").inc()
-                self.save(checkpoint_path)
-                if self._tracer.enabled:
-                    self._tracer.emit(
-                        "checkpoint", round_index=t, action="saved",
-                        path=os.fspath(checkpoint_path), next_round=t + 1,
-                        duration_s=perf_counter() - checkpoint_start,
-                    )
+            self._run.periodic_checkpoint(t, checkpoint_path,
+                                          checkpoint_every, save)
         return played
 
     def run(self, *, shutdown: ShutdownSignal | None = None,
@@ -710,194 +648,71 @@ class MarketRuntime:
         run continues from the checkpoint and the final metrics are
         bit-identical to an uninterrupted run.
         """
-        if resume:
-            if checkpoint_path is None:
-                raise ConfigurationError("resume requires checkpoint_path")
-            if os.path.exists(checkpoint_path):
-                self.restore(checkpoint_path)
-        tr = self._tracer
-        if tr.enabled:
-            tr.emit("run_start", policy=self._policy.name,
-                    num_rounds=self._num_rounds,
-                    start_round=self._next_round,
-                    seed=self._config.seed, num_sellers=self._m,
-                    num_selected=self._k, num_pois=self._num_pois,
-                    churn=self._churn is not None)
-        run_start_time = perf_counter()
+        check_checkpointing(checkpoint_path, checkpoint_every, resume)
+        if resume and os.path.exists(checkpoint_path):
+            self.restore(checkpoint_path)
+        run_start_time = self._run.run_start(
+            self._next_round, churn=self._churn is not None)
         played = self.advance(None, shutdown=shutdown,
                               checkpoint_path=checkpoint_path,
                               checkpoint_every=checkpoint_every)
-        if tr.enabled:
-            tr.emit("run_end", policy=self._policy.name,
-                    rounds_played=played,
-                    total_revenue=float(self._series["realized"].sum()),
-                    final_regret=self._tracker.cumulative_regret,
-                    duration_s=perf_counter() - run_start_time)
-            tr.flush()
+        self._run.run_end(self._next_round, played, run_start_time)
         return self.metrics()
 
     def metrics(self) -> RunMetrics:
         """The run's metrics over the rounds played so far."""
-        n = self._next_round
-        series = self._series
-        return RunMetrics(
-            policy_name=self._policy.name,
-            realized_revenue=series["realized"][:n].copy(),
-            expected_revenue=series["expected"][:n].copy(),
-            regret=np.asarray(self._tracker.history)[:n].copy(),
-            consumer_profit=series["consumer"][:n].copy(),
-            platform_profit=series["platform"][:n].copy(),
-            seller_profit_mean=series["sellers_mean"][:n].copy(),
-            service_price=series["service"][:n].copy(),
-            collection_price=series["collection"][:n].copy(),
-            total_sensing_time=series["totals"][:n].copy(),
-            selection_counts=self._selection_counts.copy(),
-            estimation_error=series["estimation_error"][:n].copy(),
-            telemetry=(self._reg.snapshot() if self._metrics is not None
-                       else None),
-        )
-
-    def _graceful_shutdown(
-            self, t: int,
-            checkpoint_path: str | os.PathLike | None) -> None:
-        final_path: str | None = None
-        if checkpoint_path is not None and t > 0:
-            self._reg.counter("checkpoint_writes").inc()
-            self.save(checkpoint_path)
-            final_path = os.fspath(checkpoint_path)
-        if self._tracer.enabled:
-            self._tracer.emit("graceful_shutdown", round_index=t,
-                              policy=self._policy.name,
-                              checkpoint_path=final_path)
-            self._tracer.flush()
-        raise GracefulShutdownInterrupt(
-            f"market runtime stopped before round {t} "
-            + (f"(resumable checkpoint: {final_path})" if final_path
-               else "(no checkpoint written)"),
-            checkpoint_path=final_path,
-        )
+        return self._run.run_metrics(self._next_round)
 
     # -- checkpoint / resume --------------------------------------------------------
 
-    def _fingerprint(self) -> dict[str, object]:
-        return {
-            "kind": "market_runtime",
-            "policy_name": self._policy.name,
-            "seed": self._config.seed,
-            "num_sellers": self._m,
-            "num_selected": self._k,
-            "num_pois": self._num_pois,
-            "num_rounds": self._num_rounds,
-            "churn_spec": (self._churn.spec.to_dict()
-                           if self._churn is not None else None),
-        }
-
     def save(self, path: str | os.PathLike) -> None:
         """Atomically persist the runtime's full resumable state."""
-        tracker_snapshot = self._tracker.snapshot()
-        meta = dict(self._fingerprint())
-        meta.update({
-            "next_round": self._next_round,
+        meta = {
             "next_session": self._next_session,
             "sessions_opened": self._sessions_opened,
             "sessions_closed": self._sessions_closed,
             "messages_delivered": self._kernel.messages_delivered,
             "messages_dropped": self._kernel.messages_dropped,
-            "tracker_cumulative": tracker_snapshot["cumulative"],
-            "tracker_rounds": tracker_snapshot["rounds"],
-            "tracker_expected_revenue":
-                tracker_snapshot["expected_revenue"],
-            "policy_rng_state": self._policy_rng.bit_generator.state,
-            "observation_rng_state":
-                self._observation_rng.bit_generator.state,
-        })
-        if self._metrics is not None:
-            meta["metrics_snapshot"] = self._reg.snapshot()
-        state_snapshot = self._state.snapshot()
+        }
         arrays = {
-            "state_counts": state_snapshot["counts"],
-            "state_sums": state_snapshot["sums"],
-            "regret_history": tracker_snapshot["history"],
-            "selection_counts": self._selection_counts,
             "online_mask": self._online,
             "slot_session": self._slot_session,
             "slot_opened_round": self._slot_opened_round,
             "slot_trades": self._slot_trades,
         }
-        for name in SERIES_NAMES:
-            arrays[f"series_{name}"] = self._series[name][:self._next_round]
         for key, value in self._ledger.to_arrays().items():
             arrays[f"ledger_{key}"] = value
-        for key, value in self._policy.state_snapshot().items():
-            arrays[f"policy__{key}"] = np.asarray(value)
-        save_checkpoint(path, meta, arrays, metrics=self._reg)
+        save_run_checkpoint(path, self._run, self._next_round, meta, arrays)
 
     def restore(self, path: str | os.PathLike) -> int:
         """Restore state saved by :meth:`save`; returns the next round.
 
         The checkpoint must fingerprint-match this runtime (policy,
-        seed, sizes, churn spec), or
-        :class:`~repro.exceptions.PersistenceError` is raised.
+        seed, sizes, churn spec), and every field must decode, or
+        :class:`~repro.exceptions.PersistenceError` is raised and the
+        runtime is left exactly as it was.
         """
-        meta, arrays = load_checkpoint(path, metrics=self._reg)
-        for key, expected in self._fingerprint().items():
-            if meta.get(key) != expected:
-                raise PersistenceError(
-                    f"checkpoint {os.fspath(path)!s} does not match this "
-                    f"runtime: {key} is {meta.get(key)!r}, expected "
-                    f"{expected!r}"
-                )
-        try:
-            next_round = read_field(meta, "next_round", int, path)
-            self._state.restore({"counts": arrays["state_counts"],
-                                 "sums": arrays["state_sums"]})
-            self._ctx.resync_estimation_error()
-            self._tracker.restore({
-                "cumulative": read_field(meta, "tracker_cumulative",
-                                         float, path),
-                "rounds": read_field(meta, "tracker_rounds", int, path),
-                "expected_revenue": read_field(
-                    meta, "tracker_expected_revenue", float, path),
-                "history": arrays["regret_history"],
-            })
-            for name in SERIES_NAMES:
-                partial = arrays[f"series_{name}"]
-                self._series[name][:partial.size] = partial
-            self._selection_counts[:] = arrays["selection_counts"]
-            online = np.asarray(arrays["online_mask"], dtype=bool)
-            self._slot_session[:] = arrays["slot_session"]
-            self._slot_opened_round[:] = arrays["slot_opened_round"]
-            self._slot_trades[:] = arrays["slot_trades"]
-            self._next_session = read_field(meta, "next_session", int, path)
-            self._sessions_opened = read_field(meta, "sessions_opened",
-                                               int, path)
-            self._sessions_closed = read_field(meta, "sessions_closed",
-                                               int, path)
-            self._kernel.restore_message_counters(
-                read_field(meta, "messages_delivered", int, path),
-                read_field(meta, "messages_dropped", int, path),
-            )
-            self._policy_rng.bit_generator.state = meta["policy_rng_state"]
-            self._observation_rng.bit_generator.state = (
-                meta["observation_rng_state"]
-            )
-            self._ledger.restore_arrays({
-                key: arrays[f"ledger_{key}"]
-                for key in ("rounds", "offsets", "participants",
-                            "settlements")
-            })
-        except KeyError as error:
-            raise PersistenceError(
-                f"checkpoint {os.fspath(path)!s} is missing field "
-                f"{error.args[0]!r}"
-            ) from error
-        if not (0 < next_round <= self._num_rounds):
-            raise PersistenceError(
-                f"checkpoint {os.fspath(path)!s} has next_round "
-                f"{next_round}, outside (0, {self._num_rounds}]"
-            )
+        restored = load_run_checkpoint(
+            path, self._run, *load_checkpoint(path, metrics=self._reg))
+        m = self._m
+        online = restored.array("online_mask", bool, m)
+        slots = [restored.array(key, np.int64, m) for key in (
+            "slot_session", "slot_opened_round", "slot_trades")]
+        counters = [restored.field(key, int) for key in (
+            "next_session", "sessions_opened", "sessions_closed",
+            "messages_delivered", "messages_dropped")]
+        ledger = TradeLedger()
+        restored.decode("ledger_*", lambda: ledger.restore_arrays(
+            restored.columns("ledger_")))
+        self._next_round = restored.apply()
+        (self._slot_session[:], self._slot_opened_round[:],
+         self._slot_trades[:]) = slots
+        (self._next_session, self._sessions_opened, self._sessions_closed,
+         delivered, dropped) = counters
+        self._kernel.restore_message_counters(delivered, dropped)
+        self._ledger = ledger
         # Reconcile the agent roster with the restored online mask.
-        for slot in range(self._m):
+        for slot in range(m):
             agent_id = f"seller-{slot}"
             if online[slot] and not self._kernel.has_agent(agent_id):
                 self._kernel.register(
@@ -906,14 +721,4 @@ class MarketRuntime:
             elif not online[slot] and self._kernel.has_agent(agent_id):
                 self._kernel.deregister(agent_id, slot=slot)
         self._online[:] = online
-        policy_snapshot = {
-            key[len("policy__"):]: value
-            for key, value in arrays.items()
-            if key.startswith("policy__")
-        }
-        self._policy.state_restore(policy_snapshot)
-        if (self._metrics is not None
-                and meta.get("metrics_snapshot") is not None):
-            self._metrics.restore(meta["metrics_snapshot"])
-        self._next_round = next_round
-        return next_round
+        return self._next_round

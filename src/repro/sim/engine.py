@@ -64,23 +64,13 @@ if TYPE_CHECKING:  # runtime import would cycle: repro.verify runs this engine
 
 from repro.bandits.base import SelectionPolicy
 from repro.bandits.policies import UCBPolicy
-from repro.core.regret import RegretTracker
 from repro.core.state import LearningState
 from repro.entities.seller import SellerPopulation
-from repro.exceptions import (
-    ConfigurationError,
-    GracefulShutdownInterrupt,
-    PersistenceError,
-    ReproError,
-)
+from repro.exceptions import ConfigurationError, ReproError
 from repro.faults import FaultLog, FaultModel, FaultSpec
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.quality.distributions import (
-    QualityModel,
-    TruncatedGaussianQuality,
-)
-from repro.quality.sampler import QualitySampler
+from repro.quality.distributions import QualityModel
 from repro.resilience.policy import (
     NOOP_POLICY,
     ResiliencePolicy,
@@ -88,20 +78,15 @@ from repro.resilience.policy import (
 )
 from repro.resilience.shutdown import NEVER_STOP, ShutdownSignal
 from repro.sim.config import SimulationConfig
-from repro.sim.persistence import (
-    load_checkpoint,
-    read_field,
-    recover_checkpoint,
-    save_checkpoint,
-)
+from repro.sim.persistence import load_checkpoint, recover_checkpoint
 from repro.sim.results import PolicyComparison, RunMetrics
-from repro.sim.rng import RngFactory
-from repro.sim.rounds import (
-    PRIOR_MEAN,
-    SERIES_NAMES,
-    RoundContext,
-    play_clean_round,
-    play_faulty_round,
+from repro.sim.rounds import play_clean_round, play_faulty_round
+from repro.sim.runcore import (
+    RunCore,
+    build_instance,
+    check_checkpointing,
+    load_run_checkpoint,
+    save_run_checkpoint,
 )
 
 __all__ = ["TradingSimulator", "run_seed_comparison"]
@@ -212,30 +197,9 @@ class TradingSimulator:
                  population: SellerPopulation | None = None,
                  quality_model: QualityModel | None = None) -> None:
         self._config = config
-        self._factory = RngFactory(config.seed)
-        if population is None:
-            population = SellerPopulation.random(
-                config.num_sellers,
-                self._factory.generator("population"),
-                a_range=config.a_range,
-                b_range=config.b_range,
-            )
-        if len(population) != config.num_sellers:
-            raise ConfigurationError(
-                f"population has {len(population)} sellers but the config "
-                f"says {config.num_sellers}"
-            )
-        self._population = population
-        if quality_model is None:
-            quality_model = TruncatedGaussianQuality(
-                population.expected_qualities, sigma=config.quality_sigma
-            )
-        if quality_model.num_sellers != config.num_sellers:
-            raise ConfigurationError(
-                "quality model covers a different number of sellers than "
-                "the config"
-            )
-        self._quality_model = quality_model
+        self._factory, self._population, self._quality_model = (
+            build_instance(config, population, quality_model)
+        )
 
     @property
     def config(self) -> SimulationConfig:
@@ -369,40 +333,17 @@ class TradingSimulator:
         n = int(num_rounds) if num_rounds is not None else cfg.num_rounds
         if n <= 0:
             raise ConfigurationError(f"num_rounds must be positive, got {n}")
-        if checkpoint_every < 0:
-            raise ConfigurationError(
-                f"checkpoint_every must be >= 0, got {checkpoint_every}"
-            )
-        if (checkpoint_every or resume) and checkpoint_path is None:
-            raise ConfigurationError(
-                "checkpointing/resume requires checkpoint_path"
-            )
+        check_checkpointing(checkpoint_path, checkpoint_every, resume)
         if fault_model is not None and fault_model.num_sellers != cfg.num_sellers:
             raise ConfigurationError(
                 "fault model covers a different number of sellers than "
                 "the config"
             )
         m, k, num_pois = cfg.num_sellers, cfg.num_selected, cfg.num_pois
-        population = self._population
-        qualities_truth = population.expected_qualities
-        cost_a_all = population.cost_a
-        cost_b_all = population.cost_b
-
-        observation_rng = self._factory.generator("observations")
-        sampler = QualitySampler(self._quality_model, num_pois,
-                                 observation_rng)
-        policy_rng = self._factory.generator("policy", policy.name)
-        state = LearningState(m, prior_mean=PRIOR_MEAN)
-        tracker = RegretTracker(qualities_truth, k, num_pois)
-        policy.reset(m, k, n)
         log = fault_log
         if log is None and fault_model is not None:
             log = FaultLog()
-
-        series = {name: np.empty(n) for name in SERIES_NAMES}
-        selection_counts = np.zeros(m, dtype=np.int64)
         tr = tracer if tracer is not None else NULL_TRACER
-        reg = metrics if metrics is not None else MetricsRegistry()
         stop = shutdown if shutdown is not None else NEVER_STOP
         res = resilience if resilience is not None else NOOP_POLICY
 
@@ -415,51 +356,66 @@ class TradingSimulator:
 
             monitor = InvariantMonitor(num_pois, tracer=tr)
 
+        core = RunCore.start(
+            cfg, self._factory, self._population, self._quality_model,
+            policy, n, tracer=tr, metrics=metrics, monitor=monitor,
+            kind="engine_run", driver={"fault_spec": (
+                fault_model.spec.to_dict() if fault_model is not None
+                else None)},
+        )
+        ctx = core.ctx
+        state, tracker, reg = ctx.state, ctx.tracker, ctx.metrics
+
+        def save(next_round: int) -> None:
+            arrays = ({f"faultlog_{key}": value
+                       for key, value in log.to_arrays().items()}
+                      if log is not None else {})
+            execute_with_policy(
+                lambda: save_run_checkpoint(
+                    checkpoint_path, core, next_round, {}, arrays,
+                    keep_generations=res.checkpoint_generations,
+                ),
+                res.retry, label="engine.checkpoint_write",
+                deadline=res.deadline, tracer=tr, metrics=reg,
+            )
+
         start_round = 0
         if resume and (os.path.exists(checkpoint_path) or res.quarantine):
             restore_start = perf_counter()
-            start_round = self._restore_checkpoint(
-                checkpoint_path, policy, n, state, tracker, series,
-                selection_counts, policy_rng, observation_rng,
-                fault_model, log, reg, metrics, resilience=res, tracer=tr,
-            )
-            if tr.enabled and start_round > 0:
-                tr.emit("checkpoint", action="restored",
-                        path=os.fspath(checkpoint_path),
-                        next_round=start_round,
-                        duration_s=perf_counter() - restore_start)
+            if res.quarantine:
+                recovered = recover_checkpoint(checkpoint_path, tracer=tr,
+                                               metrics=reg)
+                loaded = recovered[:2] if recovered is not None else None
+            else:
+                loaded = load_checkpoint(checkpoint_path, metrics=reg)
+            # None: quarantine found no valid generation, start afresh.
+            if loaded is not None:
+                restored = load_run_checkpoint(checkpoint_path, core, *loaded)
+                columns = restored.columns("faultlog_")
+                if log is not None and columns:
+                    restored.decode("faultlog_*",
+                                    lambda: FaultLog.from_arrays(columns))
+                start_round = restored.apply()
+                if log is not None and columns:
+                    log.restore_arrays(columns)
+                if tr.enabled:
+                    tr.emit("checkpoint", action="restored",
+                            path=os.fspath(checkpoint_path),
+                            next_round=start_round,
+                            duration_s=perf_counter() - restore_start)
 
-        ctx = RoundContext(
-            state=state, tracker=tracker, policy=policy, sampler=sampler,
-            series=series, selection_counts=selection_counts,
-            qualities_truth=qualities_truth, cost_a_all=cost_a_all,
-            cost_b_all=cost_b_all, num_pois=num_pois,
-            theta=cfg.theta, lam=cfg.lam, omega=cfg.omega,
-            svc_bounds=cfg.service_price_bounds,
-            col_bounds=cfg.collection_price_bounds,
-            tau_max=cfg.max_sensing_time, tau0=cfg.initial_sensing_time,
-            tracer=tr, metrics=reg, monitor=monitor,
-        )
-
-        if tr.enabled:
-            tr.emit("run_start", policy=policy.name, num_rounds=n,
-                    start_round=start_round, seed=cfg.seed,
-                    num_sellers=m, num_selected=k, num_pois=num_pois,
-                    faults=fault_model is not None)
-        run_start_time = perf_counter()
+        run_start_time = core.run_start(start_round,
+                                        faults=fault_model is not None)
 
         for t in range(start_round, n):
             if stop.should_stop(t):
-                self._graceful_shutdown(
-                    t, start_round, checkpoint_path, policy, n, state,
-                    tracker, series, selection_counts, policy_rng,
-                    observation_rng, fault_model, log, reg, metrics,
-                    res, tr,
-                )
+                core.shutdown(t, checkpoint_path, save,
+                              f"run of policy {policy.name!r}",
+                              rounds_completed=t - start_round)
             round_start_time = perf_counter()
             if tr.enabled:
                 tr.emit("round_start", round_index=t)
-            selected = policy.select(t, state, policy_rng)
+            selected = policy.select(t, state, core.policy_rng)
             selection_duration = perf_counter() - round_start_time
             reg.timer("engine.selection").observe(selection_duration)
             # Algorithm 1's exploration pricing applies whenever the whole
@@ -492,7 +448,7 @@ class TradingSimulator:
                                   fault_model, log)
             if monitor is not None:
                 monitor.check_learning(
-                    t, state, selection_counts,
+                    t, state, ctx.selection_counts,
                     clean=fault_model is None,
                     exploration_coefficient=getattr(
                         policy, "exploration_coefficient", None
@@ -500,29 +456,15 @@ class TradingSimulator:
                 )
             reg.counter("rounds").inc()
             reg.gauge("cumulative_regret").set(tracker.cumulative_regret)
-            if (checkpoint_every and (t + 1) % checkpoint_every == 0
-                    and (t + 1) < n):
-                checkpoint_start = perf_counter()
-                # Count the in-flight write first so the snapshot the
-                # checkpoint embeds covers it (resume carries it over).
-                reg.counter("checkpoint_writes").inc()
-                self._write_checkpoint(
-                    checkpoint_path, policy, n, t + 1, state, tracker,
-                    series, selection_counts, policy_rng, observation_rng,
-                    fault_model, log, reg, metrics, resilience=res,
-                    tracer=tr,
-                )
-                if tr.enabled:
-                    tr.emit("checkpoint", round_index=t, action="saved",
-                            path=os.fspath(checkpoint_path),
-                            next_round=t + 1,
-                            duration_s=perf_counter() - checkpoint_start)
-            reg.timer("engine.round").observe(
-                perf_counter() - round_start_time
-            )
+            # The round ends before its checkpoint write, which the
+            # persistence timer already counts.
+            round_duration = perf_counter() - round_start_time
+            reg.timer("engine.round").observe(round_duration)
+            core.periodic_checkpoint(t, checkpoint_path, checkpoint_every,
+                                     save)
             if tr.enabled:
                 tr.emit("round_end", round_index=t,
-                        duration_s=perf_counter() - round_start_time)
+                        duration_s=round_duration)
 
         if metrics is not None:
             # tolist() + one bulk update over pre-built key strings: a
@@ -531,29 +473,8 @@ class TradingSimulator:
             count_keys, mean_keys = _seller_gauge_keys(m)
             reg.set_gauges(dict(zip(count_keys, state.counts.tolist())))
             reg.set_gauges(dict(zip(mean_keys, state.means.tolist())))
-        if tr.enabled:
-            tr.emit("run_end", policy=policy.name,
-                    rounds_played=n - start_round,
-                    total_revenue=float(series["realized"].sum()),
-                    final_regret=tracker.cumulative_regret,
-                    duration_s=perf_counter() - run_start_time)
-            tr.flush()
-
-        return RunMetrics(
-            policy_name=policy.name,
-            realized_revenue=series["realized"],
-            expected_revenue=series["expected"],
-            regret=tracker.history,
-            consumer_profit=series["consumer"],
-            platform_profit=series["platform"],
-            seller_profit_mean=series["sellers_mean"],
-            service_price=series["service"],
-            collection_price=series["collection"],
-            total_sensing_time=series["totals"],
-            selection_counts=selection_counts,
-            estimation_error=series["estimation_error"],
-            telemetry=reg.snapshot() if metrics is not None else None,
-        )
+        core.run_end(n, n - start_round, run_start_time)
+        return core.run_metrics(n)
 
     @staticmethod
     def _ucb_of(policy: SelectionPolicy, state: LearningState,
@@ -598,186 +519,3 @@ class TradingSimulator:
                          profiler=profiler)
             )
         return comparison
-
-    # -- checkpointing -------------------------------------------------------------
-
-    def _graceful_shutdown(self, t: int, start_round: int,
-                           checkpoint_path: "str | os.PathLike | None",
-                           policy: SelectionPolicy, n: int,
-                           state: LearningState, tracker: RegretTracker,
-                           series: dict[str, np.ndarray],
-                           selection_counts: np.ndarray,
-                           policy_rng: np.random.Generator,
-                           observation_rng: np.random.Generator,
-                           fault_model: FaultModel | None,
-                           log: FaultLog | None, reg: MetricsRegistry,
-                           metrics: MetricsRegistry | None,
-                           res: ResiliencePolicy, tr: Tracer) -> None:
-        """Stop cleanly before round ``t``: final checkpoint, then raise.
-
-        The checkpoint (written only when a path is configured and at
-        least one round has completed — ``next_round = 0`` is not a
-        resumable state) makes the interruption lossless: ``resume=True``
-        continues from exactly round ``t``.
-        """
-        final_path: str | None = None
-        if checkpoint_path is not None and t > 0:
-            reg.counter("checkpoint_writes").inc()
-            self._write_checkpoint(
-                checkpoint_path, policy, n, t, state, tracker, series,
-                selection_counts, policy_rng, observation_rng,
-                fault_model, log, reg, metrics, resilience=res, tracer=tr,
-            )
-            final_path = os.fspath(checkpoint_path)
-        if tr.enabled:
-            tr.emit("graceful_shutdown", round_index=t,
-                    policy=policy.name,
-                    rounds_completed=t - start_round,
-                    checkpoint_path=final_path)
-            tr.flush()
-        raise GracefulShutdownInterrupt(
-            f"run of policy {policy.name!r} stopped before round {t} "
-            + (f"(resumable checkpoint: {final_path})" if final_path
-               else "(no checkpoint written)"),
-            checkpoint_path=final_path,
-        )
-
-    def _write_checkpoint(self, path: str | os.PathLike,
-                          policy: SelectionPolicy, n: int, next_round: int,
-                          state: LearningState, tracker: RegretTracker,
-                          series: dict[str, np.ndarray],
-                          selection_counts: np.ndarray,
-                          policy_rng: np.random.Generator,
-                          observation_rng: np.random.Generator,
-                          fault_model: FaultModel | None,
-                          log: FaultLog | None, reg: MetricsRegistry,
-                          metrics: MetricsRegistry | None, *,
-                          resilience: ResiliencePolicy = NOOP_POLICY,
-                          tracer: Tracer = NULL_TRACER) -> None:
-        tracker_snapshot = tracker.snapshot()
-        meta = {
-            "kind": "engine_run",
-            "policy_name": policy.name,
-            "seed": self._config.seed,
-            "num_sellers": self._config.num_sellers,
-            "num_selected": self._config.num_selected,
-            "num_pois": self._config.num_pois,
-            "num_rounds": n,
-            "next_round": next_round,
-            "tracker_cumulative": tracker_snapshot["cumulative"],
-            "tracker_rounds": tracker_snapshot["rounds"],
-            "tracker_expected_revenue": tracker_snapshot["expected_revenue"],
-            "policy_rng_state": policy_rng.bit_generator.state,
-            "observation_rng_state": observation_rng.bit_generator.state,
-            "fault_spec": (fault_model.spec.to_dict()
-                           if fault_model is not None else None),
-        }
-        # Telemetry rides along only when the caller attached a registry
-        # — the checkpoint bytes of un-instrumented runs stay
-        # deterministic (timer values are wall-clock and never are).
-        if metrics is not None:
-            meta["metrics_snapshot"] = reg.snapshot()
-        state_snapshot = state.snapshot()
-        arrays = {
-            "state_counts": state_snapshot["counts"],
-            "state_sums": state_snapshot["sums"],
-            "regret_history": tracker_snapshot["history"],
-            "selection_counts": selection_counts,
-        }
-        for name in SERIES_NAMES:
-            arrays[f"series_{name}"] = series[name][:next_round]
-        if log is not None:
-            for key, value in log.to_arrays().items():
-                arrays[f"faultlog_{key}"] = value
-        for key, value in policy.state_snapshot().items():
-            arrays[f"policy__{key}"] = np.asarray(value)
-        execute_with_policy(
-            lambda: save_checkpoint(
-                path, meta, arrays, metrics=reg,
-                keep_generations=resilience.checkpoint_generations,
-            ),
-            resilience.retry, label="engine.checkpoint_write",
-            deadline=resilience.deadline, tracer=tracer, metrics=reg,
-        )
-
-    def _restore_checkpoint(self, path: str | os.PathLike,
-                            policy: SelectionPolicy, n: int,
-                            state: LearningState, tracker: RegretTracker,
-                            series: dict[str, np.ndarray],
-                            selection_counts: np.ndarray,
-                            policy_rng: np.random.Generator,
-                            observation_rng: np.random.Generator,
-                            fault_model: FaultModel | None,
-                            log: FaultLog | None, reg: MetricsRegistry,
-                            metrics: MetricsRegistry | None, *,
-                            resilience: ResiliencePolicy = NOOP_POLICY,
-                            tracer: Tracer = NULL_TRACER) -> int:
-        if resilience.quarantine:
-            recovered = recover_checkpoint(path, tracer=tracer,
-                                           metrics=reg)
-            if recovered is None:
-                return 0  # nothing valid survived: start from round 0
-            meta, arrays, __ = recovered
-        else:
-            meta, arrays = load_checkpoint(path, metrics=reg)
-        expected_fingerprint = {
-            "kind": "engine_run",
-            "policy_name": policy.name,
-            "seed": self._config.seed,
-            "num_sellers": self._config.num_sellers,
-            "num_selected": self._config.num_selected,
-            "num_pois": self._config.num_pois,
-            "num_rounds": n,
-            "fault_spec": (fault_model.spec.to_dict()
-                           if fault_model is not None else None),
-        }
-        for key, expected in expected_fingerprint.items():
-            if meta.get(key) != expected:
-                raise PersistenceError(
-                    f"checkpoint {os.fspath(path)!s} does not match this "
-                    f"run: {key} is {meta.get(key)!r}, expected {expected!r}"
-                )
-        try:
-            next_round = read_field(meta, "next_round", int, path)
-            state.restore({"counts": arrays["state_counts"],
-                           "sums": arrays["state_sums"]})
-            tracker.restore({
-                "cumulative": read_field(meta, "tracker_cumulative",
-                                         float, path),
-                "rounds": read_field(meta, "tracker_rounds", int, path),
-                "expected_revenue": read_field(
-                    meta, "tracker_expected_revenue", float, path),
-                "history": arrays["regret_history"],
-            })
-            for name in SERIES_NAMES:
-                partial = arrays[f"series_{name}"]
-                series[name][:partial.size] = partial
-            selection_counts[:] = arrays["selection_counts"]
-            policy_rng.bit_generator.state = meta["policy_rng_state"]
-            observation_rng.bit_generator.state = meta["observation_rng_state"]
-        except KeyError as error:
-            raise PersistenceError(
-                f"checkpoint {os.fspath(path)!s} is missing field "
-                f"{error.args[0]!r}"
-            ) from error
-        if not (0 < next_round <= n):
-            raise PersistenceError(
-                f"checkpoint {os.fspath(path)!s} has next_round "
-                f"{next_round}, outside (0, {n}]"
-            )
-        if log is not None and "faultlog_rounds" in arrays:
-            log.restore_arrays({
-                key: arrays[f"faultlog_{key}"]
-                for key in ("rounds", "kinds", "sellers", "values")
-            })
-        policy_snapshot = {
-            key[len("policy__"):]: value
-            for key, value in arrays.items()
-            if key.startswith("policy__")
-        }
-        policy.state_restore(policy_snapshot)
-        # Resumed runs carry their telemetry forward: counters/timers
-        # continue from the checkpointed snapshot instead of zero.
-        if metrics is not None and meta.get("metrics_snapshot") is not None:
-            metrics.restore(meta["metrics_snapshot"])
-        return next_round
