@@ -22,8 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.regret import RegretTracker
-from repro.core.state import LearningState
 from repro.entities.consumer import Consumer
 from repro.entities.job import Job
 from repro.entities.platform import Platform
@@ -35,7 +33,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.timing import perf_counter
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.quality.distributions import QualityModel, TruncatedGaussianQuality
-from repro.quality.sampler import QualitySampler
 
 __all__ = ["RoundOutcome", "TradingResult", "CMABHSMechanism"]
 
@@ -308,56 +305,49 @@ class CMABHSMechanism:
         # Call-time imports: repro.sim and repro.bandits import
         # repro.core, so top-level imports would be circular.
         from repro.bandits.policies import UCBPolicy
+        from repro.sim.config import SimulationConfig
         from repro.sim.rng import RngFactory, seeded_generator
-        from repro.sim.rounds import (
-            SERIES_NAMES,
-            RoundContext,
-            play_clean_round,
-            play_faulty_round,
-        )
+        from repro.sim.rounds import play_clean_round, play_faulty_round
+        from repro.sim.runcore import RunCore
 
         tr = tracer if tracer is not None else NULL_TRACER
-        reg = metrics if metrics is not None else MetricsRegistry()
-        population = self._population
-        num_pois = self._job.num_pois
-        policy = UCBPolicy(self._coefficient)
-        policy.reset(m, self._k, n)
-        # UCB draws nothing from it; every policy is handed a stream.
-        policy_rng = RngFactory(self._seed).generator("policy", policy.name)
-        state = LearningState(m)
-        tracker = RegretTracker(population.expected_qualities, self._k,
-                                num_pois)
-        series = {name: np.empty(n) for name in SERIES_NAMES}
-        ctx = RoundContext(
-            state=state, tracker=tracker, policy=policy,
-            sampler=QualitySampler(self._quality_model, num_pois,
-                                   seeded_generator(self._seed)),
-            series=series, selection_counts=np.zeros(m, dtype=np.int64),
-            qualities_truth=population.expected_qualities,
-            cost_a_all=population.cost_a, cost_b_all=population.cost_b,
-            num_pois=num_pois,
+        config = SimulationConfig(
+            num_sellers=m, num_selected=self._k,
+            num_pois=self._job.num_pois, num_rounds=n,
             theta=self._platform.aggregation_cost.theta,
             lam=self._platform.aggregation_cost.lam,
             omega=self._consumer.valuation.omega,
-            svc_bounds=(self._consumer.price_min, self._consumer.price_max),
-            col_bounds=(self._platform.price_min, self._platform.price_max),
-            tau_max=self._job.round_duration, tau0=self._tau0,
-            tracer=tr, metrics=reg,
+            service_price_bounds=(self._consumer.price_min,
+                                  self._consumer.price_max),
+            collection_price_bounds=(self._platform.price_min,
+                                     self._platform.price_max),
+            initial_sensing_time=self._tau0,
+            max_sensing_time=self._job.round_duration, seed=self._seed,
         )
+        policy = UCBPolicy(self._coefficient)
+        # Algorithm 1 starts every estimate at 0 and draws its noise
+        # from the seed itself; the policy stream (UCB draws nothing
+        # from it) is the factory's, as for every driver.
+        core = RunCore.start(
+            config, RngFactory(self._seed), self._population,
+            self._quality_model, policy, n, tracer=tr, metrics=metrics,
+            kind="cmab_hs_run", driver={},
+            observation_rng=seeded_generator(self._seed), prior_mean=0.0,
+        )
+        ctx = core.ctx
+        state, tracker, series, reg = (ctx.state, ctx.tracker, ctx.series,
+                                       ctx.metrics)
         log = fault_log
         if log is None and fault_model is not None:
             log = FaultLog()
-        run_start = perf_counter()
-        if tr.enabled:
-            tr.emit("run_start", mechanism="cmab-hs", num_rounds=n,
-                    num_sellers=m, num_selected=self._k, num_pois=num_pois,
-                    seed=self._seed, faults=fault_model is not None)
+        run_start = core.run_start(0, mechanism="cmab-hs",
+                                   faults=fault_model is not None)
         rounds: list[RoundOutcome] = []
         for t in range(n):
             round_start = perf_counter()
             if tr.enabled:
                 tr.emit("round_start", round_index=t)
-            selected = policy.select(t, state, policy_rng)
+            selected = policy.select(t, state, core.policy_rng)
             select_duration = perf_counter() - round_start
             reg.timer("engine.selection").observe(select_duration)
             explore = t == 0
@@ -395,12 +385,7 @@ class CMABHSMechanism:
             if tr.enabled:
                 tr.emit("round_end", round_index=t,
                         duration_s=perf_counter() - round_start)
-        if tr.enabled:
-            tr.emit("run_end", mechanism="cmab-hs", rounds_played=n,
-                    total_revenue=float(series["realized"].sum()),
-                    final_regret=tracker.cumulative_regret,
-                    duration_s=perf_counter() - run_start)
-            tr.flush()
+        core.run_end(n, n, run_start)
         return TradingResult(
             rounds=rounds,
             final_means=state.means.copy(),

@@ -28,7 +28,6 @@ Whole-program rules (:mod:`repro.lint.rules_flow`):
 * **RL103** — every emitted event kind is in
   :data:`repro.obs.events.EVENT_KINDS`, across call chains, and every
   declared kind is emitted somewhere.
-* **RL104** — ``save_X``/``load_X`` pairs agree on their key schema.
 
 Findings are suppressed per line with ``# repro-lint: disable=RL101``
 (comma-separate several ids, or ``disable=all``; trailing text is the
@@ -56,7 +55,7 @@ from repro.lint.reporters import (
 )
 from repro.lint.flow import FlowAnalysis, lint_paths, lint_source
 from repro.lint import rules as _rules  # registers RL002, RL004-RL006
-from repro.lint import rules_flow as _rules_flow  # registers RL101-RL104
+from repro.lint import rules_flow as _rules_flow  # registers RL101-RL103
 
 __all__ = [
     "FileRule",

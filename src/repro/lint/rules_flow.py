@@ -1,4 +1,4 @@
-"""Whole-program rules RL101–RL104.
+"""Whole-program rules RL101–RL103.
 
 Where the single-file rules in :mod:`repro.lint.rules` see one file at
 a time, these read the :class:`~repro.lint.flow.FlowAnalysis` — project
@@ -18,9 +18,6 @@ follow a value across helper calls, modules, and method boundaries.
   parameters, or given to ``TraceEvent(...)`` must be members of
   ``EVENT_KINDS``; declared kinds that no call site can ever produce
   are dead.
-* **RL104** — checkpoint schema symmetry: every key a ``save_X``
-  closure writes must be read (or defaulted) by the paired ``load_X``
-  closure, and every key ``load_X`` requires must be written.
 """
 
 from __future__ import annotations
@@ -32,20 +29,12 @@ from repro.lint.flow import (FlowAnalysis, SANCTIONED_RNG_FUNCTIONS,
                              _emit_kind_arg)
 from repro.lint.framework import Finding, LintRule, register_rule
 from repro.lint.project import function_env
-from repro.lint.summaries import FunctionFacts
 
 __all__ = [
-    "CheckpointSchemaSymmetryRule",
     "EventKindFlowRule",
     "InterproceduralRngTaintRule",
     "KernelPurityRule",
 ]
-
-#: Max functions walked per save/load closure (RL104) — keeps a
-#: pathological call web from turning one pair into a whole-program
-#: traversal.
-_MAX_CLOSURE = 25
-
 
 def _literal_string(env: dict[str, Any], value: Any,
                     depth: int = 0) -> str | None:
@@ -324,103 +313,3 @@ class EventKindFlowRule(LintRule):
         if call[2]:
             return _literal_string(env, call[2][0])
         return None
-
-
-@register_rule
-class CheckpointSchemaSymmetryRule(LintRule):
-    """RL104 — ``save_X``/``load_X`` pairs agree on their key schema."""
-
-    rule_id = "RL104"
-    title = "checkpoint schema drift between save_*/load_* pair"
-    rationale = (
-        "a field written but never read back (or required but never "
-        "written) is silent schema drift that today only the chaos "
-        "harness catches at runtime"
-    )
-
-    def check(self, analysis: FlowAnalysis) -> Iterable[Finding]:
-        for module_name, module_facts in sorted(
-                analysis.index.modules.items()):
-            for name in sorted(module_facts.functions):
-                if not name.startswith("save_") or "." in name:
-                    continue
-                partner = "load_" + name[len("save_"):]
-                if partner not in module_facts.functions:
-                    continue
-                yield from self._check_pair(
-                    analysis, module_name, name, partner)
-
-    def _closure(self, analysis: FlowAnalysis,
-                 root_fq: str) -> list[tuple[str, FunctionFacts]]:
-        seen = [root_fq]
-        queue = [root_fq]
-        while queue and len(seen) < _MAX_CLOSURE:
-            fq = queue.pop(0)
-            for site in analysis.call_graph.get(fq, ()):
-                if site.target in seen:
-                    continue
-                if site.target in analysis.functions:
-                    seen.append(site.target)
-                    queue.append(site.target)
-        return [(fq,) + (analysis.functions[fq][1],)
-                for fq in seen if fq in analysis.functions]
-
-    def _check_pair(self, analysis: FlowAnalysis, module_name: str,
-                    save_name: str, load_name: str) -> Iterable[Finding]:
-        index = analysis.index
-        save_fq = f"{module_name}.{save_name}"
-        load_fq = f"{module_name}.{load_name}"
-
-        writes: dict[str, tuple[str, int, int]] = {}
-        write_domain: set[str] = set()
-        writes_open = False
-        for fq, facts in self._closure(analysis, save_fq):
-            owner = analysis.functions[fq][0]
-            owner_path = analysis.path_of_module(owner)
-            for key, line, col in facts.dict_writes:
-                writes.setdefault(key, (owner_path, line, col))
-            for domain in facts.write_domains:
-                resolved = index.eval_constexpr(owner, domain)
-                if resolved is None:
-                    writes_open = True
-                else:
-                    write_domain |= resolved
-            writes_open = writes_open or facts.writes_open
-
-        reads: set[str] = set()
-        required: set[str] = set()
-        reads_open = False
-        for fq, facts in self._closure(analysis, load_fq):
-            owner = analysis.functions[fq][0]
-            reads.update(facts.dict_reads)
-            required.update(facts.reads_required)
-            for domain in facts.read_domains:
-                resolved = index.eval_constexpr(owner, domain)
-                if resolved is None:
-                    reads_open = True
-                else:
-                    reads |= resolved
-            reads_open = reads_open or facts.reads_open
-
-        if not reads_open:
-            for key in sorted(writes):
-                if key in reads:
-                    continue
-                path, line, col = writes[key]
-                yield self.finding_at(
-                    analysis, path, line, col,
-                    f"key {key!r} written by {save_name} is never read "
-                    f"or defaulted by {load_name} (schema drift)",
-                )
-        if not writes_open:
-            load_facts = analysis.functions[load_fq][1]
-            load_path = analysis.path_of_module(module_name)
-            for key in sorted(required):
-                if key in writes or key in write_domain:
-                    continue
-                yield self.finding_at(
-                    analysis, load_path, load_facts.lineno,
-                    load_facts.col,
-                    f"{load_name} requires key {key!r} (no default) but "
-                    f"{save_name} never writes it",
-                )

@@ -3,9 +3,8 @@
 :func:`extract_module_facts` lowers one parsed file into
 :class:`ModuleFacts`: import tables, top-level constants, classes, and
 per-function :class:`FunctionFacts` holding a tiny JSON-serialisable
-IR (assignments, returns, calls, mutations, dict-key traffic).  The
-IR is deliberately lossy — just enough structure for the RL101–RL104
-rules.
+IR (assignments, returns, calls, mutations).  The IR is deliberately
+lossy — just enough structure for the RL101–RL103 rules.
 
 Value-expression mini-IR (``vexpr``), encoded as nested lists::
 
@@ -17,7 +16,8 @@ Value-expression mini-IR (``vexpr``), encoded as nested lists::
     ["call", func, [args], [[kw, v], ...], line, col]
     ["other"]                       anything else
 
-Constant expressions (``constexpr``) describe key domains for RL104::
+Constant expressions (``constexpr``) describe top-level constants such
+as RL103's ``EVENT_KINDS``::
 
     ["str", s] | ["seq", [items]] | ["concat", a, b] | ["ref", dotted]
 """
@@ -94,13 +94,6 @@ class FunctionFacts:
     #: ``[kind, root, line, col, root_is_local]``
     mutations: list[list[Any]] = field(default_factory=list)
     global_decls: list[str] = field(default_factory=list)
-    dict_writes: list[list[Any]] = field(default_factory=list)
-    write_domains: list[Any] = field(default_factory=list)
-    writes_open: bool = False
-    dict_reads: list[str] = field(default_factory=list)
-    reads_required: list[str] = field(default_factory=list)
-    read_domains: list[Any] = field(default_factory=list)
-    reads_open: bool = False
 
 
 @dataclass
@@ -179,8 +172,6 @@ class _BodyExtractor(ast.NodeVisitor):
         self.locals = local_names
         #: ``def`` nodes whose bodies are extracted on their own
         self.separate = separate
-        #: comprehension/loop variable -> key-domain constexpr (or None)
-        self.var_domains: dict[str, list[Any] | None] = {}
 
     # -- vexpr lowering -----------------------------------------------
 
@@ -225,11 +216,6 @@ class _BodyExtractor(ast.NodeVisitor):
                                        node.lineno, node.col_offset])
             else:
                 self._store_target(target)
-        if (len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Name)
-                and isinstance(node.value, ast.DictComp)):
-            domain = self._comp_domain(node.value)
-            self.var_domains[node.targets[0].id] = domain
         self.generic_visit(node)
 
     def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
@@ -260,16 +246,6 @@ class _BodyExtractor(ast.NodeVisitor):
         self.facts.ops.append(["ret", value, node.lineno, node.col_offset])
         self.generic_visit(node)
 
-    def visit_For(self, node: ast.For) -> None:
-        if isinstance(node.target, ast.Name):
-            domain = _constexpr(node.iter)
-            previous = self.var_domains.get(node.target.id)
-            self.var_domains[node.target.id] = domain
-            self.generic_visit(node)
-            self.var_domains[node.target.id] = previous
-            return
-        self.generic_visit(node)
-
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
         self._visit_def(node)
 
@@ -292,47 +268,10 @@ class _BodyExtractor(ast.NodeVisitor):
     def visit_arg(self, node: ast.arg) -> None:
         self._annotation(node.annotation)
 
-    def visit_Subscript(self, node: ast.Subscript) -> None:
-        if isinstance(node.ctx, ast.Load):
-            self._dict_access(node, write=False)
-        self.generic_visit(node)
-
-    def visit_Compare(self, node: ast.Compare) -> None:
-        if (len(node.ops) == 1
-                and isinstance(node.ops[0], (ast.In, ast.NotIn))):
-            self._record_key(node.left, write=False, required=False)
-        self.generic_visit(node)
-
-    def visit_Dict(self, node: ast.Dict) -> None:
-        for key, value in zip(node.keys, node.values):
-            if key is None:  # ``**spread``
-                domain = None
-                if (isinstance(value, ast.Name)
-                        and value.id in self.var_domains):
-                    domain = self.var_domains[value.id]
-                if domain is not None:
-                    self.facts.write_domains.append(domain)
-                else:
-                    self.facts.writes_open = True
-            elif (isinstance(key, ast.Constant)
-                    and isinstance(key.value, str)):
-                self.facts.dict_writes.append(
-                    [key.value, key.lineno, key.col_offset])
-        self.generic_visit(node)
-
-    def visit_DictComp(self, node: ast.DictComp) -> None:
-        domain = self._comp_domain(node)
-        if domain is not None:
-            self.facts.write_domains.append(domain)
-        else:
-            self.facts.writes_open = True
-        self.generic_visit(node)
-
     def visit_Call(self, node: ast.Call) -> None:
         call = self.vexpr(node)
         self.facts.calls.append(call)
         self._call_mutations(node)
-        self._call_dict_traffic(node)
         self.generic_visit(node)
 
     def visit_Global(self, node: ast.Global) -> None:
@@ -341,28 +280,13 @@ class _BodyExtractor(ast.NodeVisitor):
     # -- helpers ------------------------------------------------------
 
     def _annotation(self, node: ast.AST | None) -> None:
-        # An annotation is a type expression, not a value flow —
-        # walking it would make `x: list[int]` look like dict-key
-        # traffic — so only the calls in it, which do run, are kept.
+        # An annotation is a type expression, not a value flow, so
+        # only the calls in it, which do run, are kept.
         if node is None:
             return
         for sub in ast.walk(node):
             if isinstance(sub, ast.Call):
                 self.facts.calls.append(self.vexpr(sub))
-
-    def _comp_domain(self, node: ast.DictComp) -> list[Any] | None:
-        """Key domain of ``{k: ... for k in DOMAIN}`` if resolvable."""
-        if len(node.generators) != 1:
-            return None
-        generator = node.generators[0]
-        if not isinstance(generator.target, ast.Name):
-            return None
-        if not (isinstance(node.key, ast.Name)
-                and node.key.id == generator.target.id):
-            return None
-        if generator.ifs:
-            return None
-        return _constexpr(generator.iter)
 
     def _mutation(self, kind: str, root: str | None, node: ast.AST,
                   local: bool | None = None) -> None:
@@ -376,54 +300,12 @@ class _BodyExtractor(ast.NodeVisitor):
     def _store_target(self, target: ast.AST, kind: str | None = None) -> None:
         if isinstance(target, ast.Subscript):
             self._mutation(kind or "subscript", _root_name(target), target)
-            self._dict_access(target, write=True)
         elif isinstance(target, ast.Attribute):
             self._mutation(kind or "attribute", _root_name(target), target)
         elif isinstance(target, (ast.Tuple, ast.List)):
             for element in target.elts:
                 if not isinstance(element, ast.Name):
                     self._store_target(element, kind)
-
-    def _dict_access(self, node: ast.Subscript, write: bool) -> None:
-        self._record_key(node.slice, write=write, required=not write)
-
-    def _record_key(self, key: ast.AST, write: bool, required: bool) -> None:
-        if isinstance(key, ast.Constant):
-            if not isinstance(key.value, str):
-                return  # numeric indexing is not dict-schema traffic
-            if write:
-                self.facts.dict_writes.append(
-                    [key.value, key.lineno, key.col_offset])
-            else:
-                self.facts.dict_reads.append(key.value)
-                if required:
-                    self.facts.reads_required.append(key.value)
-            return
-        if isinstance(key, ast.Name):
-            domain = self.var_domains.get(key.id)
-            if domain is not None:
-                if write:
-                    self.facts.write_domains.append(domain)
-                else:
-                    self.facts.read_domains.append(domain)
-                return
-            if key.id in self.var_domains:  # loop var with opaque domain
-                if write:
-                    self.facts.writes_open = True
-                else:
-                    self.facts.reads_open = True
-                return
-            if write:
-                self.facts.writes_open = True
-            else:
-                self.facts.reads_open = True
-            return
-        if isinstance(key, (ast.Slice, ast.Tuple)):
-            return  # array slicing, not key traffic
-        if write:
-            self.facts.writes_open = True
-        else:
-            self.facts.reads_open = True
 
     def _call_mutations(self, node: ast.Call) -> None:
         func = node.func
@@ -434,29 +316,6 @@ class _BodyExtractor(ast.NodeVisitor):
         for keyword in node.keywords:
             if keyword.arg == "out" and isinstance(keyword.value, ast.Name):
                 self._mutation("out=", keyword.value.id, node)
-
-    def _call_dict_traffic(self, node: ast.Call) -> None:
-        func = node.func
-        if not isinstance(func, ast.Attribute):
-            return
-        if func.attr in ("get", "pop") and node.args:
-            key = node.args[0]
-            if isinstance(key, ast.Constant) and isinstance(key.value, str):
-                self.facts.dict_reads.append(key.value)
-                if func.attr == "pop" and len(node.args) == 1:
-                    self.facts.reads_required.append(key.value)
-            elif isinstance(key, ast.Name):
-                domain = self.var_domains.get(key.id)
-                if domain is not None:
-                    self.facts.read_domains.append(domain)
-                else:
-                    self.facts.reads_open = True
-        elif func.attr in ("keys", "items", "values") and not node.args:
-            self.facts.reads_open = True
-        elif func.attr == "update":
-            if not (node.args and isinstance(node.args[0], ast.Dict)):
-                if node.args or node.keywords:
-                    self.facts.writes_open = True
 
 
 class _LocalNames(ast.NodeVisitor):

@@ -224,20 +224,6 @@ class MetricsRegistry:
             timer = self._timers[name] = Timer()
         return timer
 
-    def set_gauges(self, values: dict[str, float]) -> None:
-        """Bulk last-value-wins update of many gauges at once.
-
-        Equivalent to ``gauge(name).set(value)`` per item but without a
-        get-or-create round trip each — the engine publishes per-seller
-        statistics (O(M) names) through this.
-        """
-        gauges = self._gauges
-        for name, value in values.items():
-            gauge = gauges.get(name)
-            if gauge is None:
-                gauge = gauges[name] = Gauge()
-            gauge.value = float(value)
-
     # -- timing helpers ------------------------------------------------------------
 
     @contextmanager

@@ -67,6 +67,7 @@ from repro.resilience.policy import (
 from repro.resilience.shutdown import ScheduledAbort
 from repro.resilience.watchdog import WatchdogConfig
 from repro.sim.config import SimulationConfig
+from repro.sim.persistence import generation_paths
 from repro.sim.replication import ReplicationResult, replicate_comparison
 from repro.sim.rng import seeded_generator
 from repro.verify.oracles import OracleCheck, check_recovery_equivalence
@@ -241,16 +242,6 @@ def _chaos_policy_factory(qualities: np.ndarray) -> list[SelectionPolicy]:
     return [UCBPolicy(), EpsilonFirstPolicy(0.1)]
 
 
-def _checkpoint_artifacts(checkpoint_path: str) -> list[str]:
-    """The sweep checkpoint and its generation siblings, newest first."""
-    candidates = [checkpoint_path]
-    generation = 1
-    while os.path.exists(f"{checkpoint_path}.gen-{generation}"):
-        candidates.append(f"{checkpoint_path}.gen-{generation}")
-        generation += 1
-    return [path for path in candidates if os.path.exists(path)]
-
-
 def _flip_byte(path: str, rng: np.random.Generator) -> dict:
     """Flip one random byte of ``path`` in place."""
     with open(path, "rb") as handle:
@@ -418,7 +409,8 @@ def _run_round(round_index: int, config: ChaosConfig, workdir: str,
             )
             entry["interrupted"] = result is None
         elif fault in _DISK_FAULTS:
-            artifacts = _checkpoint_artifacts(checkpoint_path)
+            artifacts = [path for path in generation_paths(checkpoint_path)
+                         if os.path.exists(path)]
             if not artifacts:
                 entry.update(skipped=True, reason="no checkpoint yet")
             else:

@@ -6,11 +6,13 @@ data collection, quality learning — and records every metric the paper's
 evaluation plots.  The engine is the workhorse behind every Fig. 7-12
 experiment; Algorithm 1 itself is also available stand-alone as
 :class:`~repro.core.mechanism.CMABHSMechanism`.  Both play their rounds
-through :mod:`repro.sim.rounds`, but they draw observations from
-different streams (the engine from its ``RngFactory``'s
-``"observations"`` stream, the mechanism from its own seeded
-generator), so they agree round for round only under a noise-free
-quality model — which is what the integration tests assert.
+through :mod:`repro.sim.rounds` over the run core of
+:mod:`repro.sim.runcore`, but the mechanism keeps two inputs of its
+own: it draws observations from its own seeded generator rather than
+the ``RngFactory``'s ``"observations"`` stream, and it starts a
+never-observed seller's estimate at 0.0 rather than 0.5.  So the two
+agree round for round only under a noise-free quality model — which
+is what the integration tests assert.
 
 Pricing rules per round:
 
@@ -93,23 +95,6 @@ __all__ = ["TradingSimulator", "run_seed_comparison"]
 
 #: Builds fresh (stateful) per-seed policies from expected qualities.
 PolicyFactory = Callable[[np.ndarray], "list[SelectionPolicy]"]
-
-#: Per-seller gauge name lists keyed by population size — building
-#: 2M f-strings dominates the end-of-run metrics dump otherwise, and
-#: the names are identical across runs of the same M.
-_SELLER_GAUGE_KEYS: dict[int, tuple[list[str], list[str]]] = {}
-
-
-def _seller_gauge_keys(m: int) -> tuple[list[str], list[str]]:
-    """``(count_keys, mean_keys)`` gauge names for an M-seller run."""
-    keys = _SELLER_GAUGE_KEYS.get(m)
-    if keys is None:
-        keys = _SELLER_GAUGE_KEYS[m] = (
-            [f"seller.{seller}.n" for seller in range(m)],
-            [f"seller.{seller}.qbar" for seller in range(m)],
-        )
-    return keys
-
 
 def run_seed_comparison(base_config: SimulationConfig, seed: int,
                         policy_factory: "PolicyFactory",
@@ -285,8 +270,9 @@ class TradingSimulator:
             checkpoint I/O: its retry policy guards every checkpoint
             write, ``checkpoint_generations`` keeps rollback targets on
             disk, and ``quarantine=True`` makes resume survive a
-            corrupt checkpoint (quarantine + roll back to the newest
-            valid generation, or start fresh) instead of raising.
+            checkpoint that does not load or does not decode
+            (quarantine + roll back to the newest generation that
+            does, or start fresh) instead of raising.
             ``None`` is the no-op policy — behaviour (and the bytes of
             results) identical to pre-resilience runs.
         tracer:
@@ -379,28 +365,35 @@ class TradingSimulator:
                 deadline=res.deadline, tracer=tr, metrics=reg,
             )
 
+        def decode(path: str | os.PathLike):
+            """Load and decode one checkpoint file; change nothing yet."""
+            restored = load_run_checkpoint(
+                path, core, *load_checkpoint(path, metrics=reg))
+            columns = restored.columns("faultlog_")
+            if log is not None and columns:
+                restored.decode("faultlog_*",
+                                lambda: FaultLog.from_arrays(columns))
+            return restored, columns
+
         start_round = 0
         if resume and (os.path.exists(checkpoint_path) or res.quarantine):
             restore_start = perf_counter()
             if res.quarantine:
-                recovered = recover_checkpoint(checkpoint_path, tracer=tr,
-                                               metrics=reg)
-                loaded = recovered[:2] if recovered is not None else None
+                # A generation is valid only if it loads *and* decodes.
+                recovered = recover_checkpoint(checkpoint_path, load=decode,
+                                               tracer=tr, metrics=reg)
+                decoded = recovered[:2] if recovered is not None else None
             else:
-                loaded = load_checkpoint(checkpoint_path, metrics=reg)
+                decoded = decode(checkpoint_path)
             # None: quarantine found no valid generation, start afresh.
-            if loaded is not None:
-                restored = load_run_checkpoint(checkpoint_path, core, *loaded)
-                columns = restored.columns("faultlog_")
-                if log is not None and columns:
-                    restored.decode("faultlog_*",
-                                    lambda: FaultLog.from_arrays(columns))
+            if decoded is not None:
+                restored, columns = decoded
                 start_round = restored.apply()
                 if log is not None and columns:
                     log.restore_arrays(columns)
                 if tr.enabled:
                     tr.emit("checkpoint", action="restored",
-                            path=os.fspath(checkpoint_path),
+                            path=restored.path,
                             next_round=start_round,
                             duration_s=perf_counter() - restore_start)
 
@@ -466,13 +459,6 @@ class TradingSimulator:
                 tr.emit("round_end", round_index=t,
                         duration_s=round_duration)
 
-        if metrics is not None:
-            # tolist() + one bulk update over pre-built key strings: a
-            # per-seller get-or-create loop over numpy scalars costs
-            # ~2.5x more at large M.
-            count_keys, mean_keys = _seller_gauge_keys(m)
-            reg.set_gauges(dict(zip(count_keys, state.counts.tolist())))
-            reg.set_gauges(dict(zip(mean_keys, state.means.tolist())))
         core.run_end(n, n - start_round, run_start_time)
         return core.run_metrics(n)
 

@@ -78,6 +78,7 @@ __all__ = [
     "load_checkpoint",
     "save_sweep_checkpoint",
     "load_sweep_checkpoint",
+    "generation_paths",
     "quarantine_file",
     "recover_checkpoint",
     "recover_sweep_checkpoint",
@@ -540,6 +541,19 @@ def _generation_path(path: str, generation: int) -> str:
     return f"{path}.gen-{generation}"
 
 
+def generation_paths(path: str | os.PathLike) -> list[str]:
+    """``path`` and its ``.gen-k`` siblings on disk, newest first.
+
+    ``path`` itself is listed even when it is missing: a crash between
+    rotation and write leaves only the older generations.
+    """
+    path = os.fspath(path)
+    candidates = [path]
+    while os.path.exists(_generation_path(path, len(candidates))):
+        candidates.append(_generation_path(path, len(candidates)))
+    return candidates
+
+
 def _rotate_generations(path: str | os.PathLike, keep: int) -> None:
     """Shift ``path`` and its ``.gen-k`` siblings one generation older.
 
@@ -718,20 +732,15 @@ def _recover_generations(
 ) -> tuple[Any, str] | None:
     """Walk ``path``, ``path.gen-1``, ... until one loads cleanly.
 
-    Corrupt candidates are quarantined (with a ``checkpoint_quarantined``
-    trace event and a ``resilience.checkpoints_quarantined`` count) and
-    the walk falls back to the next-older generation.  Returns
-    ``(loaded, actual_path)`` for the newest valid generation, or
-    ``None`` when no generation survives — the caller starts fresh.
+    Candidates whose ``load`` raises :class:`PersistenceError` are
+    quarantined (with a ``checkpoint_quarantined`` trace event and a
+    ``resilience.checkpoints_quarantined`` count) and the walk falls
+    back to the next-older generation.  Returns ``(loaded,
+    actual_path)`` for the newest valid generation, or ``None`` when no
+    generation survives — the caller starts fresh.
     """
-    path = os.fspath(path)
     tr = tracer if tracer is not None else NULL_TRACER
-    candidates = [path]
-    generation = 1
-    while os.path.exists(_generation_path(path, generation)):
-        candidates.append(_generation_path(path, generation))
-        generation += 1
-    for candidate in candidates:
+    for candidate in generation_paths(path):
         try:
             loaded = load(candidate)
         except FileNotFoundError:
@@ -752,17 +761,22 @@ def _recover_generations(
 def recover_checkpoint(
     path: str | os.PathLike,
     *,
+    load: Callable[[str], tuple] = load_checkpoint,
     tracer: Tracer | None = None,
     metrics: MetricsRegistry | None = None,
-) -> tuple[dict, dict[str, np.ndarray], str] | None:
+) -> tuple | None:
     """Load the newest valid generation of an engine checkpoint.
 
     The resilient counterpart of :func:`load_checkpoint`: instead of
     raising on a corrupt/truncated/schema-mismatched file, it
     quarantines the offender and rolls back through ``.gen-k``
-    siblings.  Returns ``(meta, arrays, actual_path)`` — ``actual_path``
-    names the generation that satisfied the load — or ``None`` when no
-    valid generation exists (resume from scratch).
+    siblings.  ``load(candidate)`` judges each generation: a driver
+    that also decodes the file passes its own, so a checkpoint that
+    loads but does not decode is quarantined too.  Returns ``load``'s
+    tuple followed by ``actual_path`` — by default ``(meta, arrays,
+    actual_path)``, where ``actual_path`` names the generation that
+    satisfied the load — or ``None`` when no valid generation exists
+    (resume from scratch).
 
     (Timed by hand rather than with :func:`~repro.obs.timed`: the
     decorator consumes the ``metrics`` keyword, and this function needs
@@ -771,13 +785,12 @@ def recover_checkpoint(
     timer = (metrics.time("persistence.recover_checkpoint")
              if metrics is not None else contextlib.nullcontext())
     with timer:
-        recovered = _recover_generations(path, load_checkpoint,
-                                         "checkpoint", tracer=tracer,
-                                         metrics=metrics)
+        recovered = _recover_generations(path, load, "checkpoint",
+                                         tracer=tracer, metrics=metrics)
     if recovered is None:
         return None
-    (meta, arrays), actual_path = recovered
-    return meta, arrays, actual_path
+    loaded, actual_path = recovered
+    return (*loaded, actual_path)
 
 
 def recover_sweep_checkpoint(

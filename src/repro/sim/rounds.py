@@ -5,7 +5,10 @@ whether it is driven by :class:`~repro.sim.engine.TradingSimulator`'s
 synchronous ``for t in range(n)`` loop, fired as a scheduled event by
 :class:`~repro.runtime.MarketRuntime`'s discrete-event kernel, or
 played by :class:`~repro.core.mechanism.CMABHSMechanism` over its
-entity objects.  This module holds that computation exactly once, so
+entity objects.  All three build their run state through
+:class:`~repro.sim.runcore.RunCore`; the mechanism keeps only its own
+observation stream and its 0.0 prior estimate.  This module holds that
+computation exactly once, so
 "a static-population runtime run reproduces the batch engine bit for
 bit" is true *by construction* rather than by parallel maintenance of
 several copies.
@@ -83,8 +86,9 @@ SERIES_NAMES = (
 class RoundContext:
     """Everything a round body needs, bundled once per run.
 
-    The batch engine and the mechanism build one per run; the event
-    runtime holds one for the lifetime of the market.  All array
+    :meth:`~repro.sim.runcore.RunCore.start` builds one per run: the
+    batch engine and the mechanism per call, the event runtime once for
+    the lifetime of the market.  All array
     members are the *live* run objects (the bodies mutate ``series``,
     ``selection_counts``, ``state``, ...), not copies.
     """

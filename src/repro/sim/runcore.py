@@ -1,11 +1,15 @@
 """The run scaffolding every driver of Algorithm 1 shares.
 
-:class:`~repro.sim.engine.TradingSimulator` and
-:class:`~repro.runtime.MarketRuntime` play the round bodies of
+:class:`~repro.sim.engine.TradingSimulator`,
+:class:`~repro.runtime.MarketRuntime` and
+:class:`~repro.core.mechanism.CMABHSMechanism` play the round bodies of
 :mod:`repro.sim.rounds` over one resumable learning core: the counts
 and sums behind ``qbar_i`` (Eqs. 17-18), the regret tracker, the policy
 and observation streams, and the metric series.  This module owns that
-core's life cycle, so the drivers cannot drift apart:
+core's life cycle, so the three drivers cannot drift apart.  The
+mechanism overrides two of its inputs: it draws observations from its
+own seeded generator, and a never-observed seller's estimate starts at
+0 rather than at the other drivers' neutral 0.5.  The pieces:
 
 * :func:`build_instance` — the population and default quality model;
 * :class:`RunCore` — the run state, built in one stream order (the
@@ -129,18 +133,24 @@ class RunCore:
               policy: SelectionPolicy, num_rounds: int, *,
               tracer: Tracer, metrics: MetricsRegistry | None,
               kind: str, driver: dict[str, Any],
-              monitor: "InvariantMonitor | None" = None) -> "RunCore":
+              monitor: "InvariantMonitor | None" = None,
+              observation_rng: np.random.Generator | None = None,
+              prior_mean: float = PRIOR_MEAN) -> "RunCore":
         """Fresh run state for ``policy`` over ``num_rounds`` rounds.
 
         ``kind`` and ``driver`` join the fingerprint, after the policy
-        name, the seed and the sizes.
+        name, the seed and the sizes.  ``observation_rng`` (default:
+        the factory's ``"observations"`` stream) and ``prior_mean``,
+        the estimate of a never-observed seller, are the mechanism's to
+        override.
         """
         m, k, num_pois = (config.num_sellers, config.num_selected,
                           config.num_pois)
-        observation_rng = factory.generator("observations")
+        if observation_rng is None:
+            observation_rng = factory.generator("observations")
         sampler = QualitySampler(quality_model, num_pois, observation_rng)
         policy_rng = factory.generator("policy", policy.name)
-        state = LearningState(m, prior_mean=PRIOR_MEAN)
+        state = LearningState(m, prior_mean=prior_mean)
         tracker = RegretTracker(population.expected_qualities, k, num_pois)
         policy.reset(m, k, num_rounds)
         ctx = RoundContext(

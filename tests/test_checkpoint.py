@@ -24,6 +24,7 @@ from repro.exceptions import (
     PersistenceError,
 )
 from repro.faults import FaultLog, FaultSpec
+from repro.obs import RingBufferSink, Tracer
 from repro.resilience import ResiliencePolicy, ScheduledAbort
 from repro.sim import SimulationConfig, TradingSimulator
 from repro.sim import persistence
@@ -253,6 +254,31 @@ class TestCheckpointFormat:
         resumed, __ = faulty_run(path, resume=True, resilience=resilience)
         assert_runs_identical(reference, resumed)
         assert (tmp_path / "run.npz.quarantine" / "run.npz").exists()
+
+    def test_quarantine_rolls_back_past_a_field_that_does_not_decode(
+            self, tmp_path):
+        path = tmp_path / "run.npz"
+        resilience = ResiliencePolicy(quarantine=True,
+                                      checkpoint_generations=2)
+        reference, reference_log = faulty_run()
+        with pytest.raises(GracefulShutdownInterrupt):
+            faulty_run(path, checkpoint_every=20,
+                       shutdown=ScheduledAbort([50]), resilience=resilience)
+        meta, arrays = load_checkpoint(path)
+        meta["next_round"] = "v1"
+        save_checkpoint(path, meta, arrays)
+        with pytest.raises(PersistenceError, match="next_round"):
+            faulty_run(path, resume=True)
+        sink = RingBufferSink()
+        resumed, resumed_log = faulty_run(path, resume=True,
+                                          resilience=resilience,
+                                          tracer=Tracer(sink))
+        assert_runs_identical(reference, resumed)
+        assert resumed_log.summary() == reference_log.summary()
+        assert (tmp_path / "run.npz.quarantine" / "run.npz").exists()
+        (restored,) = [event for event in sink.of_kind("checkpoint")
+                       if event.payload["action"] == "restored"]
+        assert restored.payload["path"] == f"{path}.gen-1"
 
 
 class TestSweepResume:

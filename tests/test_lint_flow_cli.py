@@ -42,7 +42,7 @@ class TestCliFlow:
         assert {r["ruleId"] for r in run["results"]} == {"RL101"}
         rule_ids = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
         # every run lists the full policy
-        assert {"RL002", "RL101", "RL104", "RL007"} <= rule_ids
+        assert {"RL002", "RL101", "RL103", "RL007"} <= rule_ids
 
     def test_strict_pragmas_gates_orphans(self, tmp_path, capsys):
         write_project(tmp_path, {
@@ -55,7 +55,7 @@ class TestCliFlow:
     def test_list_rules_includes_flow_family(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("RL002", "RL007", "RL101", "RL104"):
+        for rule_id in ("RL002", "RL007", "RL101", "RL103"):
             assert rule_id in out
 
     def test_unknown_flow_rule_is_a_cli_error(self, tmp_path, capsys):

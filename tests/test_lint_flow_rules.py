@@ -1,4 +1,4 @@
-"""Mutation meta-tests for the whole-program flow rules RL101-RL104.
+"""Mutation meta-tests for the whole-program flow rules RL101-RL103.
 
 Each test copies the clean fixture project from
 ``tests/lint_fixtures/flow/<rule>/`` into a temp directory, applies a
@@ -127,33 +127,6 @@ class TestRL103EventKinds:
                'TraceEvent("trade_setled")')
         messages = " | ".join(f.message for f in findings("RL103"))
         assert "TraceEvent constructed with kind 'trade_setled'" in messages
-
-
-class TestRL104SchemaSymmetry:
-    def test_written_key_never_read(self, project):
-        load, mutate, findings = project
-        load("rl104")
-        mutate("persist.py", '"version": _schema_version(),',
-               '"version": _schema_version(),\n        "extra": 0,')
-        (finding,) = findings("RL104")
-        assert "key 'extra' written by save_state is never read" \
-            in finding.message
-
-    def test_required_key_never_written(self, project):
-        load, mutate, findings = project
-        load("rl104")
-        mutate("persist.py", 'counts = payload["counts"]',
-               'counts = payload["counts"]\n    ghost = payload["ghost"]')
-        (finding,) = findings("RL104")
-        assert "requires key 'ghost'" in finding.message
-
-    def test_defaulted_read_is_not_required(self, project):
-        load, mutate, findings = project
-        load("rl104")
-        # dropping the saver's "version" key is fine: the loader
-        # defaults it via .get(..., 0)
-        mutate("persist.py", '        "version": _schema_version(),\n', "")
-        assert findings("RL104") == []
 
 
 class TestSuppression:

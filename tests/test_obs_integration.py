@@ -245,11 +245,18 @@ class TestMetricsThroughRuntime:
         assert reg.timer("engine.selection").count == config.num_rounds
         assert reg.timer("engine.solve").count == config.num_rounds
         assert "cumulative_regret" in reg.gauges
-        # Per-seller gauges materialise at run end.
-        assert f"seller.{config.num_sellers - 1}.n" in reg.gauges
         # The run's telemetry snapshot rides on the metrics object.
         assert metrics.telemetry is not None
         assert metrics.telemetry["counters"]["rounds"] == config.num_rounds
+
+    def test_gauge_names_do_not_grow_with_the_population(self):
+        def gauge_names(num_sellers):
+            config = _config(num_sellers=num_sellers)
+            run = TradingSimulator(config).run(
+                _ucb(), metrics=MetricsRegistry())
+            return set(run.telemetry["gauges"])
+
+        assert gauge_names(20) == gauge_names(200)
 
     def test_telemetry_absent_without_registry(self):
         assert TradingSimulator(_config()).run(_ucb()).telemetry is None

@@ -6,7 +6,9 @@
   :class:`PersistenceError` naming the field and the file, on the
   engine and on the runtime alike.
 * A checkpointing engine run's profile shares add up to at most the
-  wall clock: the round timer stops before the checkpoint write.
+  wall clock: the round timer stops before the checkpoint write.  So
+  do a runtime run's: its selection and the shared solve count inside
+  its round timer.
 """
 
 from __future__ import annotations
@@ -155,4 +157,18 @@ class TestCheckpointingProfile:
         report = profiler.report()
         names = {phase.name for phase in report.phases}
         assert {"engine.round", "persistence.save_checkpoint"} <= names
+        assert sum(phase.share for phase in report.phases) <= 1.0 + 1e-9
+
+    def test_runtime_shares_sum_to_at_most_one(self):
+        config = SimulationConfig(num_sellers=2_000, num_selected=5,
+                                  num_pois=4, num_rounds=40, seed=3)
+        profiler = PhaseProfiler(memory="off")
+        runtime = MarketRuntime(config, UCBPolicy(),
+                                metrics=profiler.bind(None))
+        with profiler.profile():
+            runtime.run()
+        report = profiler.report()
+        names = {phase.name for phase in report.phases}
+        assert {"runtime.round", "runtime.selection",
+                "engine.solve"} <= names
         assert sum(phase.share for phase in report.phases) <= 1.0 + 1e-9
