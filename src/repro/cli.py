@@ -344,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
         "lint",
         help=(
             "run the determinism/correctness static analyser (rules "
-            "RL002, RL004-RL006 and RL101-RL103, plus the RL007 pragma "
+            "RL002, RL004-RL006, RL101 and RL103, plus the RL007 pragma "
             "audit) over source files as one whole program"
         ),
     )

@@ -30,7 +30,6 @@ from repro.exceptions import ConfigurationError
 from repro.faults import FaultLog, FaultModel
 from repro.game.profits import GameInstance, StrategyProfile
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.timing import perf_counter
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.quality.distributions import QualityModel, TruncatedGaussianQuality
 
@@ -307,7 +306,6 @@ class CMABHSMechanism:
         from repro.bandits.policies import UCBPolicy
         from repro.sim.config import SimulationConfig
         from repro.sim.rng import RngFactory, seeded_generator
-        from repro.sim.rounds import play_clean_round, play_faulty_round
         from repro.sim.runcore import RunCore
 
         tr = tracer if tracer is not None else NULL_TRACER
@@ -335,8 +333,7 @@ class CMABHSMechanism:
             observation_rng=seeded_generator(self._seed), prior_mean=0.0,
         )
         ctx = core.ctx
-        state, tracker, series, reg = (ctx.state, ctx.tracker, ctx.series,
-                                       ctx.metrics)
+        state, tracker, series = ctx.state, ctx.tracker, ctx.series
         log = fault_log
         if log is None and fault_model is not None:
             log = FaultLog()
@@ -344,24 +341,9 @@ class CMABHSMechanism:
                                    faults=fault_model is not None)
         rounds: list[RoundOutcome] = []
         for t in range(n):
-            round_start = perf_counter()
-            if tr.enabled:
-                tr.emit("round_start", round_index=t)
-            selected = policy.select(t, state, core.policy_rng)
-            select_duration = perf_counter() - round_start
-            reg.timer("engine.selection").observe(select_duration)
-            explore = t == 0
-            if tr.enabled:
-                tr.emit("selection", round_index=t, selected=selected,
-                        explore=explore,
-                        ucb=None if explore else state.ucb_at(
-                            policy.exploration_coefficient, selected),
-                        duration_s=select_duration)
-            if fault_model is None:
-                settled = play_clean_round(ctx, t, selected, explore)
-            else:
-                settled = play_faulty_round(ctx, t, selected, explore,
-                                            fault_model, log)
+            core.begin_round(t)
+            selected = core.select(t)
+            settled = core.play(t, selected, fault_model, log)
             estimates = settled.estimates
             rounds.append(RoundOutcome(
                 round_index=t,
@@ -379,12 +361,7 @@ class CMABHSMechanism:
                 participants=(None if fault_model is None
                               else settled.participants),
             ))
-            reg.counter("rounds").inc()
-            reg.gauge("cumulative_regret").set(tracker.cumulative_regret)
-            reg.timer("engine.round").observe(perf_counter() - round_start)
-            if tr.enabled:
-                tr.emit("round_end", round_index=t,
-                        duration_s=perf_counter() - round_start)
+            core.end_round(t)
         core.run_end(n, n, run_start)
         return TradingResult(
             rounds=rounds,

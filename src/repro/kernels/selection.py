@@ -14,7 +14,6 @@ import numpy as np
 __all__ = ["estimation_error"]
 
 
-# repro-lint: mutates=abs_error
 def estimation_error(means: np.ndarray, truth: np.ndarray,
                      abs_error: np.ndarray, touched: np.ndarray) -> float:
     """Mean absolute estimation error ``mean |qbar_i - q_i|``.

@@ -24,7 +24,6 @@ Whole-program rules (:mod:`repro.lint.rules_flow`):
 * **RL101** — RNG streams are born only in
   ``repro.sim.rng.seeded_generator`` / ``seed_sequence``; no other
   ``numpy.random`` / stdlib ``random`` call, direct or laundered.
-* **RL102** — ``repro.kernels`` functions are pure.
 * **RL103** — every emitted event kind is in
   :data:`repro.obs.events.EVENT_KINDS`, across call chains, and every
   declared kind is emitted somewhere.
@@ -55,7 +54,7 @@ from repro.lint.reporters import (
 )
 from repro.lint.flow import FlowAnalysis, lint_paths, lint_source
 from repro.lint import rules as _rules  # registers RL002, RL004-RL006
-from repro.lint import rules_flow as _rules_flow  # registers RL101-RL103
+from repro.lint import rules_flow as _rules_flow  # registers RL101, RL103
 
 __all__ = [
     "FileRule",

@@ -8,9 +8,8 @@ Every lint run is one pass over the whole program:
 2. **Interpretation** (whole program): a
    :class:`~repro.lint.project.ProjectIndex` resolves names across
    modules, the call graph is condensed into SCCs, and per-function
-   :class:`FunctionSummary` facts (RNG taint of return values,
-   emit-kind forwarding, mutated parameters, global writes) are
-   computed bottom-up to a fixpoint.
+   :class:`FunctionSummary` facts (RNG taint of return values and
+   emit-kind forwarding) are computed bottom-up to a fixpoint.
 3. **Rules**: every registered rule — single-file and whole-program
    alike — runs over the resulting :class:`FlowAnalysis`; the driver
    applies the suppression pragmas and then audits them (RL007).
@@ -77,12 +76,6 @@ class FunctionSummary:
     returns: frozenset[str] = frozenset()
     #: Parameters this function forwards into an emit-kind position.
     emit_params: frozenset[str] = frozenset()
-    #: Parameters written through (directly or via callees).
-    mutated_params: frozenset[str] = frozenset()
-    #: Writes module-level state, directly or transitively.
-    writes_global: bool = False
-    #: First impure callee fq (for diagnostics), if any.
-    impure_via: str | None = None
 
 
 class FlowAnalysis:
@@ -162,15 +155,6 @@ class FlowAnalysis:
                 continue
             returns.add(self.rng_value(module_name, env, value))
         emit_params: set[str] = set()
-        mutated = self._direct_mutations(facts, env, params)
-        writes_global = any(
-            not mutation[4] and mutation[1] not in params
-            and mutation[1] not in ("self", "cls")
-            and self.is_module_state(module_name, mutation[1])
-            and not self.is_module_function_call(module_name, mutation)
-            for mutation in facts.mutations
-        )
-        impure_via: str | None = None
         for call in facts.calls:
             kind_value = _emit_kind_arg(call)
             if kind_value is not None:
@@ -183,57 +167,13 @@ class FlowAnalysis:
                 continue
             bound = self.bind_args(callee[1], site.call)
             for param_name, arg in bound.items():
-                if arg[0] != "name" or arg[1] not in params:
-                    continue
-                if param_name in callee_summary.emit_params:
+                if (arg[0] == "name" and arg[1] in params
+                        and param_name in callee_summary.emit_params):
                     emit_params.add(arg[1])
-                if param_name in callee_summary.mutated_params:
-                    mutated.add(arg[1])
-            if callee_summary.writes_global and not writes_global:
-                writes_global = True
-                impure_via = site.target
         return FunctionSummary(
             returns=frozenset(returns),
             emit_params=frozenset(emit_params),
-            mutated_params=frozenset(mutated),
-            writes_global=writes_global,
-            impure_via=impure_via,
         )
-
-    def _direct_mutations(self, facts: FunctionFacts, env: dict[str, Any],
-                          params: set[str]) -> set[str]:
-        """Parameter names mutated in this body (aliases included)."""
-        mutated: set[str] = set()
-        for kind, root, _line, _col, _local in facts.mutations:
-            if root in params:
-                mutated.add(root)
-                continue
-            alias = env.get(root)
-            if (isinstance(alias, list) and alias
-                    and alias[0] == "name" and alias[1] in params):
-                mutated.add(alias[1])
-        return mutated
-
-    def is_module_function_call(self, module_name: str,
-                                mutation: list) -> bool:
-        """Whether a ``method:*`` mutation is really ``module.func(...)``.
-
-        ``np.sort(x)`` parses as a ``.sort()`` call on the name ``np``;
-        when the receiver is an imported module the call cannot mutate
-        it, so it must not count as a mutation.
-        """
-        kind, root = mutation[0], mutation[1]
-        if not isinstance(kind, str) or not kind.startswith("method:"):
-            return False
-        facts = self.index.modules.get(module_name)
-        return facts is not None and root in facts.imports_modules
-
-    def is_module_state(self, module_name: str, root: str) -> bool:
-        facts = self.index.modules.get(module_name)
-        if facts is None:
-            return False
-        return root in facts.top_names or root in facts.imports_modules \
-            or root in facts.imports_objects
 
     # -- RNG taint lattice --------------------------------------------
 

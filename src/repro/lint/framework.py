@@ -18,10 +18,6 @@ on any line.  Fixture files may also override the inferred package with
 ``# repro-lint: package=repro.sim`` so package-scoped rules can be
 exercised from paths outside ``src/repro``.
 
-One further directive annotates rather than suppresses and is consumed
-by RL102: ``# repro-lint: mutates=out,scratch`` on (or above) a ``def``
-line declares parameters a kernel is allowed to write through.
-
 The pragma audit (rule ``RL007``, see :func:`audit_pragmas`) reports
 every ``disable=`` id that names no registered rule as an error, and
 every suppression that never matched a finding as a warning (an error
@@ -60,8 +56,8 @@ __all__ = [
 #: ``# repro-lint: <directive>=<ids>`` comment; text after the
 #: comma-separated id list is a free-form justification.
 _PRAGMA = re.compile(
-    r"#\s*repro-lint:\s*(?P<directive>disable-file|disable|package"
-    r"|mutates)\s*=\s*(?P<value>[\w.]+(?:\s*,\s*[\w.]+)*)"
+    r"#\s*repro-lint:\s*(?P<directive>disable-file|disable|package)"
+    r"\s*=\s*(?P<value>[\w.]+(?:\s*,\s*[\w.]+)*)"
 )
 
 #: Rule id under which pragma-audit findings are reported.
@@ -111,8 +107,6 @@ class _Suppressions:
 
     def __init__(self, source: str) -> None:
         self.package_override: str | None = None
-        #: ``lineno -> declared mutable parameter names`` (``mutates=``).
-        self.mutates: dict[int, tuple[str, ...]] = {}
         #: ``(scope, rule) -> pragma lineno`` for every suppression
         #: entry; ``scope`` is the target line, or ``_FILE_SCOPE`` for
         #: ``disable-file``.
@@ -126,8 +120,6 @@ class _Suppressions:
             items = [item.strip() for item in match.group("value").split(",")]
             if directive == "package":
                 self.package_override = items[0]
-            elif directive == "mutates":
-                self.mutates[lineno] = tuple(items)
             else:
                 scope = _FILE_SCOPE if directive == "disable-file" else lineno
                 for rule in items:
@@ -151,14 +143,6 @@ class _Suppressions:
         """``(scope, rule) -> (pragma_lineno, used)`` for every entry."""
         return {key: (lineno, key in self._used)
                 for key, lineno in self.entries.items()}
-
-    def mutates_for(self, start: int, end: int) -> tuple[str, ...]:
-        """Parameters a ``mutates=`` pragma on lines ``start..end``
-        declares (a ``def`` whose decorators may carry the comment)."""
-        for lineno in range(start, end + 1):
-            if lineno in self.mutates:
-                return self.mutates[lineno]
-        return ()
 
 
 def _iter_comments(source: str) -> Iterator[tuple[int, str]]:

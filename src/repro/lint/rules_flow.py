@@ -1,4 +1,4 @@
-"""Whole-program rules RL101–RL103.
+"""Whole-program rules RL101 and RL103.
 
 Where the single-file rules in :mod:`repro.lint.rules` see one file at
 a time, these read the :class:`~repro.lint.flow.FlowAnalysis` — project
@@ -10,9 +10,6 @@ follow a value across helper calls, modules, and method boundaries.
   call into ``numpy.random`` or stdlib ``random`` (a constructor or a
   global-state draw) is flagged, and so is a raw constructor laundered
   through a local alias or handed to a helper that invokes it.
-* **RL102** — kernel purity: ``repro.kernels`` functions must not
-  mutate non-``out`` parameters, write module-level state, or call a
-  callee that (transitively) does.
 * **RL103** — event-kind exhaustiveness across call chains: literals
   passed to ``Tracer.emit`` directly, forwarded through wrapper
   parameters, or given to ``TraceEvent(...)`` must be members of
@@ -33,7 +30,6 @@ from repro.lint.project import function_env
 __all__ = [
     "EventKindFlowRule",
     "InterproceduralRngTaintRule",
-    "KernelPurityRule",
 ]
 
 def _literal_string(env: dict[str, Any], value: Any,
@@ -119,96 +115,6 @@ class InterproceduralRngTaintRule(LintRule):
                     "randomness; derive a generator from repro.sim.rng "
                     "instead")
         return None
-
-
-@register_rule
-class KernelPurityRule(LintRule):
-    """RL102 — ``repro.kernels`` functions must be pure."""
-
-    rule_id = "RL102"
-    title = "impure repro.kernels function"
-    rationale = (
-        "the vectorized kernels are differential-tested against the "
-        "scalar engine; hidden argument mutation or module state makes "
-        "results depend on call history and breaks bit-reproducibility"
-    )
-
-    _SCOPE = "repro.kernels"
-
-    def _in_scope(self, module_name: str) -> bool:
-        return (module_name == self._SCOPE
-                or module_name.startswith(self._SCOPE + "."))
-
-    def check(self, analysis: FlowAnalysis) -> Iterable[Finding]:
-        for fq, (module_name, facts) in sorted(analysis.functions.items()):
-            if not self._in_scope(module_name):
-                continue
-            if facts.name == "<module>":
-                continue
-            path = analysis.path_of_module(module_name)
-            params = set(facts.params) | set(facts.kwonly)
-            out_params = set(facts.out_params)
-            env = function_env(facts)
-            for kind, root, line, col, local in facts.mutations:
-                if analysis.is_module_function_call(
-                        module_name, [kind, root, line, col, local]):
-                    continue
-                target = root
-                if target not in params:
-                    alias = env.get(root)
-                    if (isinstance(alias, list) and alias
-                            and alias[0] == "name"
-                            and alias[1] in params):
-                        target = alias[1]
-                if target in ("self", "cls"):
-                    continue
-                if target in params:
-                    if target not in out_params:
-                        yield self.finding_at(
-                            analysis, path, line, col,
-                            f"kernel {facts.name!r} mutates parameter "
-                            f"{target!r} which is not a declared out= "
-                            f"parameter (add '# repro-lint: "
-                            f"mutates={target}' if intentional)",
-                        )
-                    continue
-                if local:
-                    continue
-                if (kind == "global"
-                        or analysis.is_module_state(module_name, root)):
-                    yield self.finding_at(
-                        analysis, path, line, col,
-                        f"kernel {facts.name!r} writes module-level "
-                        f"state {root!r}; kernels must be pure "
-                        f"functions of their inputs",
-                    )
-            for site in analysis.call_graph.get(fq, ()):
-                summary = analysis.summary_of(site.target)
-                located = analysis.functions.get(site.target)
-                if summary is None or located is None:
-                    continue
-                if summary.writes_global:
-                    via = (f" (via {summary.impure_via})"
-                           if summary.impure_via else "")
-                    yield self.finding_at(
-                        analysis, path, site.line, site.col,
-                        f"kernel {facts.name!r} calls impure "
-                        f"{site.target}{via}, which writes "
-                        f"module-level state",
-                    )
-                bound = analysis.bind_args(located[1], site.call)
-                for param, arg in sorted(bound.items()):
-                    if param not in summary.mutated_params:
-                        continue
-                    if (isinstance(arg, list) and arg
-                            and arg[0] == "name" and arg[1] in params
-                            and arg[1] not in out_params):
-                        yield self.finding_at(
-                            analysis, path, site.line, site.col,
-                            f"kernel {facts.name!r} passes parameter "
-                            f"{arg[1]!r} to {site.target}, which "
-                            f"mutates it",
-                        )
 
 
 @register_rule

@@ -3,8 +3,8 @@
 :func:`extract_module_facts` lowers one parsed file into
 :class:`ModuleFacts`: import tables, top-level constants, classes, and
 per-function :class:`FunctionFacts` holding a tiny JSON-serialisable
-IR (assignments, returns, calls, mutations).  The IR is deliberately
-lossy — just enough structure for the RL101–RL103 rules.
+IR (assignments, returns, calls).  The IR is deliberately
+lossy — just enough structure for the RL101 and RL103 rules.
 
 Value-expression mini-IR (``vexpr``), encoded as nested lists::
 
@@ -39,21 +39,6 @@ __all__ = [
     "extract_module_facts",
 ]
 
-#: Method names that mutate their receiver in place.
-_MUTATING_METHODS = frozenset({
-    "append", "extend", "insert", "remove", "clear", "reverse", "sort",
-    "add", "discard", "update", "setdefault", "pop", "popitem",
-    "fill", "resize", "put", "itemset", "setflags", "partial",
-})
-
-#: Parameter names treated as declared output buffers by convention.
-_CONVENTIONAL_OUT = ("out", "scratch")
-
-
-def _is_conventional_out(name: str) -> bool:
-    return name in _CONVENTIONAL_OUT or name.startswith("out_")
-
-
 def dotted_name(node: ast.AST) -> str | None:
     """``a.b.c`` for a pure Name/Attribute chain, else ``None``."""
     parts: list[str] = []
@@ -63,15 +48,6 @@ def dotted_name(node: ast.AST) -> str | None:
     if isinstance(node, ast.Name):
         parts.append(node.id)
         return ".".join(reversed(parts))
-    return None
-
-
-def _root_name(node: ast.AST) -> str | None:
-    """The base ``Name`` a subscript/attribute chain hangs off."""
-    while isinstance(node, (ast.Attribute, ast.Subscript, ast.Starred)):
-        node = node.value
-    if isinstance(node, ast.Name):
-        return node.id
     return None
 
 
@@ -86,14 +62,10 @@ class FunctionFacts:
     kwonly: list[str] = field(default_factory=list)
     required: int = 0
     is_method: bool = False
-    out_params: list[str] = field(default_factory=list)
     #: ``["assign", name, vexpr, line, col]`` / ``["ret", vexpr, line, col]``
     ops: list[list[Any]] = field(default_factory=list)
     #: Every call expression in the body (``["call", ...]`` vexprs).
     calls: list[list[Any]] = field(default_factory=list)
-    #: ``[kind, root, line, col, root_is_local]``
-    mutations: list[list[Any]] = field(default_factory=list)
-    global_decls: list[str] = field(default_factory=list)
 
 
 @dataclass
@@ -159,8 +131,8 @@ class _BodyExtractor(ast.NodeVisitor):
     """Walks one function (or module) body collecting facts.
 
     Nested function, class and lambda bodies are folded into the
-    enclosing function: their calls and mutations happen (at most)
-    when the parent runs, and treating them inline keeps the summary
+    enclosing function: their calls happen (at most) when the parent
+    runs, and treating them inline keeps the summary
     lattice one level deep.  The module body takes in the class
     bodies, decorators and defaults of top-level definitions too, so
     every call in a file lands in some function's facts.
@@ -210,12 +182,8 @@ class _BodyExtractor(ast.NodeVisitor):
         value = self.vexpr(node.value)
         for target in node.targets:
             if isinstance(target, ast.Name):
-                if target.id in self.facts.global_decls:
-                    self._mutation("global", target.id, target, local=False)
                 self.facts.ops.append(["assign", target.id, value,
                                        node.lineno, node.col_offset])
-            else:
-                self._store_target(target)
         self.generic_visit(node)
 
     def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
@@ -225,20 +193,13 @@ class _BodyExtractor(ast.NodeVisitor):
             if isinstance(node.target, ast.Name):
                 self.facts.ops.append(["assign", node.target.id, value,
                                        node.lineno, node.col_offset])
-            else:
-                self._store_target(node.target)
             self.visit(node.value)
         self.visit(node.target)
 
     def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        target = node.target
-        if isinstance(target, ast.Name):
-            if target.id in self.facts.global_decls:
-                self._mutation("global", target.id, target, local=False)
-            self.facts.ops.append(["assign", target.id, ["other"],
+        if isinstance(node.target, ast.Name):
+            self.facts.ops.append(["assign", node.target.id, ["other"],
                                    node.lineno, node.col_offset])
-        else:
-            self._store_target(target, kind="augassign")
         self.generic_visit(node)
 
     def visit_Return(self, node: ast.Return) -> None:
@@ -269,13 +230,8 @@ class _BodyExtractor(ast.NodeVisitor):
         self._annotation(node.annotation)
 
     def visit_Call(self, node: ast.Call) -> None:
-        call = self.vexpr(node)
-        self.facts.calls.append(call)
-        self._call_mutations(node)
+        self.facts.calls.append(self.vexpr(node))
         self.generic_visit(node)
-
-    def visit_Global(self, node: ast.Global) -> None:
-        self.facts.global_decls.extend(node.names)
 
     # -- helpers ------------------------------------------------------
 
@@ -287,35 +243,6 @@ class _BodyExtractor(ast.NodeVisitor):
         for sub in ast.walk(node):
             if isinstance(sub, ast.Call):
                 self.facts.calls.append(self.vexpr(sub))
-
-    def _mutation(self, kind: str, root: str | None, node: ast.AST,
-                  local: bool | None = None) -> None:
-        if root is None:
-            return
-        if local is None:
-            local = root in self.locals
-        self.facts.mutations.append(
-            [kind, root, node.lineno, node.col_offset, bool(local)])
-
-    def _store_target(self, target: ast.AST, kind: str | None = None) -> None:
-        if isinstance(target, ast.Subscript):
-            self._mutation(kind or "subscript", _root_name(target), target)
-        elif isinstance(target, ast.Attribute):
-            self._mutation(kind or "attribute", _root_name(target), target)
-        elif isinstance(target, (ast.Tuple, ast.List)):
-            for element in target.elts:
-                if not isinstance(element, ast.Name):
-                    self._store_target(element, kind)
-
-    def _call_mutations(self, node: ast.Call) -> None:
-        func = node.func
-        if (isinstance(func, ast.Attribute)
-                and func.attr in _MUTATING_METHODS):
-            self._mutation(f"method:{func.attr}", _root_name(func.value),
-                           func)
-        for keyword in node.keywords:
-            if keyword.arg == "out" and isinstance(keyword.value, ast.Name):
-                self._mutation("out=", keyword.value.id, node)
 
 
 class _LocalNames(ast.NodeVisitor):
@@ -372,16 +299,15 @@ class _LocalNames(ast.NodeVisitor):
             self.names.add(args.kwarg.arg)
 
 
-def _function_locals(node: ast.AST) -> tuple[set[str], set[str]]:
+def _function_locals(node: ast.AST) -> set[str]:
     collector = _LocalNames()
     for statement in getattr(node, "body", []):
         collector.visit(statement)
-    return collector.names - collector.globals, collector.globals
+    return collector.names - collector.globals
 
 
 def _extract_function(node: ast.FunctionDef | ast.AsyncFunctionDef,
-                      qualname: str, is_method: bool,
-                      context: LintContext) -> FunctionFacts:
+                      qualname: str, is_method: bool) -> FunctionFacts:
     args = node.args
     positional = [arg.arg for arg in (args.posonlyargs + args.args)]
     if is_method and positional and positional[0] in ("self", "cls"):
@@ -396,17 +322,7 @@ def _extract_function(node: ast.FunctionDef | ast.AsyncFunctionDef,
         required=required,
         is_method=is_method,
     )
-    out_params = [name for name in positional + facts.kwonly
-                  if _is_conventional_out(name)]
-    # A standalone pragma comment directly above the def (or its first
-    # decorator) binds too — multi-line signatures leave no room inline.
-    pragma_start = min([node.lineno]
-                       + [deco.lineno for deco in node.decorator_list]) - 1
-    declared = context.suppressions.mutates_for(pragma_start, node.lineno)
-    out_params.extend(name for name in declared if name not in out_params)
-    facts.out_params = out_params
-    local_names, global_decls = _function_locals(node)
-    facts.global_decls = sorted(global_decls)
+    local_names = _function_locals(node)
     local_names |= set(positional) | set(facts.kwonly)
     if args.vararg:
         local_names.add(args.vararg.arg)
@@ -505,7 +421,7 @@ def extract_module_facts(context: LintContext,
                                 expr, statement.lineno]
     for qualname, node in defs.items():
         facts.functions[qualname] = _extract_function(
-            node, qualname, is_method="." in qualname, context=context)
+            node, qualname, is_method="." in qualname)
     facts.functions["<module>"] = _extract_module_body(
         tree, set(defs.values()))
     return facts

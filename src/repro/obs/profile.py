@@ -53,18 +53,16 @@ __all__ = ["MEMORY_PROBES", "PhaseProfiler", "PhaseStat", "ProfileReport"]
 #:   one-off memory investigations, not routine benchmarking).
 MEMORY_PROBES = ("off", "rss", "tracemalloc")
 
-#: Candidate parent phases of each known timer, used to attribute
-#: *self* time: a phase's self time is its total minus its children's
-#: totals.  A child belongs to the first candidate the run recorded
-#: (the shared solve runs inside whichever driver's round timer).
-#: Unknown timer names, and timers none of whose candidates were
-#: recorded, are treated as roots (self == total).
+#: Parent phase of each known timer, used to attribute *self* time: a
+#: phase's self time is its total minus its children's totals.  Every
+#: driver times its rounds under the same ``engine.*`` names.  Unknown
+#: timer names, and timers whose parent was not recorded, are treated
+#: as roots (self == total).
 _PHASE_PARENT = {
-    "engine.selection": ("engine.round",),
-    "engine.solve": ("engine.round", "runtime.round"),
-    "engine.round": ("replication.seed",),
-    "runtime.selection": ("runtime.round",),
-    "persistence.load_checkpoint": ("persistence.recover_checkpoint",),
+    "engine.selection": "engine.round",
+    "engine.solve": "engine.round",
+    "engine.round": "replication.seed",
+    "persistence.load_checkpoint": "persistence.recover_checkpoint",
 }
 
 #: Rates derived from (counter or timer-count, per active second).
@@ -351,9 +349,8 @@ def _phase_stats(timers: dict[str, Timer],
     """Per-phase rows with self time, sorted by self time descending."""
     child_totals: dict[str, float] = {}
     for name, timer in timers.items():
-        parent = next((candidate for candidate in _PHASE_PARENT.get(name, ())
-                       if candidate in timers), None)
-        if parent is not None:
+        parent = _PHASE_PARENT.get(name)
+        if parent in timers:
             child_totals[parent] = child_totals.get(parent, 0.0) + timer.total
     stats = []
     for name, timer in timers.items():

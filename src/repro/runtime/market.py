@@ -55,7 +55,6 @@ from repro.entities.seller import SellerPopulation
 from repro.exceptions import ConfigurationError, PersistenceError
 from repro.faults import FaultLog, RoundFaultPlan
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.timing import perf_counter
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.quality.distributions import QualityModel
 from repro.resilience.shutdown import NEVER_STOP, ShutdownSignal
@@ -301,9 +300,7 @@ class MarketRuntime:
             )
         self._population = population
         self._churn = churn
-        m, k, num_pois = (config.num_sellers, config.num_selected,
-                          config.num_pois)
-        self._m, self._k, self._num_pois = m, k, num_pois
+        m = self._m = config.num_sellers
         self._num_rounds = config.num_rounds
         self._policy = policy if policy is not None else UCBPolicy()
         self._tracer = tracer if tracer is not None else NULL_TRACER
@@ -481,58 +478,23 @@ class MarketRuntime:
 
     # -- the round loop, as kernel events ------------------------------------------
 
-    def _select_round(self, t: int) -> tuple[np.ndarray, bool]:
-        """Selection over the current online roster.
+    def _begin_round(self, t: int) -> None:
+        """Churn, then selection over the current online roster.
 
         With every slot online and no churn process attached, the
-        policy's own :meth:`~repro.bandits.base.SelectionPolicy.select`
-        runs verbatim (the batch-equivalence path).  Otherwise the
-        policy must be a :class:`~repro.bandits.UCBPolicy`, which selects
-        from the online roster it is handed; any other policy raises
-        :class:`~repro.exceptions.ConfigurationError`.
+        policy selects as in the batch engine (the batch-equivalence
+        path); otherwise it selects from the online roster, which only
+        a :class:`~repro.bandits.UCBPolicy` can.
         """
-        online = self._online
-        if self._churn is None and bool(online.all()):
-            selected = self._policy.select(t, self._ctx.state,
-                                           self._run.policy_rng)
-            online_count = self._m
-        else:
-            if not isinstance(self._policy, UCBPolicy):
-                raise ConfigurationError(
-                    f"policy {self._policy.name!r} cannot select from a "
-                    "partial roster (churn or offline slots); only "
-                    "UCBPolicy selects among the online sellers"
-                )
-            online_count = int(online.sum())
-            if online_count == 0:
-                raise ConfigurationError(
-                    "no seller is online: open a session or configure "
-                    "arrivals before trading"
-                )
-            selected = self._policy.select(t, self._ctx.state,
-                                           self._run.policy_rng,
-                                           online=online)
-        explore = selected.size > self._k or (
-            t == 0 and selected.size == online_count
-        )
-        return selected, explore
-
-    def _begin_round(self, t: int, round_start_time: float) -> None:
-        tr = self._tracer
-        if tr.enabled:
-            tr.emit("round_start", round_index=t)
         departures = _EMPTY_SLOTS
         if self._churn is not None:
             churn = self._churn.plan_round(t, self._online)
             for slot in churn.arrivals:
                 self.open_session(int(slot))
             departures = churn.departures
-        selected, explore = self._select_round(t)
-        selection_duration = perf_counter() - round_start_time
-        self._reg.timer("runtime.selection").observe(selection_duration)
-        if tr.enabled:
-            tr.emit("selection", round_index=t, selected=selected,
-                    explore=bool(explore), duration_s=selection_duration)
+        online = (None if self._churn is None and bool(self._online.all())
+                  else self._online)
+        selected = self._run.select(t, online)
         for slot in selected:
             self._platform.send(f"seller-{int(slot)}", "collect", round=t)
         # Mid-round departures leave *after* selection but *before*
@@ -541,14 +503,12 @@ class MarketRuntime:
         for slot in departures:
             self._close_slot(int(slot))
         self._kernel.schedule(
-            float(t),
-            lambda: self._settle_round(t, selected, explore,
-                                       round_start_time),
+            float(t), lambda: self._settle_round(t, selected),
             phase=SETTLE,
         )
 
-    def _settle_round(self, t: int, selected: np.ndarray, explore: bool,
-                      round_start_time: float) -> None:
+    def _settle_round(self, t: int, selected: np.ndarray) -> None:
+        explore = self._run.explore
         reported = np.asarray(self._platform.reported_slots,
                               dtype=np.int64)
         self._platform.reported_slots = []
@@ -581,15 +541,7 @@ class MarketRuntime:
                             collection_price=float(
                                 self._series["collection"][t]),
                             realized=float(self._series["realized"][t]))
-        self._reg.counter("rounds").inc()
-        self._reg.gauge("cumulative_regret").set(
-            self._ctx.tracker.cumulative_regret
-        )
-        duration = perf_counter() - round_start_time
-        self._reg.timer("runtime.round").observe(duration)
-        if self._tracer.enabled:
-            self._tracer.emit("round_end", round_index=t,
-                              duration_s=duration)
+        self._run.end_round(t)
 
     def play_round(self) -> int:
         """Schedule and run one full round on the kernel; returns ``t``."""
@@ -598,10 +550,8 @@ class MarketRuntime:
             raise ConfigurationError(
                 f"the runtime's {self._num_rounds} rounds are complete"
             )
-        round_start_time = perf_counter()
-        self._kernel.schedule(
-            float(t), lambda: self._begin_round(t, round_start_time)
-        )
+        self._run.begin_round(t)
+        self._kernel.schedule(float(t), lambda: self._begin_round(t))
         self._kernel.run(until=float(t))
         self._next_round += 1
         return t

@@ -66,9 +66,8 @@ if TYPE_CHECKING:  # runtime import would cycle: repro.verify runs this engine
 
 from repro.bandits.base import SelectionPolicy
 from repro.bandits.policies import UCBPolicy
-from repro.core.state import LearningState
 from repro.entities.seller import SellerPopulation
-from repro.exceptions import ConfigurationError, ReproError
+from repro.exceptions import ConfigurationError
 from repro.faults import FaultLog, FaultModel, FaultSpec
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -82,7 +81,6 @@ from repro.resilience.shutdown import NEVER_STOP, ShutdownSignal
 from repro.sim.config import SimulationConfig
 from repro.sim.persistence import load_checkpoint, recover_checkpoint
 from repro.sim.results import PolicyComparison, RunMetrics
-from repro.sim.rounds import play_clean_round, play_faulty_round
 from repro.sim.runcore import (
     RunCore,
     build_instance,
@@ -350,7 +348,7 @@ class TradingSimulator:
                 else None)},
         )
         ctx = core.ctx
-        state, tracker, reg = ctx.state, ctx.tracker, ctx.metrics
+        state, reg = ctx.state, ctx.metrics
 
         def save(next_round: int) -> None:
             arrays = ({f"faultlog_{key}": value
@@ -405,40 +403,20 @@ class TradingSimulator:
                 core.shutdown(t, checkpoint_path, save,
                               f"run of policy {policy.name!r}",
                               rounds_completed=t - start_round)
-            round_start_time = perf_counter()
-            if tr.enabled:
-                tr.emit("round_start", round_index=t)
-            selected = policy.select(t, state, core.policy_rng)
-            selection_duration = perf_counter() - round_start_time
-            reg.timer("engine.selection").observe(selection_duration)
-            # Algorithm 1's exploration pricing applies whenever the whole
-            # population is selected in round 0 — including the K == M
-            # corner where "all sellers" and "top K" coincide.
-            explore_round = selected.size > k or (
-                t == 0 and selected.size == m
-            )
-            if tr.enabled:
-                tr.emit("selection", round_index=t,
-                        selected=selected,
-                        explore=bool(explore_round),
-                        ucb=self._ucb_of(policy, state, selected),
-                        duration_s=selection_duration)
+            core.begin_round(t)
+            selected = core.select(t)
             if monitor is not None:
                 # Strict runs cross-check UCB selections against the
                 # full Eq.-19 vector, which selection itself never builds.
                 monitor.check_selection(
-                    t, selected, k, m, bool(explore_round),
+                    t, selected, k, m, core.explore,
                     ucb_values=(
                         state.ucb_values(policy.exploration_coefficient)
-                        if isinstance(policy, UCBPolicy) and not explore_round
+                        if isinstance(policy, UCBPolicy) and not core.explore
                         else None
                     ),
                 )
-            if fault_model is None:
-                play_clean_round(ctx, t, selected, explore_round)
-            else:
-                play_faulty_round(ctx, t, selected, explore_round,
-                                  fault_model, log)
+            core.play(t, selected, fault_model, log)
             if monitor is not None:
                 monitor.check_learning(
                     t, state, ctx.selection_counts,
@@ -447,38 +425,14 @@ class TradingSimulator:
                         policy, "exploration_coefficient", None
                     ),
                 )
-            reg.counter("rounds").inc()
-            reg.gauge("cumulative_regret").set(tracker.cumulative_regret)
             # The round ends before its checkpoint write, which the
             # persistence timer already counts.
-            round_duration = perf_counter() - round_start_time
-            reg.timer("engine.round").observe(round_duration)
+            core.end_round(t)
             core.periodic_checkpoint(t, checkpoint_path, checkpoint_every,
                                      save)
-            if tr.enabled:
-                tr.emit("round_end", round_index=t,
-                        duration_s=round_duration)
 
         core.run_end(n, n - start_round, run_start_time)
         return core.run_metrics(n)
-
-    @staticmethod
-    def _ucb_of(policy: SelectionPolicy, state: LearningState,
-                selected: np.ndarray) -> np.ndarray | None:
-        """The selected sellers' UCB indices (Eq. 19), if computable.
-
-        Computed at the selected sellers only, for policies that expose
-        an ``exploration_coefficient``; policies without one (random,
-        optimal, ...) yield ``None``.  Unobserved sellers carry an
-        infinite index.
-        """
-        coefficient = getattr(policy, "exploration_coefficient", None)
-        if coefficient is None:
-            return None
-        try:
-            return state.ucb_at(float(coefficient), selected)
-        except (ReproError, TypeError, ValueError):
-            return None
 
     def compare(self, policies: list[SelectionPolicy],
                 num_rounds: int | None = None, *,

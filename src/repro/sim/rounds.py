@@ -7,8 +7,12 @@ synchronous ``for t in range(n)`` loop, fired as a scheduled event by
 played by :class:`~repro.core.mechanism.CMABHSMechanism` over its
 entity objects.  All three build their run state through
 :class:`~repro.sim.runcore.RunCore`; the mechanism keeps only its own
-observation stream and its 0.0 prior estimate.  This module holds that
-computation exactly once, so
+observation stream and its 0.0 prior estimate.  The bracket around
+each body — the ``round_start`` event, the timed selection and its
+explore rule, the ``selection`` event, the ``rounds`` counter, the
+``cumulative_regret`` gauge, the ``engine.round`` timer and
+``round_end`` — is ``RunCore``'s (``begin_round``, ``select``,
+``play``, ``end_round``).  This module holds the body exactly once, so
 "a static-population runtime run reproduces the batch engine bit for
 bit" is true *by construction* rather than by parallel maintenance of
 several copies.

@@ -6,15 +6,22 @@
 :mod:`repro.sim.rounds` over one resumable learning core: the counts
 and sums behind ``qbar_i`` (Eqs. 17-18), the regret tracker, the policy
 and observation streams, and the metric series.  This module owns that
-core's life cycle, so the three drivers cannot drift apart.  The
-mechanism overrides two of its inputs: it draws observations from its
-own seeded generator, and a never-observed seller's estimate starts at
-0 rather than at the other drivers' neutral 0.5.  The pieces:
+core's life cycle and the bracket around every round, so the three
+drivers cannot drift apart.  The mechanism overrides two of its inputs:
+it draws observations from its own seeded generator, and a
+never-observed seller's estimate starts at 0 rather than at the other
+drivers' neutral 0.5.  The pieces:
 
 * :func:`build_instance` — the population and default quality model;
 * :class:`RunCore` — the run state, built in one stream order (the
   batch-equivalence anchor), its periodic checkpoint, graceful
   shutdown and :class:`~repro.sim.results.RunMetrics`;
+* the round bracket on :class:`RunCore` — :meth:`~RunCore.begin_round`,
+  :meth:`~RunCore.select` (the timed selection, Algorithm 1's explore
+  rule and the ``selection`` event), :meth:`~RunCore.play` and
+  :meth:`~RunCore.end_round` (the ``rounds`` counter, the
+  ``cumulative_regret`` gauge and the ``engine.round`` timer).  Each
+  driver adds only its own code between these calls;
 * :func:`save_run_checkpoint` / :func:`load_run_checkpoint` — the one
   checkpoint codec, which carries each driver's own fields alongside
   the core's.  Loading decodes and validates every field before
@@ -28,12 +35,13 @@ from __future__ import annotations
 import copy
 import os
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, NoReturn
 
 import numpy as np
 
 from repro.bandits.base import SelectionPolicy
+from repro.bandits.policies import UCBPolicy
 from repro.core.regret import RegretTracker
 from repro.core.state import LearningState
 from repro.entities.seller import SellerPopulation
@@ -41,8 +49,10 @@ from repro.exceptions import (
     ConfigurationError,
     GracefulShutdownInterrupt,
     PersistenceError,
+    ReproError,
 )
-from repro.obs.metrics import MetricsRegistry
+from repro.faults import FaultLog, FaultModel
+from repro.obs.metrics import Counter, Gauge, MetricsRegistry, Timer
 from repro.obs.timing import perf_counter
 from repro.obs.tracer import Tracer
 from repro.quality.distributions import QualityModel, TruncatedGaussianQuality
@@ -51,7 +61,14 @@ from repro.sim.config import SimulationConfig
 from repro.sim.persistence import read_field, save_checkpoint
 from repro.sim.results import RunMetrics
 from repro.sim.rng import RngFactory
-from repro.sim.rounds import PRIOR_MEAN, SERIES_NAMES, RoundContext
+from repro.sim.rounds import (
+    PRIOR_MEAN,
+    SERIES_NAMES,
+    RoundContext,
+    Settlement,
+    play_clean_round,
+    play_faulty_round,
+)
 
 if TYPE_CHECKING:  # runtime import would cycle: repro.verify runs rounds
     from repro.verify.invariants import InvariantMonitor
@@ -116,6 +133,9 @@ class RunCore:
     ``ctx`` holds the live objects the round bodies mutate.
     ``metrics`` is the caller's registry (``None``: no telemetry);
     ``ctx.metrics`` is the one the run's timers write to.
+
+    Every driver plays a round as :meth:`begin_round`, :meth:`select`,
+    :meth:`play` (or its own round body), :meth:`end_round`.
     """
 
     config: SimulationConfig
@@ -126,6 +146,26 @@ class RunCore:
     metrics: MetricsRegistry | None
     #: What a checkpoint must match to resume this run.
     fingerprint: dict[str, Any]
+    #: Whether the open round explores; :meth:`select` sets it.
+    explore: bool = field(init=False, default=False)
+    # The bracket's metric handles, fetched once per run by
+    # _bind_metrics (and again after a restore replaces the registry's
+    # contents), and the open round's start time.
+    _selection_timer: Timer = field(init=False, repr=False)
+    _round_timer: Timer = field(init=False, repr=False)
+    _rounds: Counter = field(init=False, repr=False)
+    _regret: Gauge = field(init=False, repr=False)
+    _round_start: float = field(init=False, repr=False, default=0.0)
+
+    def __post_init__(self) -> None:
+        self._bind_metrics()
+
+    def _bind_metrics(self) -> None:
+        reg = self.ctx.metrics
+        self._selection_timer = reg.timer("engine.selection")
+        self._round_timer = reg.timer("engine.round")
+        self._rounds = reg.counter("rounds")
+        self._regret = reg.gauge("cumulative_regret")
 
     @classmethod
     def start(cls, config: SimulationConfig, factory: RngFactory,
@@ -175,6 +215,80 @@ class RunCore:
         }
         return cls(config, num_rounds, observation_rng, policy_rng, ctx,
                    metrics, fingerprint)
+
+    # -- the round bracket ----------------------------------------------------
+
+    def begin_round(self, t: int) -> None:
+        """Open round ``t``: start its clock and emit ``round_start``."""
+        self._round_start = perf_counter()
+        if self.ctx.tracer.enabled:
+            self.ctx.tracer.emit("round_start", round_index=t)
+
+    def select(self, t: int, online: np.ndarray | None = None
+               ) -> np.ndarray:
+        """Round ``t``'s selection, timed from the round's start.
+
+        ``online`` is a boolean per-seller mask of a partial roster
+        (``None``: every seller is online); only a
+        :class:`~repro.bandits.UCBPolicy` selects from one.  Sets
+        :attr:`explore`: a round explores (Algorithm 1's pricing at
+        ``tau^0``) when it selects more than ``K`` sellers, or every
+        online seller in round 0 — which covers the ``K == M`` corner
+        where the two coincide.
+        """
+        ctx = self.ctx
+        policy = ctx.policy
+        if online is None:
+            online_count = self.config.num_sellers
+            selected = policy.select(t, ctx.state, self.policy_rng)
+        else:
+            if not isinstance(policy, UCBPolicy):
+                raise ConfigurationError(
+                    f"policy {policy.name!r} cannot select from a partial "
+                    "roster (churn or offline slots); only UCBPolicy "
+                    "selects among the online sellers"
+                )
+            online_count = int(np.count_nonzero(online))
+            if online_count == 0:
+                raise ConfigurationError(
+                    "no seller is online: open a session or configure "
+                    "arrivals before trading"
+                )
+            selected = policy.select(t, ctx.state, self.policy_rng,
+                                     online=online)
+        duration = perf_counter() - self._round_start
+        self._selection_timer.observe(duration)
+        self.explore = selected.size > self.config.num_selected or (
+            t == 0 and selected.size == online_count
+        )
+        if ctx.tracer.enabled:
+            ctx.tracer.emit("selection", round_index=t, selected=selected,
+                            explore=self.explore,
+                            ucb=_ucb_of(policy, ctx.state, selected),
+                            duration_s=duration)
+        return selected
+
+    def play(self, t: int, selected: np.ndarray,
+             fault_model: FaultModel | None = None,
+             log: FaultLog | None = None) -> Settlement:
+        """Play round ``t``'s body: clean, or degraded by ``fault_model``."""
+        if fault_model is None:
+            return play_clean_round(self.ctx, t, selected, self.explore)
+        return play_faulty_round(self.ctx, t, selected, self.explore,
+                                 fault_model, log)
+
+    def end_round(self, t: int) -> None:
+        """Close round ``t``: count it, gauge the regret, time it, and
+        emit ``round_end``."""
+        self._rounds.inc()
+        self._regret.set(self.ctx.tracker.cumulative_regret)
+        duration = perf_counter() - self._round_start
+        self._round_timer.observe(duration)
+        if self.ctx.tracer.enabled:
+            self.ctx.tracer.emit("round_end", round_index=t,
+                                 duration_s=duration)
+
+    # -- run brackets, metrics and checkpoints --------------------------------
 
     def run_metrics(self, rounds: int) -> RunMetrics:
         """The run's metrics over its first ``rounds`` rounds."""
@@ -265,6 +379,23 @@ class RunCore:
                else "(no checkpoint written)"),
             checkpoint_path=final_path,
         )
+
+
+def _ucb_of(policy: SelectionPolicy, state: LearningState,
+            selected: np.ndarray) -> np.ndarray | None:
+    """The selected sellers' UCB indices (Eq. 19), if computable.
+
+    Only policies exposing an ``exploration_coefficient`` have them;
+    for the rest (random, optimal, ...) this is ``None``.  Unobserved
+    sellers carry an infinite index.
+    """
+    coefficient = getattr(policy, "exploration_coefficient", None)
+    if coefficient is None:
+        return None
+    try:
+        return state.ucb_at(float(coefficient), selected)
+    except (ReproError, TypeError, ValueError):
+        return None
 
 
 def save_run_checkpoint(path: str | os.PathLike, core: RunCore,
@@ -448,6 +579,8 @@ class RestoredRun:
             self._observation_rng_state)
         if self._metrics_snapshot is not None:
             # Resumed runs carry their telemetry forward: counters and
-            # timers continue from the checkpointed snapshot.
+            # timers continue from the checkpointed snapshot, whose
+            # objects replace the ones the bracket held.
             core.metrics.restore(self._metrics_snapshot)
+            core._bind_metrics()
         return self.next_round

@@ -16,9 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.bandits.policies
-import repro.runtime.market
-import repro.sim.engine
 import repro.sim.rounds
+import repro.sim.runcore
 from repro.bandits.policies import UCBPolicy
 from repro.core.selection import top_k_indices
 from repro.core.state import LearningState
@@ -221,9 +220,8 @@ def on_references(monkeypatch):
     """Swap every round-loop kernel for its naive reference."""
 
     def install():
-        monkeypatch.setattr(repro.sim.engine, "LearningState",
-                            ReferenceLearningState)
-        monkeypatch.setattr(repro.runtime.market, "LearningState",
+        # Every driver builds its learning state in the run core.
+        monkeypatch.setattr(repro.sim.runcore, "LearningState",
                             ReferenceLearningState)
         monkeypatch.setattr(repro.bandits.policies, "top_k_indices",
                             reference_top_k)

@@ -1,4 +1,4 @@
-"""Mutation meta-tests for the whole-program flow rules RL101-RL103.
+"""Mutation meta-tests for the whole-program flow rules RL101 and RL103.
 
 Each test copies the clean fixture project from
 ``tests/lint_fixtures/flow/<rule>/`` into a temp directory, applies a
@@ -72,32 +72,6 @@ class TestRL101RngTaint:
         (finding,) = findings("RL101")
         assert "parameter 'factory'" in finding.message
         assert "repro.quality.launder.invoke" in finding.message
-
-
-class TestRL102KernelPurity:
-    def test_mutating_non_out_parameter(self, project):
-        load, mutate, findings = project
-        load("rl102")
-        mutate("kernels.py", "np.multiply(values, _SCALE, out=out)",
-               "values[:] = values * _SCALE")
-        found = findings("RL102")
-        messages = " | ".join(f.message for f in found)
-        assert "mutates parameter 'values'" in messages
-        # the caller forwarding its own parameter into the mutator is
-        # flagged too — the summary propagated bottom-up
-        assert "passes parameter 'values'" in messages
-
-    def test_module_state_write_propagates_to_callers(self, project):
-        load, mutate, findings = project
-        load("rl102")
-        mutate("kernels.py", "_SCALE = 2.0", "_SCALE = 2.0\n_HISTORY = []")
-        mutate("kernels.py", "    np.multiply(values, _SCALE, out=out)",
-               "    _HISTORY.append(float(values[0]))\n"
-               "    np.multiply(values, _SCALE, out=out)")
-        found = findings("RL102")
-        messages = " | ".join(f.message for f in found)
-        assert "writes module-level state '_HISTORY'" in messages
-        assert "calls impure repro.kernels.fixture.scale_into" in messages
 
 
 class TestRL103EventKinds:

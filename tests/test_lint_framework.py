@@ -27,7 +27,7 @@ class TestRegistry:
     def test_all_rules_registered(self):
         ids = [rule.rule_id for rule in all_rules()]
         assert ids == ["RL002", "RL004", "RL005", "RL006",
-                       "RL101", "RL102", "RL103"]
+                       "RL101", "RL103"]
 
     def test_rules_have_title_and_rationale(self):
         for rule in all_rules():

@@ -144,11 +144,21 @@ def _traced_mechanism_run() -> tuple[RingBufferSink, int]:
     return ring, job.num_rounds
 
 
+def _traced_runtime_run() -> tuple[RingBufferSink, int]:
+    from repro.runtime import MarketRuntime
+
+    ring = RingBufferSink()
+    config = _config()
+    MarketRuntime(config, _ucb(), tracer=Tracer(ring)).run()
+    return ring, config.num_rounds
+
+
 class TestTraceCompleteness:
     def test_every_round_has_selection_equilibrium_and_brackets(self):
-        # Both drivers of the shared round core: the engine and the
-        # stand-alone mechanism.
-        for ring, n in (_traced_engine_run(), _traced_mechanism_run()):
+        # Every driver of the shared round core: the engine, the
+        # stand-alone mechanism and the event runtime.
+        for ring, n in (_traced_engine_run(), _traced_mechanism_run(),
+                        _traced_runtime_run()):
             assert len(ring.of_kind("run_start")) == 1
             assert len(ring.of_kind("run_end")) == 1
             assert len(ring.of_kind("round_start")) == n
@@ -189,19 +199,15 @@ class TestTraceCompleteness:
             return selected
 
         monkeypatch.setattr(UCBPolicy, "select", recording)
-        for run, explore_ucb in ((_traced_engine_run, True),
-                                 (_traced_mechanism_run, False)):
+        for run in (_traced_engine_run, _traced_mechanism_run,
+                    _traced_runtime_run):
             full.clear()
             ring, n = run()
             events = ring.of_kind("selection")
             assert len(events) == len(full) == n
             for event, vector in zip(events, full):
-                ucb = event.payload["ucb"]
-                if event.round_index == 0 and not explore_ucb:
-                    assert ucb is None
-                    continue
                 np.testing.assert_array_equal(
-                    ucb, vector[event.payload["selected"]])
+                    event.payload["ucb"], vector[event.payload["selected"]])
 
     def test_equilibrium_events_carry_strategy_profile(self):
         ring = RingBufferSink()
@@ -272,7 +278,8 @@ class TestMetricsThroughRuntime:
         assert reg.counters["fault_events"] > 0
         assert reg.counters["quarantined_reports"] > 0
 
-    def test_checkpoint_resume_carries_metrics_forward(self, tmp_path):
+    def test_checkpoint_resume_carries_metrics_forward(self, tmp_path,
+                                                       monkeypatch):
         """A resumed run restores the snapshot a checkpoint embedded."""
         config = _config(num_rounds=10)
         path = tmp_path / "c.npz"
@@ -280,11 +287,11 @@ class TestMetricsThroughRuntime:
         class Interrupt(Exception):
             pass
 
-        from repro.sim import engine as engine_module
+        from repro.sim import runcore
 
         # Run the first half, then crash (checkpoint at round 5 exists).
         reg1 = MetricsRegistry()
-        original = engine_module.play_clean_round
+        original = runcore.play_clean_round
 
         calls = {"n": 0}
 
@@ -294,15 +301,13 @@ class TestMetricsThroughRuntime:
             calls["n"] += 1
             return original(*args, **kwargs)
 
-        engine_module.play_clean_round = crashing
-        try:
-            with pytest.raises(Interrupt):
-                TradingSimulator(config).run(
-                    _ucb(), checkpoint_path=path, checkpoint_every=5,
-                    metrics=reg1,
-                )
-        finally:
-            engine_module.play_clean_round = original
+        monkeypatch.setattr(runcore, "play_clean_round", crashing)
+        with pytest.raises(Interrupt):
+            TradingSimulator(config).run(
+                _ucb(), checkpoint_path=path, checkpoint_every=5,
+                metrics=reg1,
+            )
+        monkeypatch.undo()
 
         # Resume with a fresh registry: the embedded snapshot restores,
         # so the final rounds counter covers the whole horizon (the
@@ -314,8 +319,29 @@ class TestMetricsThroughRuntime:
         )
         assert reg2.counters["rounds"] == config.num_rounds
         assert metrics.telemetry["counters"]["rounds"] == config.num_rounds
+        # The round timer the run holds survives the restore too.
+        assert reg2.timers["engine.round"].count == config.num_rounds
+        assert reg2.timers["engine.selection"].count == config.num_rounds
         # The restore itself was traced as a counter too.
         assert reg2.counters["checkpoint_writes"] >= 1
+
+    def test_runtime_resume_carries_metrics_forward(self, tmp_path):
+        """A restored runtime keeps counting into the restored metrics."""
+        from repro.runtime import MarketRuntime
+
+        config = _config(num_rounds=10)
+        path = tmp_path / "r.npz"
+        first = MarketRuntime(config, _ucb(), metrics=MetricsRegistry())
+        first.advance(5)
+        first.save(path)
+
+        reg = MetricsRegistry()
+        resumed = MarketRuntime(config, _ucb(), metrics=reg)
+        metrics = resumed.run(checkpoint_path=path, resume=True)
+        assert reg.counters["rounds"] == config.num_rounds
+        assert reg.timers["engine.round"].count == config.num_rounds
+        assert reg.timers["engine.selection"].count == config.num_rounds
+        assert reg.gauges["cumulative_regret"] == metrics.regret[-1]
 
     def test_resumed_run_matches_uninterrupted(self, tmp_path):
         config = _config(num_rounds=10)
