@@ -345,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "run the determinism/correctness static analyser (rules "
             "RL002, RL004-RL006, RL101 and RL103, plus the RL007 pragma "
-            "audit) over source files as one whole program"
+            "audit) over source files"
         ),
     )
     lint_parser.add_argument(

@@ -1,13 +1,10 @@
 """Determinism & correctness static analysis for the reproduction.
 
-``repro.lint`` is an AST-based linter.  Every run is one whole-program
-pass: the driver parses each file once, builds a project-wide call
-graph with bottom-up function summaries, and runs one registry of rules
-that encode the repo-specific invariants keeping CMAB-HS runs
-bit-identical across checkpoint/resume, parallel workers, and strict
-verification mode.
-
-Single-file rules (:mod:`repro.lint.rules`):
+``repro.lint`` is an AST-based linter.  The driver parses each file
+once and runs one registry of rules that encode the repo-specific
+invariants keeping CMAB-HS runs bit-identical across checkpoint/resume,
+parallel workers, and strict verification mode.  Every rule reads one
+file at a time (:mod:`repro.lint.rules`):
 
 * **RL002** — no wall-clock reads in the ``sim``/``game``/``bandits``/
   ``core``/``runtime`` hot paths; use the :mod:`repro.obs.timing` shim.
@@ -18,15 +15,18 @@ Single-file rules (:mod:`repro.lint.rules`):
   ``except Exception: pass``) in ``faults``/``parallel``/persistence.
 * **RL006** — nothing unpicklable (lambdas, nested functions) may
   cross the :class:`~repro.parallel.ParallelExecutor` task boundary.
-
-Whole-program rules (:mod:`repro.lint.rules_flow`):
-
 * **RL101** — RNG streams are born only in
   ``repro.sim.rng.seeded_generator`` / ``seed_sequence``; no other
-  ``numpy.random`` / stdlib ``random`` call, direct or laundered.
-* **RL103** — every emitted event kind is in
-  :data:`repro.obs.events.EVENT_KINDS`, across call chains, and every
-  declared kind is emitted somewhere.
+  ``numpy.random`` / stdlib ``random`` call, and no other reference to
+  a raw constructor (an alias, argument, default or return value).
+* **RL103** — every literal kind at ``.emit`` / ``TraceEvent`` is in
+  :data:`repro.obs.events.EVENT_KINDS`; no ``repro`` code outside
+  ``repro.obs`` emits a kind it received as a parameter; and every
+  declared kind is emitted by some linted file.
+
+The last two are stricter than a dataflow analysis would need to be:
+by banning aliases and forwarding wrappers outright, they catch at the
+site what would otherwise have to be traced across calls.
 
 Findings are suppressed per line with ``# repro-lint: disable=RL101``
 (comma-separate several ids, or ``disable=all``; trailing text is the
@@ -52,14 +52,12 @@ from repro.lint.reporters import (
     findings_to_sarif,
     render_findings,
 )
-from repro.lint.flow import FlowAnalysis, lint_paths, lint_source
-from repro.lint import rules as _rules  # registers RL002, RL004-RL006
-from repro.lint import rules_flow as _rules_flow  # registers RL101, RL103
+from repro.lint.driver import lint_paths, lint_source
+from repro.lint import rules as _rules  # registers every rule
 
 __all__ = [
     "FileRule",
     "Finding",
-    "FlowAnalysis",
     "LintContext",
     "LintRule",
     "ORPHAN_PRAGMA_RULE",

@@ -2,10 +2,10 @@
 
 The framework is deliberately small: one :class:`LintRule` registry, a
 :class:`LintContext` describing one source file (its AST, raw lines,
-inferred package, and suppression table), and the pragma audit.  The
-driver in :mod:`repro.lint.flow` parses each file once, builds the
-whole-program analysis, and runs every registered rule over it —
-single-file rules (:class:`FileRule`) and whole-program rules alike.
+inferred package, import table, and suppression table), and the pragma
+audit.  The driver in :mod:`repro.lint.driver` parses each file once
+and runs every registered rule over the parsed files.  Every rule reads
+one file at a time; RL103 also totals the kinds it saw across them.
 
 Pragma syntax
 -------------
@@ -32,12 +32,8 @@ import re
 import tokenize
 from dataclasses import dataclass, field
 from collections.abc import Iterable, Iterator, Sequence
-from typing import TYPE_CHECKING
 
 from repro.exceptions import ConfigurationError
-
-if TYPE_CHECKING:
-    from repro.lint.flow import FlowAnalysis
 
 __all__ = [
     "FileRule",
@@ -47,6 +43,7 @@ __all__ = [
     "ORPHAN_PRAGMA_RULE",
     "all_rules",
     "audit_pragmas",
+    "dotted_name",
     "get_rule",
     "register_rule",
     "rule_meta",
@@ -182,6 +179,47 @@ def _infer_package(path: str) -> str:
     return ".".join(module_parts)
 
 
+def dotted_name(node: ast.AST) -> str | None:
+    """``a.b.c`` for a pure Name/Attribute chain, else ``None``."""
+    parts: list[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return ".".join(reversed(parts))
+    return None
+
+
+def _import_table(tree: ast.AST, package: str, path: str) -> dict[str, str]:
+    """``local name -> dotted target`` for every import in the file.
+
+    Function-local imports count too.  ``import a.b`` binds ``a``,
+    ``import a.b as c`` binds ``c`` to ``a.b``, and a relative ``from``
+    import is resolved against the file's own package.
+    """
+    table: dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                local = alias.asname or alias.name.split(".", 1)[0]
+                table[local] = alias.name if alias.asname else local
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                parts = package.split(".") if package else []
+                if os.path.basename(path) != "__init__.py":
+                    parts = parts[:-1]
+                anchor = ".".join(parts[:len(parts) - (node.level - 1)])
+                base = ".".join(filter(None, (anchor, node.module)))
+            if not base:
+                continue
+            for alias in node.names:
+                if alias.name != "*":
+                    table[alias.asname or alias.name] = f"{base}.{alias.name}"
+    return table
+
+
 @dataclass
 class LintContext:
     """Everything a rule needs to know about one source file."""
@@ -191,6 +229,22 @@ class LintContext:
     tree: ast.AST
     package: str
     suppressions: _Suppressions
+    #: ``local name -> dotted target`` of the file's imports.
+    imports: dict[str, str] = field(default_factory=dict)
+
+    def resolve_import(self, dotted: str) -> str | None:
+        """``dotted`` spelled out through this file's imports.
+
+        ``np.random.rand`` becomes ``numpy.random.rand`` under ``import
+        numpy as np``, and ``pc`` becomes ``time.perf_counter`` under
+        ``from time import perf_counter as pc``; a name whose head is
+        not imported is None.
+        """
+        head, _, rest = dotted.partition(".")
+        target = self.imports.get(head)
+        if target is None:
+            return None
+        return f"{target}.{rest}" if rest else target
 
     @property
     def lines(self) -> list[str]:
@@ -230,15 +284,15 @@ def build_context(source: str, path: str) -> LintContext:
     if package is None:
         package = _infer_package(path)
     return LintContext(path=path, source=source, tree=tree,
-                       package=package, suppressions=suppressions)
+                       package=package, suppressions=suppressions,
+                       imports=_import_table(tree, package, path))
 
 
 class LintRule:
     """Base class for one named check.
 
     Subclasses set :attr:`rule_id` / :attr:`title` / :attr:`rationale`
-    and implement :meth:`check` over the whole-program
-    :class:`~repro.lint.flow.FlowAnalysis`, yielding
+    and implement :meth:`check` over the parsed files, yielding
     :class:`Finding`\\ s (the driver applies suppressions afterwards, so
     rules never need to).
     """
@@ -247,25 +301,7 @@ class LintRule:
     title: str = ""
     rationale: str = ""
 
-    def check(self, analysis: FlowAnalysis) -> Iterable[Finding]:
-        raise NotImplementedError
-
-    def finding_at(self, analysis: FlowAnalysis, path: str, line: int,
-                   col: int, message: str) -> Finding:
-        """A :class:`Finding` at ``path:line:col`` with its snippet."""
-        return Finding(path=path, line=line, column=col,
-                       rule=self.rule_id, message=message,
-                       snippet=analysis.snippet(path, line))
-
-
-class FileRule(LintRule):
-    """A rule that looks at one file at a time (:meth:`check_file`)."""
-
-    def check(self, analysis: FlowAnalysis) -> Iterable[Finding]:
-        for context in analysis.contexts:
-            yield from self.check_file(context)
-
-    def check_file(self, context: LintContext) -> Iterable[Finding]:
+    def check(self, contexts: Sequence[LintContext]) -> Iterable[Finding]:
         raise NotImplementedError
 
     def finding(self, context: LintContext, node: ast.AST,
@@ -280,6 +316,17 @@ class FileRule(LintRule):
             message=message,
             snippet=context.snippet_at(line),
         )
+
+
+class FileRule(LintRule):
+    """A rule that looks at one file at a time (:meth:`check_file`)."""
+
+    def check(self, contexts: Sequence[LintContext]) -> Iterable[Finding]:
+        for context in contexts:
+            yield from self.check_file(context)
+
+    def check_file(self, context: LintContext) -> Iterable[Finding]:
+        raise NotImplementedError
 
 
 _REGISTRY: dict[str, LintRule] = {}

@@ -2,11 +2,11 @@
 
 ``repro trace summarize`` answers "how long did each phase take on
 average"; this module answers the sharper question "which chain of
-phases dominated the wall clock".  It re-reads a JSONL trace (in the
-same tolerant mode as :func:`~repro.obs.summarize.summarize_trace`),
-buckets every ``duration_s``-carrying span into a *lane* (the main
-process, or ``worker <id>`` for parallel sweeps) and a *phase*, then
-walks the phase hierarchy::
+phases dominated the wall clock".  It takes the per-phase totals of
+:func:`~repro.obs.summarize.summarize_trace` — every
+``duration_s``-carrying span in a *lane* (the main process, or
+``worker <id>`` for parallel sweeps) and a *phase* — then walks the
+phase hierarchy::
 
     seed > run > round > {selection, equilibrium solve}
 
@@ -24,20 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.exceptions import ConfigurationError
-from repro.obs.summarize import read_trace
+from repro.obs.summarize import summarize_trace
 
 __all__ = ["CriticalPathReport", "Lane", "PathLink", "critical_path"]
-
-#: Phase label of each duration-carrying event kind (the main lane).
-_PHASE_OF_KIND = {
-    "selection": "selection",
-    "equilibrium": "equilibrium solve",
-    "round_end": "round",
-    "checkpoint": "checkpoint",
-    "run_end": "run",
-    "seed_end": "seed",
-}
 
 #: The containment hierarchy the path walk descends.  A phase's
 #: children are phases whose spans nest inside it; the walk picks the
@@ -155,34 +144,21 @@ class CriticalPathReport:
 def critical_path(path: str) -> CriticalPathReport:
     """Analyse one JSONL trace file's wall-clock-dominating chain.
 
-    Malformed lines are skipped and counted, mirroring
-    :func:`~repro.obs.summarize.summarize_trace`.
+    Malformed lines are skipped and counted, as
+    :func:`~repro.obs.summarize.summarize_trace` does.
 
     Raises
     ------
     ConfigurationError
         Only when the file itself cannot be read.
     """
-    report = CriticalPathReport(path=str(path))
-    totals: dict[str, float] = {}
-    calls: dict[str, int] = {}
-
-    def count_skipped(line_number: int, line: str,
-                      error: ConfigurationError) -> None:
-        report.skipped_lines += 1
-
-    for event in read_trace(path, on_malformed=count_skipped):
-        duration = event.payload.get("duration_s")
-        if not isinstance(duration, (int, float)):
-            continue
-        if event.kind == "worker_task_done":
-            phase = f"worker {event.payload.get('worker', '?')}"
-        else:
-            phase = _PHASE_OF_KIND.get(event.kind)
-            if phase is None:
-                continue
-        totals[phase] = totals.get(phase, 0.0) + float(duration)
-        calls[phase] = calls.get(phase, 0) + 1
+    summary = summarize_trace(path)
+    report = CriticalPathReport(path=str(path),
+                                skipped_lines=summary.skipped_lines)
+    totals = {name: timing.total
+              for name, timing in summary.phase_timings.items()}
+    calls = {name: timing.count
+             for name, timing in summary.phase_timings.items()}
 
     report.lanes = [
         Lane(name=name, calls=calls[name], total_s=totals[name])

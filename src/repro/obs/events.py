@@ -80,7 +80,8 @@ __all__ = ["EVENT_KINDS", "TraceEvent"]
 #:   ``receiver``, logical ``time``).
 #: * ``session_open`` — a seller-session began: the seller is online
 #:   and selectable from the next round on (payload: ``session`` id,
-#:   ``slot``).
+#:   ``slot``, ``first_round``, the index of that next round; not
+#:   ``round``, which the JSONL form reserves for the event's own round).
 #: * ``session_close`` — a seller-session ended, organically (churn) or
 #:   via the service's ``close`` request (payload: ``session`` id,
 #:   ``slot``, ``rounds_online``, ``trades``).

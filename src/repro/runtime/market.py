@@ -438,7 +438,7 @@ class MarketRuntime:
                               slot=slot)
         if self._tracer.enabled:
             self._tracer.emit("session_open", session=session, slot=slot,
-                              round=self._next_round)
+                              first_round=self._next_round)
         return session, slot
 
     def close_session(self, session: int) -> dict[str, int]:

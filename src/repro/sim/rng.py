@@ -12,13 +12,11 @@ import numpy as np
 
 __all__ = ["RngFactory", "seed_sequence", "seeded_generator"]
 
-#: Entropy accepted by :func:`seeded_generator` / :func:`seed_sequence`:
-#: a master seed, a (possibly spawned) seed sequence, or key material.
-SeedLike = int | list[int] | np.random.SeedSequence
 
-
-def seeded_generator(seed: SeedLike) -> np.random.Generator:
-    """A generator explicitly seeded with ``seed``.
+def seeded_generator(seed: int | list[int] | np.random.SeedSequence
+                     ) -> np.random.Generator:
+    """A generator explicitly seeded with ``seed``: a master seed, a
+    (possibly spawned) seed sequence, or key material.
 
     This is the repo's sole sanctioned spelling of
     ``np.random.default_rng`` outside this module (the RL101 lint rule
@@ -35,7 +33,8 @@ def seeded_generator(seed: SeedLike) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def seed_sequence(entropy: SeedLike) -> np.random.SeedSequence:
+def seed_sequence(entropy: int | list[int] | np.random.SeedSequence
+                  ) -> np.random.SeedSequence:
     """An ``np.random.SeedSequence`` over explicit ``entropy``.
 
     Sanctioned spelling of ``np.random.SeedSequence`` outside this

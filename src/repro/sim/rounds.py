@@ -51,7 +51,7 @@ from repro.core.regret import RegretTracker
 from repro.core.state import LearningState, observation_mask
 from repro.faults import FaultKind, FaultLog, FaultModel, RoundFaultPlan
 from repro.kernels.selection import estimation_error as _estimation_error
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Gauge, MetricsRegistry, Timer
 from repro.obs.timing import perf_counter
 from repro.obs.tracer import Tracer
 from repro.quality.sampler import QualitySampler
@@ -123,6 +123,12 @@ class RoundContext:
     #: :meth:`resync_estimation_error` after restoring or resetting the
     #: state.
     abs_error: np.ndarray = field(init=False)
+    #: The settle step's metric handles, fetched from ``metrics`` once
+    #: per run by :class:`~repro.sim.runcore.RunCore` (and again after a
+    #: restore replaces the registry's contents).
+    solve_timer: Timer = field(init=False, repr=False)
+    service_price: Gauge = field(init=False, repr=False)
+    collection_price: Gauge = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.resync_estimation_error()
@@ -169,7 +175,6 @@ def _settle(ctx: RoundContext, t: int, participants: np.ndarray,
     series = ctx.series
     theta, lam, omega = ctx.theta, ctx.lam, ctx.omega
     svc_bounds, col_bounds = ctx.svc_bounds, ctx.col_bounds
-    reg = ctx.metrics
     cost_a = ctx.cost_a_all[participants]
     cost_b = ctx.cost_b_all[participants]
     solve_start = perf_counter()
@@ -190,9 +195,9 @@ def _settle(ctx: RoundContext, t: int, participants: np.ndarray,
         total = float(np.add.reduce(taus))
         aggregation = theta * total * total + lam * total
     solve_duration = perf_counter() - solve_start
-    reg.timer("engine.solve").observe(solve_duration)
-    reg.gauge("service_price").set(p_j)
-    reg.gauge("collection_price").set(p)
+    ctx.solve_timer.observe(solve_duration)
+    ctx.service_price.set(p_j)
+    ctx.collection_price.set(p)
     if ctx.tracer.enabled:
         ctx.tracer.emit("equilibrium", round_index=t,
                         service_price=float(p_j),

@@ -149,8 +149,9 @@ class RunCore:
     #: Whether the open round explores; :meth:`select` sets it.
     explore: bool = field(init=False, default=False)
     # The bracket's metric handles, fetched once per run by
-    # _bind_metrics (and again after a restore replaces the registry's
-    # contents), and the open round's start time.
+    # _bind_metrics with the settle step's handles on ``ctx`` (and again
+    # after a restore replaces the registry's contents), and the open
+    # round's start time.
     _selection_timer: Timer = field(init=False, repr=False)
     _round_timer: Timer = field(init=False, repr=False)
     _rounds: Counter = field(init=False, repr=False)
@@ -166,6 +167,9 @@ class RunCore:
         self._round_timer = reg.timer("engine.round")
         self._rounds = reg.counter("rounds")
         self._regret = reg.gauge("cumulative_regret")
+        self.ctx.solve_timer = reg.timer("engine.solve")
+        self.ctx.service_price = reg.gauge("service_price")
+        self.ctx.collection_price = reg.gauge("collection_price")
 
     @classmethod
     def start(cls, config: SimulationConfig, factory: RngFactory,

@@ -1,9 +1,10 @@
 """RL101 fixture: helpers that *could* launder an RNG constructor.
 
 Clean as committed: ``invoke`` is a generic factory applicator and no
-call site hands it a raw RNG constructor.  The meta-test mutates
-``make_stream`` to alias ``np.random.default_rng`` through a local —
-a call not spelled through an import, which RL101 must still trace.
+call site hands it a raw RNG constructor.  The meta-tests mutate
+``make_stream`` to alias ``np.random.default_rng`` through a local, to
+pass it to ``invoke``, to take it as a default, or to return it —
+each a non-call reference RL101 flags where it stands.
 """
 # repro-lint: package=repro.quality.launder
 import numpy as np

@@ -1,22 +1,17 @@
-"""RL103 fixture: kinds reach ``Tracer.emit`` only through wrappers.
+"""RL103 fixture: literal kinds at every ``emit`` and ``TraceEvent``.
 
-Clean as committed: every literal forwarded through ``forward`` (and
-every ``TraceEvent`` construction) is a member of ``EVENT_KINDS``, and
-every declared kind is produced by some call chain.  The meta-tests
-mutate a forwarded literal to a typo (invalid kind through a wrapper —
-invisible to a check of literal ``emit`` calls alone) and add a kind
-nobody emits (dead kind).
+Clean as committed: every literal kind is a member of ``EVENT_KINDS``,
+and every declared kind is emitted somewhere.  The meta-tests route a
+kind through a forwarding wrapper (which hides it from the census, so
+the wrapper is flagged and the kind goes dead), misspell a literal, add
+a kind nobody emits (dead kind), and add a replay that re-emits a
+recorded ``event.kind`` (clean: the kind is not a parameter).
 """
 # repro-lint: package=repro.sim.emitters
 from repro.obs.events import TraceEvent
 
 
-def forward(tracer, kind):
-    """Wrapper a literal-``emit`` check cannot see through."""
-    tracer.emit(kind)
-
-
 def run_round(tracer):
-    forward(tracer, "round_start")
-    forward(tracer, "round_end")
+    tracer.emit("round_start")
+    tracer.emit("round_end")
     return TraceEvent("trade_settled")

@@ -1,5 +1,5 @@
-"""End-to-end tests for ``repro lint``'s whole-program pass: the CLI
-surface, SARIF emission, and ``--strict-pragmas``.
+"""End-to-end tests for ``repro lint``: the CLI surface, SARIF
+emission, and ``--strict-pragmas``.
 """
 
 import json

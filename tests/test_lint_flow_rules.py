@@ -1,4 +1,4 @@
-"""Mutation meta-tests for the whole-program flow rules RL101 and RL103.
+"""Mutation meta-tests for RL101 and RL103 on small fixture projects.
 
 Each test copies the clean fixture project from
 ``tests/lint_fixtures/flow/<rule>/`` into a temp directory, applies a
@@ -56,13 +56,14 @@ class TestRL101RngTaint:
     def test_local_alias_launders_past_single_file_rule(self, project):
         load, mutate, findings = project
         load("rl101")
-        # the aliased call is not spelled through an import — RL101's
-        # env resolution must still catch it
+        # the aliased call is not spelled through an import; the alias
+        # itself is the finding
         mutate("launder.py", "return invoke(str, seed)",
                "ctor = np.random.default_rng\n    return ctor(seed)")
         (finding,) = findings("RL101")
         assert "raw constructor" in finding.message
         assert finding.path.endswith("launder.py")
+        assert finding.snippet == "ctor = np.random.default_rng"
 
     def test_constructor_passed_to_invoking_helper(self, project):
         load, mutate, findings = project
@@ -70,20 +71,64 @@ class TestRL101RngTaint:
         mutate("launder.py", "return invoke(str, seed)",
                "return invoke(np.random.default_rng, seed)")
         (finding,) = findings("RL101")
-        assert "parameter 'factory'" in finding.message
-        assert "repro.quality.launder.invoke" in finding.message
+        assert "raw constructor numpy.random.default_rng" in finding.message
+        assert finding.path.endswith("launder.py")
+
+    def test_constructor_as_default_value(self, project):
+        load, mutate, findings = project
+        load("rl101")
+        mutate("launder.py", "def make_stream(seed):",
+               "def make_stream(seed, factory=np.random.default_rng):")
+        (finding,) = findings("RL101")
+        assert "raw constructor" in finding.message
+        assert finding.snippet.startswith("def make_stream(")
+
+    def test_constructor_as_return_value(self, project):
+        load, mutate, findings = project
+        load("rl101")
+        mutate("launder.py", "return invoke(str, seed)",
+               "return np.random.default_rng")
+        (finding,) = findings("RL101")
+        assert "raw constructor" in finding.message
+        assert finding.snippet == "return np.random.default_rng"
 
 
 class TestRL103EventKinds:
     def test_invalid_kind_through_wrapper(self, project):
         load, mutate, findings = project
         load("rl103")
+        mutate("emitters.py", 'tracer.emit("round_end")',
+               'forward(tracer, "round_end")')
+        mutate("emitters.py", "def run_round(tracer):",
+               "def forward(tracer, kind):\n"
+               "    tracer.emit(kind)\n\n\n"
+               "def run_round(tracer):")
+        found = findings("RL103")
+        (wrapper,) = [f for f in found if f.path.endswith("emitters.py")]
+        assert "forwarding wrapper" in wrapper.message
+        assert wrapper.snippet == "tracer.emit(kind)"
+        # the wrapper hides the kind it forwards, so the kind goes dead
+        (dead,) = [f for f in found if f.path.endswith("events.py")]
+        assert "'round_end' is declared in EVENT_KINDS" in dead.message
+
+    def test_literal_typo_orphans_the_declared_kind(self, project):
+        load, mutate, findings = project
+        load("rl103")
         mutate("emitters.py", '"round_end"', '"round_endd"')
         messages = " | ".join(f.message for f in findings("RL103"))
-        assert ("event kind 'round_endd' reaches Tracer.emit through "
-                "repro.sim.emitters.forward") in messages
-        # the typo also orphans the real kind
+        assert ("emit kind 'round_endd' is not a member of "
+                "EVENT_KINDS") in messages
         assert "'round_end' is declared in EVENT_KINDS" in messages
+
+    def test_replaying_a_recorded_kind_stays_clean(self, project):
+        load, mutate, findings = project
+        load("rl103")
+        mutate("emitters.py", "def run_round(tracer):",
+               "def replay(tracer, events):\n"
+               "    for event in events:\n"
+               "        tracer.emit(event.kind, event.round_index)\n\n\n"
+               "def run_round(tracer):")
+        assert findings() == []
 
     def test_dead_kind_detected_at_schema_site(self, project):
         load, mutate, findings = project
@@ -108,6 +153,6 @@ class TestSuppression:
         load, mutate, findings = project
         load("rl101")
         mutate("launder.py", "return invoke(str, seed)",
-               "ctor = np.random.default_rng\n"
-               "    return ctor(seed)  # repro-lint: disable=RL101")
+               "ctor = np.random.default_rng  # repro-lint: disable=RL101\n"
+               "    return ctor(seed)")
         assert findings("RL101") == []

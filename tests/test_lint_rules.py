@@ -15,6 +15,7 @@ import os
 import pytest
 
 from repro.lint import lint_paths, lint_source
+from repro.lint.framework import build_context
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "lint_fixtures")
 
@@ -123,10 +124,63 @@ class TestRl001Details:
         assert [(f.rule, f.line) for f in lint_source(source)] \
             == [("RL101", 3)]
 
+    def test_module_import_alias_is_resolved(self):
+        source = (
+            "import numpy.random as npr\n"
+            "rng = npr.default_rng(3)\n"
+        )
+        assert [(f.rule, f.line) for f in lint_source(source)] \
+            == [("RL101", 2)]
+
+    def test_function_local_import_alias_reference_is_flagged(self):
+        source = (
+            "def factory():\n"
+            "    from numpy.random import default_rng as mk\n"
+            "    return mk\n"
+        )
+        assert [(f.rule, f.line) for f in lint_source(source)] \
+            == [("RL101", 3)]
+
+    def test_annotations_are_not_references(self):
+        # `x: np.random.Generator` names a type, not a stream
+        source = (
+            "import numpy as np\n"
+            "def f(x: np.random.Generator) -> np.random.Generator:\n"
+            "    g: np.random.Generator = x\n"
+            "    return g\n"
+        )
+        assert lint_source(source) == []
+
     def test_unrelated_random_attribute_not_flagged(self):
         # A local object that merely *has* a .random() method.
         source = "rng = population.random()\n"
         assert lint_source(source) == []
+
+
+class TestImportTable:
+    def test_import_tables_bind_the_local_name(self):
+        context = build_context(
+            "import numpy as np\n"
+            "import os.path\n"
+            "import xml.dom as dom\n"
+            "from pkg.other import thing\n",
+            "pkg/mod.py",
+        )
+        assert context.imports == {"np": "numpy", "os": "os",
+                                   "dom": "xml.dom",
+                                   "thing": "pkg.other.thing"}
+
+    def test_relative_import_resolves_against_the_package(self):
+        context = build_context(
+            "# repro-lint: package=repro.sim.engine\n"
+            "from .rng import seeded_generator\n"
+            "from ..obs import tracer\n",
+            "engine.py",
+        )
+        assert context.imports == {
+            "seeded_generator": "repro.sim.rng.seeded_generator",
+            "tracer": "repro.obs.tracer",
+        }
 
 
 class TestRl002Details:

@@ -27,8 +27,8 @@ def test_source_tree_lints_clean():
 
 
 def test_source_tree_flow_lints_clean():
-    """The CI gate: the whole-program run is clean even with unused
-    pragmas counted as errors (``--strict-pragmas``)."""
+    """The CI gate: the run is clean even with unused pragmas counted
+    as errors (``--strict-pragmas``)."""
     findings, __ = lint_paths([SRC], strict=True)
     assert findings == [], "\n".join(f.format() for f in findings)
 

@@ -322,6 +322,9 @@ class TestMetricsThroughRuntime:
         # The round timer the run holds survives the restore too.
         assert reg2.timers["engine.round"].count == config.num_rounds
         assert reg2.timers["engine.selection"].count == config.num_rounds
+        # So do the settle step's handles.
+        assert reg2.timers["engine.solve"].count == config.num_rounds
+        assert reg2.gauges["service_price"] == metrics.service_price[-1]
         # The restore itself was traced as a counter too.
         assert reg2.counters["checkpoint_writes"] >= 1
 
@@ -342,6 +345,9 @@ class TestMetricsThroughRuntime:
         assert reg.timers["engine.round"].count == config.num_rounds
         assert reg.timers["engine.selection"].count == config.num_rounds
         assert reg.gauges["cumulative_regret"] == metrics.regret[-1]
+        assert reg.timers["engine.solve"].count == config.num_rounds
+        assert reg.gauges["collection_price"] \
+            == metrics.collection_price[-1]
 
     def test_resumed_run_matches_uninterrupted(self, tmp_path):
         config = _config(num_rounds=10)

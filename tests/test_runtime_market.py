@@ -22,7 +22,8 @@ from repro.exceptions import (
     GracefulShutdownInterrupt,
     PersistenceError,
 )
-from repro.obs import MetricsRegistry, RingBufferSink, Tracer
+from repro.obs import (JsonlSink, MetricsRegistry, RingBufferSink, Tracer,
+                       summarize_trace)
 from repro.resilience import ScheduledAbort
 from repro.runtime import ChurnSpec, MarketRuntime, TradeLedger, TradeRecord
 from repro.sim import SimulationConfig, TradingSimulator
@@ -217,6 +218,19 @@ class TestSessions:
         closes = ring.of_kind("session_close")
         assert closes[0].payload == {"session": session, "slot": slot,
                                      "rounds_online": 0, "trades": 0}
+
+    def test_session_opened_after_the_last_round_adds_no_round(self,
+                                                              tmp_path):
+        # A session_open payload key named "round" is read back as the
+        # event's round index, so a late session added a phantom round.
+        path = tmp_path / "runtime.jsonl"
+        tracer = Tracer(JsonlSink(path))
+        runtime = MarketRuntime(_config(num_rounds=6), tracer=tracer)
+        assert runtime.advance(None) == 6
+        runtime.close_session(0)
+        runtime.open_session()
+        tracer.close()
+        assert summarize_trace(path).num_rounds == 6
 
 
 class TestRunControl:
