@@ -13,7 +13,7 @@ from conftest import run_once
 from repro.bandits.policies import UCBPolicy
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import TradingSimulator
-from repro.verify import GOLDEN_CASES, compute_golden, run_oracle_suite
+from repro.verify import GOLDEN_CASES, run_oracle_suite
 
 _CONFIG = dict(num_sellers=100, num_selected=8, num_pois=10,
                num_rounds=400, seed=21)
@@ -38,12 +38,13 @@ def test_engine_strict(benchmark):
 
 def test_oracle_suite_edge_cases(benchmark):
     """The deterministic corner-case oracles (``--oracle-cases 0``)."""
-    report = run_once(benchmark, run_oracle_suite, seed=0, num_cases=0)
-    assert report.passed, [c.describe() for c in report.failures()]
+    checks = run_once(benchmark, run_oracle_suite, seed=0, num_cases=0)
+    assert all(c.passed for c in checks), [
+        c.describe() for c in checks if not c.passed]
 
 
 def test_golden_recompute(benchmark):
     """Recomputing the cheapest checked-in golden case."""
     case = min(GOLDEN_CASES, key=lambda c: c.num_rounds * c.num_sellers)
-    payload = run_once(benchmark, compute_golden, case)
+    payload = run_once(benchmark, case.compute)
     assert payload["case"]["name"] == case.name

@@ -799,6 +799,18 @@ def _command_replicate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _write_report(path: str, payload: dict, what: str) -> None:
+    """Write a JSON artefact; an unwritable path is a named error."""
+    from repro.exceptions import PersistenceError
+    from repro.sim.persistence import atomic_write_json
+
+    try:
+        atomic_write_json(path, payload)
+    except OSError as error:
+        raise PersistenceError(f"cannot write {what} {path}: {error}") \
+            from error
+
+
 def _command_chaos(args: argparse.Namespace) -> int:
     from repro.resilience.chaos import ChaosConfig, run_chaos
 
@@ -815,15 +827,7 @@ def _command_chaos(args: argparse.Namespace) -> int:
     )
     print(report.to_text())
     if args.report:
-        from repro.exceptions import PersistenceError
-        from repro.sim.persistence import atomic_write_json
-
-        try:
-            atomic_write_json(args.report, report.to_dict())
-        except OSError as error:
-            raise PersistenceError(
-                f"cannot write chaos report {args.report}: {error}"
-            ) from error
+        _write_report(args.report, report.to_dict(), "chaos report")
         print(f"wrote report to {args.report}")
     _finish_observability(args, tracer, metrics)
     return 0 if report.passed else 1
@@ -915,17 +919,11 @@ def _command_serve(args: argparse.Namespace) -> int:
 
 
 def _command_verify(args: argparse.Namespace) -> int:
-    from repro.sim.persistence import atomic_write_json
-    from repro.verify import (
-        run_verification,
-        update_goldens,
-        update_runtime_golden,
-    )
+    from repro.verify import run_verification, update_goldens
 
     if args.update_goldens:
         for path in update_goldens(args.goldens_dir):
             print(f"wrote {path}")
-        print(f"wrote {update_runtime_golden(args.goldens_dir)}")
         return 0
     sections = tuple(args.only) if args.only else None
     report = run_verification(
@@ -937,14 +935,7 @@ def _command_verify(args: argparse.Namespace) -> int:
     )
     print(report.to_text())
     if args.report:
-        from repro.exceptions import PersistenceError
-
-        try:
-            atomic_write_json(args.report, report.to_dict())
-        except OSError as error:
-            raise PersistenceError(
-                f"cannot write verification report {args.report}: {error}"
-            ) from error
+        _write_report(args.report, report.to_dict(), "verification report")
         print(f"wrote report to {args.report}")
     return 0 if report.passed else 1
 
@@ -983,16 +974,7 @@ def _command_lint(args: argparse.Namespace) -> int:
         else:
             print(render_findings(findings, files_checked=files_checked))
     if args.report:
-        from repro.sim.persistence import atomic_write_json
-
-        try:
-            atomic_write_json(args.report, report)
-        except OSError as error:
-            from repro.exceptions import PersistenceError
-
-            raise PersistenceError(
-                f"cannot write lint report {args.report}: {error}"
-            ) from error
+        _write_report(args.report, report, "lint report")
         if args.format == "human":
             print(f"wrote report to {args.report}")
     return 1 if any(f.severity == "error" for f in findings) else 0
@@ -1011,9 +993,7 @@ def _command_trace_critical_path(args: argparse.Namespace) -> int:
     report = critical_path(args.path)
     print(report.to_text())
     if args.report:
-        from repro.sim.persistence import atomic_write_json
-
-        atomic_write_json(args.report, report.to_dict())
+        _write_report(args.report, report.to_dict(), "critical-path report")
         print(f"wrote report to {args.report}")
     return 0
 
@@ -1074,9 +1054,7 @@ def _command_profile(args: argparse.Namespace) -> int:
           + (f" workers={args.workers}" if args.workers > 1 else ""))
     print(report.hotspot_table(args.top))
     if args.out:
-        from repro.sim.persistence import atomic_write_json
-
-        atomic_write_json(args.out, report.to_dict())
+        _write_report(args.out, report.to_dict(), "profile")
         print(f"\nwrote profile to {args.out}")
     return 0
 
@@ -1144,16 +1122,14 @@ def _command_bench_compare(args: argparse.Namespace) -> int:
         print(verdict.to_text())
         verdicts.append(verdict)
     if args.report:
-        from repro.sim.persistence import atomic_write_json
-
-        atomic_write_json(args.report, {
+        _write_report(args.report, {
             "schema": 1,
             "ok": all(verdict.ok for verdict in verdicts),
             "stores": {
                 path: verdict.to_dict()
                 for path, verdict in zip(args.stores, verdicts)
             },
-        })
+        }, "bench comparison report")
         print(f"wrote report to {args.report}")
     return 0 if all(verdict.ok for verdict in verdicts) else 1
 

@@ -39,7 +39,6 @@ from repro.obs.metrics import (
 )
 from repro.obs.profile import PhaseProfiler, ProfileReport
 from repro.obs.summarize import (
-    PhaseTiming,
     TraceSummary,
     read_trace,
     summarize_trace,
@@ -81,7 +80,6 @@ __all__ = [
     "LOGGER_NAME",
     "configure_logging",
     "get_logger",
-    "PhaseTiming",
     "TraceSummary",
     "read_trace",
     "summarize_trace",

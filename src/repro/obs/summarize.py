@@ -6,7 +6,8 @@ summarize <path>`` loads every event a traced run emitted and reports
 * event counts by kind,
 * per-phase timing rollups (selection / equilibrium solve / whole
   round / checkpoint writes / whole runs), reconstructed from the
-  ``duration_s`` fields events carry,
+  ``duration_s`` fields events carry (a negative or NaN duration is
+  skipped, not counted),
 * fault-injection counts by fault kind,
 * the policies and round span the trace covers,
 * per-worker task timing and crash counts when the trace came from a
@@ -26,16 +27,15 @@ reports the skipped count in :attr:`TraceSummary.skipped_lines`.
 from __future__ import annotations
 
 import json
-import math
 import os
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.exceptions import ConfigurationError
 from repro.obs.events import TraceEvent
-from repro.obs.metrics import QuantileReservoir
+from repro.obs.metrics import Timer
 
-__all__ = ["PhaseTiming", "TraceSummary", "read_trace", "summarize_trace"]
+__all__ = ["TraceSummary", "read_trace", "summarize_trace"]
 
 #: Which event kinds carry a ``duration_s`` worth aggregating, and the
 #: phase label each is reported under.
@@ -50,47 +50,13 @@ _PHASE_OF_KIND = {
 
 
 @dataclass
-class PhaseTiming:
-    """Aggregated wall-clock time of one runtime phase."""
-
-    count: int = 0
-    total: float = 0.0
-    minimum: float = math.inf
-    maximum: float = 0.0
-    reservoir: QuantileReservoir = field(default_factory=QuantileReservoir)
-
-    def add(self, seconds: float) -> None:
-        """Fold one duration into the rollup."""
-        self.count += 1
-        self.total += seconds
-        self.minimum = min(self.minimum, seconds)
-        self.maximum = max(self.maximum, seconds)
-        self.reservoir.add(seconds)
-
-    @property
-    def mean(self) -> float:
-        """Average duration (0 before any observation)."""
-        return self.total / self.count if self.count else 0.0
-
-    @property
-    def p50(self) -> float | None:
-        """Median duration (``None`` before any observation)."""
-        return self.reservoir.quantile(0.50)
-
-    @property
-    def p95(self) -> float | None:
-        """95th-percentile duration (``None`` before any observation)."""
-        return self.reservoir.quantile(0.95)
-
-
-@dataclass
 class TraceSummary:
     """Rollup of one JSONL trace file."""
 
     path: str
     num_events: int = 0
     events_by_kind: dict[str, int] = field(default_factory=dict)
-    phase_timings: dict[str, PhaseTiming] = field(default_factory=dict)
+    phase_timings: dict[str, Timer] = field(default_factory=dict)
     faults_by_kind: dict[str, int] = field(default_factory=dict)
     policies: list[str] = field(default_factory=list)
     num_rounds: int = 0
@@ -122,11 +88,14 @@ class TraceSummary:
             # shows how evenly the sweep sharded across the pool.
             phase = f"worker {event.payload.get('worker', '?')}"
         duration = event.payload.get("duration_s")
-        if phase is not None and isinstance(duration, (int, float)):
+        # A negative (or NaN) duration cannot be a measurement: skip it
+        # rather than let one hostile record abort the rollup.
+        if (phase is not None and isinstance(duration, (int, float))
+                and duration >= 0.0):
             timing = self.phase_timings.get(phase)
             if timing is None:
-                timing = self.phase_timings[phase] = PhaseTiming()
-            timing.add(float(duration))
+                timing = self.phase_timings[phase] = Timer()
+            timing.observe(duration)
         if event.kind in ("worker_started", "worker_task_done",
                           "worker_crashed"):
             worker = event.payload.get("worker")

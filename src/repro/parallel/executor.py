@@ -30,11 +30,11 @@ task is a self-contained pure function of its payload — so any worker
 count, chunk size, or crash/retry schedule yields the same result set,
 and :meth:`map`'s ordering makes the collection deterministic too.
 
-Start methods: the default ``fork`` (on platforms that offer it) lets
-runners close over arbitrary unpicklable state (workers inherit the
-parent's memory); under ``spawn`` the runner itself must be picklable.
-Task payloads and results always cross process boundaries and must be
-picklable under either method.
+Start method: ``fork`` (on platforms that offer it) lets runners
+close over arbitrary unpicklable state (workers inherit the parent's
+memory); elsewhere the platform default applies, and under ``spawn``
+the runner itself must be picklable.  Task payloads and results always
+cross process boundaries and must be picklable under either method.
 """
 
 from __future__ import annotations
@@ -126,9 +126,6 @@ class ParallelExecutor:
         ``task_deadline_exceeded`` trace events).  ``None`` (default)
         disables the watchdog and the worker-side heartbeat thread
         entirely.
-    start_method:
-        ``multiprocessing`` start method; ``None`` prefers ``fork``
-        when available (falling back to the platform default).
     tracer:
         Coordinator-side tracer receiving ``worker_*`` lifecycle events
         and the replayed worker events (tagged ``worker=<id>``).
@@ -136,11 +133,11 @@ class ParallelExecutor:
         Coordinator-side registry; worker snapshots are merged into it
         and the executor's own ``parallel.*`` counters/timers land
         there too.
-    capture_events:
-        Capture worker-local trace events for replay.  Defaults to
-        ``tracer is not None``.
-    ring_capacity:
-        Worker-side event buffer size (oldest events drop beyond it).
+
+    Workers start by ``fork`` where the platform offers it (else its
+    default start method), and buffer their trace events for replay
+    only when a ``tracer`` is given, in a ring of
+    :data:`~repro.parallel.worker.RING_CAPACITY` events.
     """
 
     def __init__(self, runner: Callable[[Any, Any], Any], *,
@@ -149,11 +146,8 @@ class ParallelExecutor:
                  max_task_retries: int = 2,
                  retry_policy: RetryPolicy | None = None,
                  watchdog: WatchdogConfig | None = None,
-                 start_method: str | None = None,
                  tracer: Tracer | None = None,
-                 metrics: MetricsRegistry | None = None,
-                 capture_events: bool | None = None,
-                 ring_capacity: int = 100_000) -> None:
+                 metrics: MetricsRegistry | None = None) -> None:
         if workers is None:
             workers = default_worker_count()
         if workers <= 0:
@@ -168,14 +162,9 @@ class ParallelExecutor:
             raise ConfigurationError(
                 f"chunk_size must be positive, got {chunk_size}"
             )
-        if ring_capacity <= 0:
-            raise ConfigurationError(
-                f"ring_capacity must be positive, got {ring_capacity}"
-            )
-        if start_method is None:
-            available = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in available else None
-        self._context = multiprocessing.get_context(start_method)
+        self._context = multiprocessing.get_context(
+            "fork" if "fork" in multiprocessing.get_all_start_methods()
+            else None)
         self._runner = runner
         self._workers = int(workers)
         self._chunk_size = chunk_size
@@ -184,10 +173,7 @@ class ParallelExecutor:
         self._watchdog_config = watchdog
         self._tracer = tracer if tracer is not None else NULL_TRACER
         self._metrics = metrics if metrics is not None else MetricsRegistry()
-        if capture_events is None:
-            capture_events = tracer is not None
-        self._capture_events = bool(capture_events)
-        self._ring_capacity = int(ring_capacity)
+        self._capture_events = tracer is not None
 
     @property
     def workers(self) -> int:
@@ -235,7 +221,7 @@ class ParallelExecutor:
         process = self._context.Process(
             target=worker_main,
             args=(worker_id, self._runner, task_queue, result_queue,
-                  self._capture_events, self._ring_capacity,
+                  self._capture_events,
                   heartbeat_interval_s),
             name=f"repro-worker-{worker_id}",
             daemon=True,

@@ -80,6 +80,9 @@ STALL_TASK_ENV = "REPRO_PARALLEL_STALL_TASK"
 #: injected stall to exactly one occurrence.
 STALL_MARKER_ENV = "REPRO_PARALLEL_STALL_MARKER"
 
+#: Trace events one task buffers for replay; the oldest drop beyond it.
+RING_CAPACITY = 100_000
+
 
 @dataclass
 class WorkerContext:
@@ -179,7 +182,7 @@ def _start_heartbeat(worker_id: int, result_queue, interval_s: float,
 
 
 def worker_main(worker_id: int, runner, task_queue, result_queue,
-                capture_events: bool, ring_capacity: int,
+                capture_events: bool,
                 heartbeat_interval_s: float | None = None) -> None:
     """Run tasks until the ``None`` sentinel arrives.
 
@@ -220,7 +223,7 @@ def worker_main(worker_id: int, runner, task_queue, result_queue,
             result_queue.put(("task_start", worker_id, spec.task_id))
             _maybe_injected_crash(spec.task_id, result_queue)
             _maybe_injected_stall(spec.task_id, beats_paused)
-            sink = (RingBufferSink(ring_capacity)
+            sink = (RingBufferSink(RING_CAPACITY)
                     if capture_events else None)
             tracer = Tracer(sink) if sink is not None else NULL_TRACER
             metrics = MetricsRegistry()

@@ -70,7 +70,8 @@ from repro.sim.config import SimulationConfig
 from repro.sim.persistence import generation_paths
 from repro.sim.replication import ReplicationResult, replicate_comparison
 from repro.sim.rng import seeded_generator
-from repro.verify.oracles import OracleCheck, check_recovery_equivalence
+from repro.verify.compare import Check
+from repro.verify.oracles import check_recovery_equivalence
 
 __all__ = [
     "CHAOS_FAULT_KINDS",
@@ -156,7 +157,7 @@ class ChaosRoundReport:
     fault_spec: dict | None
     plan: list[str]
     applied: list[dict] = field(default_factory=list)
-    check: OracleCheck | None = None
+    check: Check | None = None
 
     @property
     def passed(self) -> bool:

@@ -53,7 +53,7 @@ import numpy as np
 from repro.exceptions import PersistenceError
 from repro.obs.metrics import MetricsRegistry, timed
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.sim.results import RunMetrics
+from repro.sim.results import SERIES_FIELDS, RunMetrics
 
 if TYPE_CHECKING:  # runtime import would cycle: experiments imports sim
     from repro.experiments.registry import ExperimentResult
@@ -123,20 +123,6 @@ _CHECKSUM_FOOTER_LEN = len(_CHECKSUM_MAGIC) + hashlib.sha256().digest_size
 #: Suffix of the directory corrupt artefacts are moved into by
 #: :func:`quarantine_file`: ``<path>.quarantine/`` next to the file.
 QUARANTINE_SUFFIX = ".quarantine"
-
-_RUN_SERIES_FIELDS = (
-    "realized_revenue",
-    "expected_revenue",
-    "regret",
-    "consumer_profit",
-    "platform_profit",
-    "seller_profit_mean",
-    "service_price",
-    "collection_price",
-    "total_sensing_time",
-    "selection_counts",
-    "estimation_error",
-)
 
 
 # -- canonical JSON normalization ------------------------------------------------
@@ -394,7 +380,7 @@ def save_run_metrics(run: RunMetrics, path: str | os.PathLike) -> None:
 
     The write is atomic and stamps :data:`RUN_SCHEMA_VERSION`.
     """
-    arrays = {name: getattr(run, name) for name in _RUN_SERIES_FIELDS}
+    arrays = {name: getattr(run, name) for name in SERIES_FIELDS}
     _atomic_write_npz(path, {
         "schema_version": np.array(RUN_SCHEMA_VERSION, dtype=np.int64),
         "policy_name": np.array(run.policy_name),
@@ -418,7 +404,7 @@ def load_run_metrics(path: str | os.PathLike) -> RunMetrics:
             _check_schema_version(data, RUN_SCHEMA_VERSION, path,
                                   "run file")
         missing = [
-            name for name in _RUN_SERIES_FIELDS + ("policy_name",)
+            name for name in SERIES_FIELDS + ("policy_name",)
             if name not in data
         ]
         if missing:
@@ -428,7 +414,7 @@ def load_run_metrics(path: str | os.PathLike) -> RunMetrics:
             )
         return RunMetrics(
             policy_name=str(data["policy_name"]),
-            **{name: data[name] for name in _RUN_SERIES_FIELDS},
+            **{name: data[name] for name in SERIES_FIELDS},
         )
 
 

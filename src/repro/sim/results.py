@@ -14,7 +14,17 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 
-__all__ = ["RunMetrics", "PolicyComparison"]
+__all__ = ["RunMetrics", "PolicyComparison", "SERIES_FIELDS"]
+
+#: The :class:`RunMetrics` arrays of a run: everything but the name and
+#: the wall-clock telemetry.  Goldens, saved runs and every bit-identity
+#: check read this one tuple; golden files serialise in this order.
+SERIES_FIELDS = (
+    "realized_revenue", "expected_revenue", "regret", "consumer_profit",
+    "platform_profit", "seller_profit_mean", "service_price",
+    "collection_price", "total_sensing_time", "estimation_error",
+    "selection_counts",
+)
 
 
 @dataclass(frozen=True)

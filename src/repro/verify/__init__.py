@@ -3,10 +3,14 @@
 The paper's headline claims are analytic — a unique Stackelberg
 Equilibrium ``<p^J*, p*, tau*>`` from backward induction (Theorems
 14-16, 20) and the Theorem-19 regret bound — and this package keeps the
-implementation continuously honest about them:
+implementation continuously honest about them.  Every check reports
+one record, :class:`~repro.verify.compare.Check` (name, verdict,
+detail, worst error):
 
-* :mod:`repro.verify.compare` — tolerance-aware comparison utilities
-  (NaN/inf-correct scalar closeness, recursive payload diffing).
+* :mod:`repro.verify.compare` — the :class:`Check` record and the
+  comparison utilities: NaN/inf-correct scalar closeness, recursive
+  payload diffing, and the first diverging
+  :data:`~repro.sim.results.SERIES_FIELDS` array of two runs.
 * :mod:`repro.verify.invariants` — per-round invariant checkers over
   engine state (stage first-order conditions, Stage-3 stationarity,
   individual rationality, UCB-index monotonicity, observation-count
@@ -18,23 +22,22 @@ implementation continuously honest about them:
   against a brute-force top-K reference, and the recovery-equivalence
   oracle of the chaos harness (a fault-battered sweep must end
   bit-identical to its fault-free golden).
-* :mod:`repro.verify.golden` — a golden-trace regression store pinning
-  canonical seeded runs to checked-in JSON goldens, with an update tool
-  (``repro verify --update-goldens``).
-* :mod:`repro.verify.runtime` — the event-runtime checks: the
-  batch-equivalence differential oracle (a static-population
-  :class:`~repro.runtime.MarketRuntime` must be bit-identical to the
-  batch engine) and the churn golden trace pinning a canonical
-  arrivals/departures run by its trade-ledger digest.
-* :mod:`repro.verify.kernels` — each hot-path kernel against a naive
-  reference: bit-identity for the learning state, UCB indices, top-K,
-  and estimation error; ``<= 1e-9`` for the batched Stage 1-3 solves;
-  and a mutation canary proving the oracle catches a 1% kernel defect.
+* :mod:`repro.verify.golden` — the golden store pinning three
+  canonical engine runs and one churning runtime run to checked-in
+  JSON, with an update tool (``repro verify --update-goldens``).
+* :mod:`repro.verify.runtime` — the batch-equivalence differential
+  oracle (a static-population :class:`~repro.runtime.MarketRuntime`
+  must be bit-identical to the batch engine) and the churn golden.
+* :mod:`repro.verify.kernels` — the learning state, UCB indices,
+  top-K, selection and estimation error against naive references, bit
+  for bit, and a mutation canary proving that oracle catches a 1%
+  kernel defect.
 * :mod:`repro.verify.runner` — the ``repro verify`` entry point tying
-  the five legs into one report with a CI-friendly exit code.
+  the five sections into one report with a CI-friendly exit code.
 """
 
 from repro.verify.compare import (
+    Check,
     Mismatch,
     ToleranceSpec,
     diff_values,
@@ -42,22 +45,17 @@ from repro.verify.compare import (
 )
 from repro.verify.golden import (
     GOLDEN_CASES,
+    RUNTIME_GOLDEN_CASE,
     GoldenCase,
-    compute_golden,
+    RuntimeGoldenCase,
     golden_directory,
     golden_path,
     update_goldens,
     verify_goldens,
 )
 from repro.verify.invariants import InvariantMonitor, InvariantViolation
-from repro.verify.kernels import (
-    KernelsCheck,
-    KernelsCheckResult,
-    check_kernels,
-)
+from repro.verify.kernels import check_kernels
 from repro.verify.oracles import (
-    OracleCheck,
-    OracleSuiteReport,
     brute_force_top_k,
     check_full_solve_oracle,
     check_recovery_equivalence,
@@ -67,41 +65,26 @@ from repro.verify.oracles import (
     check_stage3_oracle,
     run_oracle_suite,
 )
-from repro.verify.runner import (
-    StrictCheckResult,
-    VerificationReport,
-    run_verification,
-)
-from repro.verify.runtime import (
-    RUNTIME_GOLDEN_CASE,
-    RuntimeCheckResult,
-    RuntimeGoldenCase,
-    check_batch_equivalence,
-    check_runtime,
-    compute_runtime_golden,
-    update_runtime_golden,
-    verify_runtime_golden,
-)
+from repro.verify.runner import VerificationReport, run_verification
+from repro.verify.runtime import check_batch_equivalence, check_runtime
 
 __all__ = [
+    "Check",
     "Mismatch",
     "ToleranceSpec",
     "diff_values",
     "values_close",
     "GOLDEN_CASES",
+    "RUNTIME_GOLDEN_CASE",
     "GoldenCase",
-    "compute_golden",
+    "RuntimeGoldenCase",
     "golden_directory",
     "golden_path",
     "update_goldens",
     "verify_goldens",
     "InvariantMonitor",
     "InvariantViolation",
-    "KernelsCheck",
-    "KernelsCheckResult",
     "check_kernels",
-    "OracleCheck",
-    "OracleSuiteReport",
     "brute_force_top_k",
     "check_full_solve_oracle",
     "check_recovery_equivalence",
@@ -110,15 +93,8 @@ __all__ = [
     "check_stage2_oracle",
     "check_stage3_oracle",
     "run_oracle_suite",
-    "StrictCheckResult",
     "VerificationReport",
     "run_verification",
-    "RuntimeGoldenCase",
-    "RUNTIME_GOLDEN_CASE",
-    "RuntimeCheckResult",
     "check_batch_equivalence",
     "check_runtime",
-    "compute_runtime_golden",
-    "update_runtime_golden",
-    "verify_runtime_golden",
 ]

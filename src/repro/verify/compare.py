@@ -1,4 +1,4 @@
-"""Tolerance-aware comparison utilities for verification.
+"""Comparison utilities and the one result record of verification.
 
 Every cross-check in this package — differential oracles comparing the
 closed forms against numerical baselines, golden-trace comparisons
@@ -7,7 +7,10 @@ to a tolerance?".  This module answers that question once, correctly,
 for the awkward cases: NaN (equal to itself here, unlike IEEE),
 infinities (equal only with matching sign), mixed int/float payloads,
 and arbitrarily nested dict/list structures, reporting every mismatch
-with its path instead of failing fast on the first.
+with its path instead of failing fast on the first.  Runs that must
+agree bit for bit compare through :func:`first_diverging_field`.
+
+Every leg reports its verdict as a :class:`Check`.
 """
 
 from __future__ import annotations
@@ -18,8 +21,59 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.exceptions import ConfigurationError
+from repro.sim.results import SERIES_FIELDS, RunMetrics
 
-__all__ = ["ToleranceSpec", "Mismatch", "values_close", "diff_values"]
+__all__ = ["Check", "ToleranceSpec", "Mismatch", "values_close",
+           "diff_values", "first_diverging_field", "join_problems"]
+
+
+@dataclass(frozen=True)
+class Check:
+    """One verification verdict: what was checked, whether it held, why.
+
+    Attributes
+    ----------
+    name:
+        What was checked, e.g. ``stage2/random-3/mid`` or ``ucb-small``.
+    passed:
+        Whether it held (skipped oracle cases count as passed).
+    detail:
+        What was compared, or why it was skipped / how it failed.
+    max_error:
+        The worst discrepancy observed (0 for skips and for checks with
+        no numeric error).
+    """
+
+    name: str
+    passed: bool
+    detail: str
+    max_error: float = 0.0
+
+    def describe(self) -> str:
+        """One-line rendering for reports."""
+        status = "ok" if self.passed else "FAIL"
+        return f"[{status}] {self.name}: {self.detail}"
+
+
+def join_problems(problems: list[str], limit: int = 5) -> str:
+    """The first ``limit`` problems, ``; ``-joined, plus how many more."""
+    more = len(problems) - limit
+    return "; ".join(problems[:limit]) + (f" (+{more} more)"
+                                          if more > 0 else "")
+
+
+def first_diverging_field(expected: RunMetrics,
+                          actual: RunMetrics) -> str | None:
+    """The first :data:`SERIES_FIELDS` array that differs in any bit.
+
+    ``None`` when every series is identical.  Telemetry carries
+    wall-clock timers and is never compared.
+    """
+    for field in SERIES_FIELDS:
+        if not np.array_equal(getattr(expected, field),
+                              getattr(actual, field)):
+            return field
+    return None
 
 
 @dataclass(frozen=True)

@@ -26,15 +26,12 @@ Whole runs are pinned by the checked-in engine and churn goldens
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.sim.rng import seeded_generator
+from repro.verify.compare import Check
 
 __all__ = [
-    "KernelsCheck",
-    "KernelsCheckResult",
     "reference_means",
     "reference_ucb",
     "reference_top_k",
@@ -42,46 +39,6 @@ __all__ = [
     "check_mutation_canary",
     "check_kernels",
 ]
-
-
-@dataclass(frozen=True)
-class KernelsCheck:
-    """One named kernels check: verdict plus narrative."""
-
-    name: str
-    passed: bool
-    detail: str
-
-    def describe(self) -> str:
-        """One-line rendering for reports."""
-        return f"{self.name}: {'PASS' if self.passed else 'FAIL'} ({self.detail})"
-
-
-@dataclass(frozen=True)
-class KernelsCheckResult:
-    """Outcome of the kernels section: every leg's verdict."""
-
-    checks: tuple[KernelsCheck, ...]
-
-    @property
-    def passed(self) -> bool:
-        """Whether every leg is clean."""
-        return all(check.passed for check in self.checks)
-
-    def failures(self) -> list[KernelsCheck]:
-        """The failed legs, in run order."""
-        return [check for check in self.checks if not check.passed]
-
-    def to_dict(self) -> dict:
-        """JSON-ready payload for the ``--report`` artefact."""
-        return {
-            "passed": self.passed,
-            "checks": [
-                {"name": check.name, "passed": check.passed,
-                 "detail": check.detail}
-                for check in self.checks
-            ],
-        }
 
 
 # -- naive references ------------------------------------------------------------
@@ -118,7 +75,7 @@ def reference_top_k(scores: np.ndarray, k: int) -> np.ndarray:
 # -- legs ------------------------------------------------------------------------
 
 
-def check_state_kernels(*, seed: int = 0, trials: int = 60) -> KernelsCheck:
+def check_state_kernels(*, seed: int = 0, trials: int = 60) -> Check:
     """Bit-identity of the round-loop kernels against the references.
 
     Each trial drives a :class:`~repro.core.state.LearningState` through
@@ -135,8 +92,8 @@ def check_state_kernels(*, seed: int = 0, trials: int = 60) -> KernelsCheck:
     from repro.kernels.selection import estimation_error
     from repro.sim.rounds import PRIOR_MEAN, estimation_error_scalar
 
-    def fail(detail: str) -> KernelsCheck:
-        return KernelsCheck("state-reference", False, detail)
+    def fail(detail: str) -> Check:
+        return Check("state-reference", False, detail)
 
     rng = seeded_generator(seed)
     comparisons = 0
@@ -228,7 +185,7 @@ def check_state_kernels(*, seed: int = 0, trials: int = 60) -> KernelsCheck:
             return fail(f"top-K diverged on quantized scores in trial "
                         f"{trial} (M={m}, K={k})")
         comparisons += 1
-    return KernelsCheck(
+    return Check(
         "state-reference", True,
         f"{trials} random update/restore/reset histories, {comparisons} "
         "bit-identity comparisons (means, UCB vectors, top-K incl. "
@@ -236,7 +193,7 @@ def check_state_kernels(*, seed: int = 0, trials: int = 60) -> KernelsCheck:
     )
 
 
-def check_mutation_canary(*, seed: int = 0) -> KernelsCheck:
+def check_mutation_canary(*, seed: int = 0) -> Check:
     """A 1% kernel mutation must make the state oracle fail.
 
     Inflates the confidence bonus by 1% through the
@@ -254,22 +211,18 @@ def check_mutation_canary(*, seed: int = 0) -> KernelsCheck:
     finally:
         state._MUTATION_SCALE = original
     if mutated.passed:
-        return KernelsCheck(
+        return Check(
             "mutation-canary", False,
             "a 1% confidence-bonus inflation went undetected — the "
             "reference oracle has lost its power"
         )
-    return KernelsCheck(
+    return Check(
         "mutation-canary", True,
         f"1% bonus inflation caught by the state oracle "
         f"({mutated.detail})"
     )
 
 
-def check_kernels(*, seed: int = 0) -> KernelsCheckResult:
-    """Run every kernels leg and collect one result."""
-    checks = (
-        check_state_kernels(seed=seed),
-        check_mutation_canary(seed=seed),
-    )
-    return KernelsCheckResult(checks=checks)
+def check_kernels(*, seed: int = 0) -> list[Check]:
+    """The state reference oracle, then the mutation canary."""
+    return [check_state_kernels(seed=seed), check_mutation_canary(seed=seed)]

@@ -28,7 +28,6 @@ derivation does not apply.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -52,10 +51,9 @@ from repro.game.stackelberg import (
     solve_stage3_numeric,
 )
 from repro.sim.rng import seeded_generator
+from repro.verify.compare import Check, join_problems
 
 __all__ = [
-    "OracleCheck",
-    "OracleSuiteReport",
     "brute_force_top_k",
     "check_stage3_oracle",
     "check_stage2_oracle",
@@ -92,74 +90,9 @@ _AGREEMENT_RTOL = 5e-2
 _AGREEMENT_ATOL = 0.5
 
 
-@dataclass(frozen=True)
-class OracleCheck:
-    """Outcome of one differential comparison.
-
-    Attributes
-    ----------
-    oracle:
-        Which oracle ran (``stage3``, ``stage2``, ``stage1``,
-        ``full_solve``, ``selection``).
-    case:
-        Label of the game/scenario compared.
-    passed:
-        Whether the trusted path agreed with the reference (skipped
-        cases count as passed).
-    detail:
-        What was compared, or why the case was skipped / how it failed.
-    max_error:
-        The worst discrepancy observed (0 for skips and clean passes of
-        structural checks).
-    """
-
-    oracle: str
-    case: str
-    passed: bool
-    detail: str
-    max_error: float = 0.0
-
-    def describe(self) -> str:
-        """One-line rendering for reports."""
-        status = "ok" if self.passed else "FAIL"
-        return f"[{status}] {self.oracle}/{self.case}: {self.detail}"
-
-
-@dataclass
-class OracleSuiteReport:
-    """All differential checks of one suite run."""
-
-    checks: list[OracleCheck]
-
-    @property
-    def passed(self) -> bool:
-        """Whether every comparison agreed."""
-        return all(check.passed for check in self.checks)
-
-    @property
-    def num_failed(self) -> int:
-        return sum(not check.passed for check in self.checks)
-
-    def failures(self) -> list[OracleCheck]:
-        """Only the disagreeing checks."""
-        return [check for check in self.checks if not check.passed]
-
-    def to_dict(self) -> dict:
-        """JSON-ready payload for reports and CI artefacts."""
-        return {
-            "passed": self.passed,
-            "num_checks": len(self.checks),
-            "num_failed": self.num_failed,
-            "failures": [
-                {
-                    "oracle": check.oracle,
-                    "case": check.case,
-                    "detail": check.detail,
-                    "max_error": check.max_error,
-                }
-                for check in self.failures()
-            ],
-        }
+def _name(oracle: str, case: str) -> str:
+    """A check's name: the oracle, then the case it compared."""
+    return f"{oracle}/{case}" if case else oracle
 
 
 def brute_force_top_k(scores: np.ndarray, k: int) -> np.ndarray:
@@ -223,7 +156,7 @@ def _stage1_premise(game: GameInstance, service_price: float,
 
 
 def check_stage3_oracle(game: GameInstance, collection_price: float,
-                        case: str = "") -> OracleCheck:
+                        case: str = "") -> Check:
     """Theorem-14 sensing times vs golden-section search, all sellers."""
     closed = optimal_sensing_times(game, collection_price)
     numeric = solve_stage3_numeric(game, collection_price)
@@ -236,17 +169,17 @@ def check_stage3_oracle(game: GameInstance, collection_price: float,
               f"p = {collection_price:.6g}")
     if not dominated:
         detail += "; closed-form seller profit below numerical reference"
-    return OracleCheck("stage3", case, passed, detail, error)
+    return Check(_name("stage3", case), passed, detail, error)
 
 
 def check_stage2_oracle(game: GameInstance, service_price: float,
-                        case: str = "") -> OracleCheck:
+                        case: str = "") -> Check:
     """Theorem-15 collection price vs grid+golden-section reference."""
     closed = optimal_collection_price(game, service_price)
     closed_taus = optimal_sensing_times(game, closed)
     premise = _stage2_premise(game, closed, closed_taus)
     if premise is not None:
-        return OracleCheck("stage2", case, True, f"skipped: {premise}")
+        return Check(_name("stage2", case), True, f"skipped: {premise}")
     numeric = solve_stage2_numeric(game, service_price)
     numeric_taus = solve_stage3_numeric(game, numeric)
     closed_profit = game.platform_profit(service_price, closed, closed_taus)
@@ -258,17 +191,17 @@ def check_stage2_oracle(game: GameInstance, service_price: float,
     detail = (f"p_closed = {closed:.6g} vs p_numeric = {numeric:.6g} at "
               f"p^J = {service_price:.6g}; platform profit "
               f"{closed_profit:.6g} vs {numeric_profit:.6g}")
-    return OracleCheck("stage2", case, passed, detail, error)
+    return Check(_name("stage2", case), passed, detail, error)
 
 
-def check_stage1_oracle(game: GameInstance, case: str = "") -> OracleCheck:
+def check_stage1_oracle(game: GameInstance, case: str = "") -> Check:
     """Theorem-16 service price vs full numerical backward induction."""
     closed_pj = optimal_service_price(game)
     closed_p = optimal_collection_price(game, closed_pj)
     closed_taus = optimal_sensing_times(game, closed_p)
     premise = _stage1_premise(game, closed_pj, closed_p, closed_taus)
     if premise is not None:
-        return OracleCheck("stage1", case, True, f"skipped: {premise}")
+        return Check(_name("stage1", case), True, f"skipped: {premise}")
     numeric_pj = solve_stage1_numeric(game, stage2=_stage2_reference,
                                       coarse_points=_STAGE1_COARSE_POINTS)
     numeric_p = solve_stage2_numeric(game, numeric_pj)
@@ -281,11 +214,11 @@ def check_stage1_oracle(game: GameInstance, case: str = "") -> OracleCheck:
     detail = (f"p^J_closed = {closed_pj:.6g} vs p^J_numeric = "
               f"{numeric_pj:.6g}; consumer profit {closed_profit:.6g} vs "
               f"{numeric_profit:.6g}")
-    return OracleCheck("stage1", case, passed, detail, error)
+    return Check(_name("stage1", case), passed, detail, error)
 
 
 def check_full_solve_oracle(game: GameInstance,
-                            case: str = "") -> OracleCheck:
+                            case: str = "") -> Check:
     """Closed-form cascade vs the grid-based numerical solver, end to end.
 
     Compared only when the closed form's interior premise holds: in
@@ -300,7 +233,8 @@ def check_full_solve_oracle(game: GameInstance,
                               closed.profile.collection_price,
                               closed.profile.sensing_times)
     if premise is not None:
-        return OracleCheck("full_solve", case, True, f"skipped: {premise}")
+        return Check(_name("full_solve", case), True,
+                     f"skipped: {premise}")
     numeric = NumericalStackelbergSolver().solve(game)
     passed = (_dominates(closed.consumer_profit, numeric.consumer_profit)
               and _grossly_agrees(closed.consumer_profit,
@@ -310,19 +244,19 @@ def check_full_solve_oracle(game: GameInstance,
               f"{numeric.consumer_profit:.6g} (numeric); p^J "
               f"{closed.profile.service_price:.6g} vs "
               f"{numeric.profile.service_price:.6g}")
-    return OracleCheck("full_solve", case, passed, detail, error)
+    return Check(_name("full_solve", case), passed, detail, error)
 
 
 def check_selection_oracle(scores: np.ndarray, k: int,
-                           case: str = "") -> OracleCheck:
+                           case: str = "") -> Check:
     """Vectorised top-K selection vs the brute-force reference."""
     fast = top_k_indices(np.asarray(scores, dtype=float), int(k))
     reference = brute_force_top_k(scores, k)
     passed = bool(np.array_equal(fast, reference))
     detail = (f"top-{k} of {len(scores)} scores: argsort "
               f"{fast.tolist()} vs brute-force {reference.tolist()}")
-    return OracleCheck("selection", case, passed, detail,
-                       0.0 if passed else float(np.sum(fast != reference)))
+    return Check(_name("selection", case), passed, detail,
+                 0.0 if passed else float(np.sum(fast != reference)))
 
 
 def _floats_identical(a: float, b: float) -> bool:
@@ -343,7 +277,7 @@ _SUMMARY_FIELDS = ("mean", "std", "minimum", "maximum", "num_seeds",
 
 def check_recovery_equivalence(golden: "ReplicationResult",
                                recovered: "ReplicationResult",
-                               case: str = "") -> OracleCheck:
+                               case: str = "") -> Check:
     """The recovery-equivalence oracle of the chaos harness.
 
     A sweep that survived injected infrastructure faults — interrupts,
@@ -387,11 +321,10 @@ def check_recovery_equivalence(golden: "ReplicationResult",
         f"recovered sweep bit-identical to fault-free golden "
         f"({len(golden.policy_names())} policies x "
         f"{len(golden.seeds)} seeds)"
-        if passed else "; ".join(mismatches[:5])
-        + (f" (+{len(mismatches) - 5} more)" if len(mismatches) > 5 else "")
+        if passed else join_problems(mismatches)
     )
-    return OracleCheck("recovery_equivalence", case, passed, detail,
-                       max_error)
+    return Check(_name("recovery_equivalence", case), passed, detail,
+                 max_error)
 
 
 def _random_game(rng: np.random.Generator, num_sellers: int,
@@ -450,7 +383,7 @@ def _edge_case_games() -> list[tuple[str, GameInstance]]:
 
 def run_oracle_suite(seed: int = 0, num_cases: int = 12,
                      stage1_cases: int = 6,
-                     full_solve_cases: int = 3) -> OracleSuiteReport:
+                     full_solve_cases: int = 3) -> list[Check]:
     """Run every differential oracle over edge cases + random games.
 
     ``num_cases`` random games from Table-II ranges (half with the
@@ -463,7 +396,7 @@ def run_oracle_suite(seed: int = 0, num_cases: int = 12,
     Stage-2/3 oracles still cover every game).
     """
     rng = seeded_generator(seed)
-    checks: list[OracleCheck] = []
+    checks: list[Check] = []
     games = _edge_case_games()
     num_edge = len(games)
     for index in range(int(num_cases)):
@@ -497,4 +430,4 @@ def run_oracle_suite(seed: int = 0, num_cases: int = 12,
         k = int(rng.integers(1, size + 1))
         checks.append(check_selection_oracle(scores, k, f"scores-{index}"))
 
-    return OracleSuiteReport(checks)
+    return checks

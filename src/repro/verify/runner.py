@@ -1,22 +1,23 @@
 """The ``repro verify`` entry point: one run, one verdict.
 
-Ties the five verification legs together:
+Ties the five sections together, each a list of
+:class:`~repro.verify.compare.Check`:
 
-1. **Differential oracles** — closed forms vs numerical references
-   (:func:`repro.verify.oracles.run_oracle_suite`).
-2. **Golden traces** — canonical seeded runs vs checked-in JSON
-   (:func:`repro.verify.golden.verify_goldens`).
-3. **Strict-mode engine runs** — a clean and a fault-injected run with
-   every per-round invariant checked, asserted bit-identical to the
-   same runs without checking (the monitor must be purely
-   observational).
-4. **Runtime checks** — the event-driven market runtime vs the batch
-   engine (bit-identical on a static population) plus the churn golden
-   trace (:mod:`repro.verify.runtime`).
-5. **Kernels checks** — the round loop's kernels vs naive references:
-   bit-identity for the learning state, UCB indices, top-K, and
-   estimation error, ``<= 1e-9`` for the batched stage solves, plus a
-   mutation canary (:mod:`repro.verify.kernels`).
+1. **oracles** — closed forms vs numerical references, one check per
+   comparison (:func:`repro.verify.oracles.run_oracle_suite`).
+2. **goldens** — the three canonical engine runs vs their checked-in
+   JSON, one check per case (:func:`repro.verify.golden.verify_goldens`).
+3. **strict** — a clean and a fault-injected run with every per-round
+   invariant checked, each asserted bit-identical to the same run
+   without checking (the monitor must be purely observational); one
+   check per run.
+4. **runtime** — the event-driven market runtime vs the batch engine
+   (bit-identical on a static population), plus the churn golden
+   (:mod:`repro.verify.runtime`).
+5. **kernels** — the learning state, UCB indices, top-K, selection and
+   estimation error vs naive references, bit for bit, plus a mutation
+   canary proving that oracle catches a 1% defect
+   (:mod:`repro.verify.kernels`).
 
 The result is a :class:`VerificationReport` with a human-readable
 rendering, a JSON payload for CI artefacts, and a single ``passed``
@@ -25,168 +26,84 @@ bit that becomes the process exit code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from dataclasses import asdict, dataclass
 
-import numpy as np
-
-from repro.exceptions import InvariantViolationError
-from repro.verify.compare import DEFAULT_TOLERANCE, Mismatch, ToleranceSpec
+from repro.exceptions import ConfigurationError, InvariantViolationError
+from repro.verify.compare import (
+    DEFAULT_TOLERANCE,
+    Check,
+    ToleranceSpec,
+    first_diverging_field,
+)
 from repro.verify.golden import GOLDEN_CASES, verify_goldens
-from repro.verify.kernels import KernelsCheckResult, check_kernels
-from repro.verify.oracles import OracleSuiteReport, run_oracle_suite
-from repro.verify.runtime import RuntimeCheckResult, check_runtime
+from repro.verify.kernels import check_kernels
+from repro.verify.oracles import run_oracle_suite
+from repro.verify.runtime import check_runtime
 
-if TYPE_CHECKING:  # type-only: the engine is imported lazily at runtime
-    from repro.sim.results import RunMetrics
-
-__all__ = ["StrictCheckResult", "VerificationReport", "run_verification"]
+__all__ = ["SECTIONS", "VerificationReport", "run_verification"]
 
 #: Section names accepted by :func:`run_verification`'s ``sections``.
 SECTIONS = ("oracles", "goldens", "strict", "runtime", "kernels")
 
-#: RunMetrics fields compared bit-for-bit between strict/default runs.
-_BIT_IDENTICAL_FIELDS = (
-    "realized_revenue", "expected_revenue", "regret", "consumer_profit",
-    "platform_profit", "seller_profit_mean", "service_price",
-    "collection_price", "total_sensing_time", "selection_counts",
-    "estimation_error",
-)
-
-
-@dataclass(frozen=True)
-class StrictCheckResult:
-    """Outcome of the strict-mode leg.
-
-    Attributes
-    ----------
-    passed:
-        No invariant fired and the strict run was bit-identical to the
-        default run on both scenarios.
-    detail:
-        What was run and, on failure, which guarantee broke.
-    """
-
-    passed: bool
-    detail: str
-
 
 @dataclass
 class VerificationReport:
-    """Everything one verification run found.
+    """Every check one verification run made, by section.
 
-    Sections not requested are ``None`` and excluded from the verdict.
+    ``sections`` maps each section that ran to its checks, in
+    :data:`SECTIONS` order; sections not requested are absent.
     """
 
-    oracles: OracleSuiteReport | None
-    goldens: dict[str, list[Mismatch]] | None
-    strict: StrictCheckResult | None
-    runtime: RuntimeCheckResult | None = None
-    kernels: KernelsCheckResult | None = None
+    sections: dict[str, list[Check]]
 
     @property
     def passed(self) -> bool:
-        """Whether every section that ran is clean."""
-        if self.oracles is not None and not self.oracles.passed:
-            return False
-        if self.goldens is not None and any(self.goldens.values()):
-            return False
-        if self.strict is not None and not self.strict.passed:
-            return False
-        if self.runtime is not None and not self.runtime.passed:
-            return False
-        if self.kernels is not None and not self.kernels.passed:
-            return False
-        return True
+        """Whether every check of every section that ran held."""
+        return all(check.passed for checks in self.sections.values()
+                   for check in checks)
 
     def to_dict(self) -> dict:
         """JSON-ready payload (the ``--report`` artefact)."""
         payload: dict = {"passed": self.passed}
-        if self.oracles is not None:
-            payload["oracles"] = self.oracles.to_dict()
-        if self.goldens is not None:
-            payload["goldens"] = {
-                "passed": not any(self.goldens.values()),
-                "cases": {
-                    name: [mismatch.describe() for mismatch in mismatches]
-                    for name, mismatches in self.goldens.items()
-                },
+        for name, checks in self.sections.items():
+            failures = [check for check in checks if not check.passed]
+            payload[name] = {
+                "passed": not failures,
+                "num_checks": len(checks),
+                "num_failed": len(failures),
+                "failures": [asdict(check) for check in failures],
             }
-        if self.strict is not None:
-            payload["strict"] = {
-                "passed": self.strict.passed,
-                "detail": self.strict.detail,
-            }
-        if self.runtime is not None:
-            payload["runtime"] = self.runtime.to_dict()
-        if self.kernels is not None:
-            payload["kernels"] = self.kernels.to_dict()
         return payload
 
     def to_text(self, max_failures: int = 10) -> str:
         """Human-readable rendering for the terminal."""
         lines = []
-        if self.oracles is not None:
-            status = "PASS" if self.oracles.passed else "FAIL"
-            lines.append(
-                f"oracles: {status} ({len(self.oracles.checks)} checks, "
-                f"{self.oracles.num_failed} failed)"
-            )
-            for check in self.oracles.failures()[:max_failures]:
-                lines.append(f"  {check.describe()}")
-        if self.goldens is not None:
-            drifted = {name: mismatches
-                       for name, mismatches in self.goldens.items()
-                       if mismatches}
-            status = "PASS" if not drifted else "FAIL"
-            lines.append(
-                f"goldens: {status} ({len(self.goldens)} cases, "
-                f"{len(drifted)} drifted)"
-            )
-            for name, mismatches in drifted.items():
-                lines.append(f"  {name}: {len(mismatches)} mismatches")
-                for mismatch in mismatches[:max_failures]:
-                    lines.append(f"    {mismatch.describe()}")
-        if self.strict is not None:
-            status = "PASS" if self.strict.passed else "FAIL"
-            lines.append(f"strict: {status} ({self.strict.detail})")
-        if self.runtime is not None:
-            status = "PASS" if self.runtime.passed else "FAIL"
-            lines.append(
-                f"runtime: {status} ({self.runtime.equivalence_detail})"
-            )
-            for mismatch in self.runtime.golden_mismatches[:max_failures]:
-                lines.append(f"  {mismatch.describe()}")
-        if self.kernels is not None:
-            status = "PASS" if self.kernels.passed else "FAIL"
-            lines.append(
-                f"kernels: {status} ({len(self.kernels.checks)} checks, "
-                f"{len(self.kernels.failures())} failed)"
-            )
-            for check in self.kernels.failures()[:max_failures]:
-                lines.append(f"  {check.describe()}")
+        for name, checks in self.sections.items():
+            failures = [check for check in checks if not check.passed]
+            lines.append(f"{name}: {'FAIL' if failures else 'PASS'} "
+                         f"({len(checks)} checks, {len(failures)} failed)")
+            lines.extend(f"  {check.describe()}"
+                         for check in failures[:max_failures])
         lines.append(f"verification: {'PASS' if self.passed else 'FAIL'}")
         return "\n".join(lines)
 
 
-def _run_strict_check(num_rounds: int, seed: int) -> StrictCheckResult:
+def _run_strict_checks(num_rounds: int, seed: int) -> list[Check]:
     """Strict vs default runs: invariants hold AND results stay identical."""
     from repro.bandits.policies import UCBPolicy
     from repro.faults.model import FaultSpec
     from repro.sim.config import SimulationConfig
     from repro.sim.engine import TradingSimulator
 
-    scenarios = (
-        ("clean", None),
-        ("faulty", FaultSpec(dropout_rate=0.2, corruption_rate=0.05,
-                             stall_rate=0.05)),
-    )
-    for label, spec in scenarios:
-        config = SimulationConfig(num_sellers=12, num_selected=3,
-                                  num_pois=4, num_rounds=num_rounds,
-                                  seed=seed)
+    config = SimulationConfig(num_sellers=12, num_selected=3, num_pois=4,
+                              num_rounds=num_rounds, seed=seed)
+    checks = []
+    for label, spec in (
+            ("clean", None),
+            ("faulty", FaultSpec(dropout_rate=0.2, corruption_rate=0.05,
+                                 stall_rate=0.05))):
 
-        def run(strict: bool) -> RunMetrics:
+        def run(strict: bool):
             simulator = TradingSimulator(config)
             fault_model = (simulator.fault_model(spec)
                            if spec is not None else None)
@@ -195,24 +112,21 @@ def _run_strict_check(num_rounds: int, seed: int) -> StrictCheckResult:
 
         default = run(strict=False)
         try:
-            checked = run(strict=True)
+            field = first_diverging_field(default, run(strict=True))
         except InvariantViolationError as error:
-            return StrictCheckResult(
-                False, f"{label} run violated an invariant: {error}"
-            )
-        for field in _BIT_IDENTICAL_FIELDS:
-            if not np.array_equal(getattr(default, field),
-                                  getattr(checked, field)):
-                return StrictCheckResult(
-                    False,
-                    f"strict {label} run diverged from the default run "
-                    f"in {field} — the monitor must not perturb results",
-                )
-    return StrictCheckResult(
-        True,
-        f"clean + faulty strict runs of {num_rounds} rounds: all "
-        "invariants held, results bit-identical to default runs",
-    )
+            checks.append(Check(label, False,
+                                f"{label} run violated an invariant: "
+                                f"{error}"))
+            continue
+        checks.append(Check(
+            label, field is None,
+            f"strict {label} run of {num_rounds} rounds: all invariants "
+            "held, results bit-identical to the default run"
+            if field is None else
+            f"strict {label} run diverged from the default run in "
+            f"{field} — the monitor must not perturb results",
+        ))
+    return checks
 
 
 def run_verification(*, seed: int = 0, oracle_cases: int = 12,
@@ -226,8 +140,9 @@ def run_verification(*, seed: int = 0, oracle_cases: int = 12,
     Parameters
     ----------
     seed:
-        Seed for the oracle suite's randomized game instances and the
-        strict-mode scenario configs.
+        Seed for the oracle suite's randomized game instances, the
+        strict-mode and batch-equivalence configs, and the kernels
+        histories.
     oracle_cases:
         Number of randomized games per oracle (edge cases always run).
     goldens_dir:
@@ -243,22 +158,19 @@ def run_verification(*, seed: int = 0, oracle_cases: int = 12,
     wanted = SECTIONS if sections is None else tuple(sections)
     unknown = set(wanted) - set(SECTIONS)
     if unknown:
-        from repro.exceptions import ConfigurationError
-
         raise ConfigurationError(
             f"unknown verification sections {sorted(unknown)}; "
             f"valid: {list(SECTIONS)}"
         )
-    oracles = (run_oracle_suite(seed=seed, num_cases=oracle_cases)
-               if "oracles" in wanted else None)
-    goldens = (verify_goldens(goldens_dir, GOLDEN_CASES, tolerance)
-               if "goldens" in wanted else None)
-    strict = (_run_strict_check(strict_rounds, seed)
-              if "strict" in wanted else None)
-    runtime = (check_runtime(seed=seed, goldens_dir=goldens_dir,
-                             tolerance=tolerance)
-               if "runtime" in wanted else None)
-    kernels = check_kernels(seed=seed) if "kernels" in wanted else None
-    return VerificationReport(oracles=oracles, goldens=goldens,
-                              strict=strict, runtime=runtime,
-                              kernels=kernels)
+    legs = {
+        "oracles": lambda: run_oracle_suite(seed=seed,
+                                            num_cases=oracle_cases),
+        "goldens": lambda: verify_goldens(goldens_dir, GOLDEN_CASES,
+                                          tolerance),
+        "strict": lambda: _run_strict_checks(strict_rounds, seed),
+        "runtime": lambda: check_runtime(seed=seed, goldens_dir=goldens_dir,
+                                         tolerance=tolerance),
+        "kernels": lambda: check_kernels(seed=seed),
+    }
+    return VerificationReport({name: legs[name]() for name in SECTIONS
+                               if name in wanted})

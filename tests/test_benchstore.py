@@ -292,6 +292,18 @@ class TestBenchCli:
         assert payload["schema"] == 1
         assert payload["ok"] is True
 
+    def test_compare_unwritable_report_path_fails_cleanly(self, capsys,
+                                                          tmp_path):
+        path = tmp_path / "BENCH.json"
+        store = BenchStore(path)
+        store.append(_record(baseline=True))
+        store.append(_record(timestamp=2.0))
+        report = tmp_path / "no-such-dir" / "verdict.json"
+        assert main(["bench", "compare", str(path),
+                     "--report", str(report)]) == 1
+        assert "cannot write bench comparison report" in \
+            capsys.readouterr().err
+
     def test_compare_corrupt_store_fails_cleanly(self, capsys,
                                                  tmp_path):
         path = tmp_path / "BENCH.json"

@@ -30,21 +30,15 @@ from repro.sim import SimulationConfig, TradingSimulator
 from repro.sim import persistence
 from repro.sim.persistence import load_checkpoint, save_checkpoint
 from repro.sim.replication import replicate_comparison
+from repro.sim.results import SERIES_FIELDS
 
 CONFIG = SimulationConfig(num_sellers=12, num_selected=3, num_rounds=90,
                           seed=4)
 
-ALL_FIELDS = (
-    "realized_revenue", "expected_revenue", "regret", "consumer_profit",
-    "platform_profit", "seller_profit_mean", "service_price",
-    "collection_price", "total_sensing_time", "selection_counts",
-    "estimation_error",
-)
-
 
 def assert_runs_identical(reference, resumed):
     assert reference.policy_name == resumed.policy_name
-    for field in ALL_FIELDS:
+    for field in SERIES_FIELDS:
         np.testing.assert_array_equal(
             getattr(reference, field), getattr(resumed, field),
             err_msg=field,

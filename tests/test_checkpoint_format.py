@@ -35,6 +35,7 @@ from repro.resilience import ScheduledAbort
 from repro.runtime import ChurnSpec, MarketRuntime
 from repro.sim import SimulationConfig, TradingSimulator
 from repro.sim.persistence import load_checkpoint
+from repro.sim.results import SERIES_FIELDS
 
 DATA = Path(__file__).parent / "data"
 ENGINE_FIXTURE = DATA / "checkpoint_engine.npz"
@@ -50,13 +51,6 @@ RUNTIME_CONFIG = SimulationConfig(num_sellers=12, num_selected=3, num_pois=4,
                                   num_rounds=30, seed=7)
 RUNTIME_CHURN = ChurnSpec(arrival_rate=0.3, departure_rate=0.15, min_online=2)
 RUNTIME_CUT = 15
-
-METRIC_FIELDS = (
-    "realized_revenue", "expected_revenue", "regret", "consumer_profit",
-    "platform_profit", "seller_profit_mean", "service_price",
-    "collection_price", "total_sensing_time", "selection_counts",
-    "estimation_error",
-)
 
 
 def engine_run(path: Path | None = None, *, cut: bool = False,
@@ -88,7 +82,7 @@ def write_runtime_checkpoint(path: Path) -> None:
 
 def assert_metrics_identical(expected, actual) -> None:
     assert expected.policy_name == actual.policy_name
-    for field in METRIC_FIELDS:
+    for field in SERIES_FIELDS:
         np.testing.assert_array_equal(getattr(actual, field),
                                       getattr(expected, field),
                                       err_msg=field)

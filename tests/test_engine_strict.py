@@ -11,16 +11,10 @@ from repro.exceptions import InvariantViolationError
 from repro.faults import FaultSpec
 from repro.obs import RingBufferSink, Tracer
 from repro.sim import SimulationConfig, TradingSimulator
+from repro.sim.results import SERIES_FIELDS
 
 CONFIG = SimulationConfig(num_sellers=12, num_selected=3, num_pois=4,
                           num_rounds=60, seed=11)
-
-ALL_FIELDS = (
-    "realized_revenue", "expected_revenue", "regret", "consumer_profit",
-    "platform_profit", "seller_profit_mean", "service_price",
-    "collection_price", "total_sensing_time", "selection_counts",
-    "estimation_error",
-)
 
 
 def run(config=CONFIG, *, policy=None, spec=None, **kwargs):
@@ -31,7 +25,7 @@ def run(config=CONFIG, *, policy=None, spec=None, **kwargs):
 
 
 def assert_runs_identical(reference, other):
-    for field in ALL_FIELDS:
+    for field in SERIES_FIELDS:
         np.testing.assert_array_equal(
             getattr(reference, field), getattr(other, field), err_msg=field)
 

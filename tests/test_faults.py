@@ -21,6 +21,7 @@ from repro.faults import (
     parse_fault_spec,
 )
 from repro.sim import SimulationConfig, TradingSimulator
+from repro.sim.results import SERIES_FIELDS
 from repro.sim.rng import RngFactory
 
 SMALL = SimulationConfig(num_sellers=15, num_selected=4, num_rounds=120,
@@ -299,11 +300,7 @@ class TestEngineDegradation:
         log = FaultLog()
         with_model = simulator.run(UCBPolicy(), fault_model=zero_model,
                                    fault_log=log)
-        for field in ("realized_revenue", "expected_revenue", "regret",
-                      "consumer_profit", "platform_profit",
-                      "seller_profit_mean", "service_price",
-                      "collection_price", "total_sensing_time",
-                      "selection_counts", "estimation_error"):
+        for field in SERIES_FIELDS:
             np.testing.assert_array_equal(
                 getattr(baseline, field), getattr(with_model, field),
                 err_msg=field,

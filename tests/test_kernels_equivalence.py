@@ -26,19 +26,12 @@ from repro.faults.model import FaultSpec
 from repro.kernels.selection import estimation_error
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import TradingSimulator
+from repro.sim.results import SERIES_FIELDS
 from repro.sim.rounds import PRIOR_MEAN, estimation_error_scalar
 from repro.verify.kernels import (
     reference_means,
     reference_top_k,
     reference_ucb,
-)
-
-#: RunMetrics fields the engine differential compares bit-for-bit.
-METRIC_FIELDS = (
-    "realized_revenue", "expected_revenue", "regret", "consumer_profit",
-    "platform_profit", "seller_profit_mean", "service_price",
-    "collection_price", "total_sensing_time", "selection_counts",
-    "estimation_error",
 )
 
 
@@ -254,7 +247,7 @@ class TestEngineDifferential:
         fast = _run(m=m, k=k, seed=seed)
         on_references()
         reference = _run(m=m, k=k, seed=seed)
-        for field in METRIC_FIELDS:
+        for field in SERIES_FIELDS:
             np.testing.assert_array_equal(
                 np.asarray(getattr(fast, field)),
                 np.asarray(getattr(reference, field)), err_msg=field)
@@ -266,7 +259,7 @@ class TestEngineDifferential:
         fast = _run(m=15, k=3, seed=seed, fault=fault)
         on_references()
         reference = _run(m=15, k=3, seed=seed, fault=fault)
-        for field in METRIC_FIELDS:
+        for field in SERIES_FIELDS:
             np.testing.assert_array_equal(
                 np.asarray(getattr(fast, field)),
                 np.asarray(getattr(reference, field)), err_msg=field)
@@ -282,11 +275,11 @@ class TestEngineDifferential:
         _run(m=30, k=3, seed=0, num_rounds=20)
 
     def test_runtime_churn_ledger_digest_identical(self, on_references):
-        from repro.verify.runtime import compute_runtime_golden
+        from repro.verify import RUNTIME_GOLDEN_CASE
 
-        fast = compute_runtime_golden()
+        fast = RUNTIME_GOLDEN_CASE.compute()
         on_references()
-        reference = compute_runtime_golden()
+        reference = RUNTIME_GOLDEN_CASE.compute()
         assert fast["ledger_digest"] == reference["ledger_digest"]
         assert fast["sessions_opened"] == reference["sessions_opened"]
         assert fast["messages_delivered"] == reference["messages_delivered"]
@@ -296,9 +289,9 @@ class TestKernelsVerifySection:
     def test_check_kernels_passes(self):
         from repro.verify.kernels import check_kernels
 
-        result = check_kernels(seed=0)
-        assert result.passed, [c.describe() for c in result.failures()]
-        assert {c.name for c in result.checks} == {
+        checks = check_kernels(seed=0)
+        assert all(c.passed for c in checks), [c.describe() for c in checks]
+        assert {c.name for c in checks} == {
             "state-reference", "mutation-canary",
         }
 
@@ -320,9 +313,9 @@ class TestKernelsVerifySection:
 
         assert "kernels" in SECTIONS
         report = run_verification(sections=("kernels",))
-        assert report.kernels is not None
+        assert "kernels" in report.sections
         assert report.passed
-        assert report.oracles is None and report.goldens is None
+        assert list(report.sections) == ["kernels"]
         payload = report.to_dict()
         assert payload["kernels"]["passed"]
         assert "kernels: PASS" in report.to_text()

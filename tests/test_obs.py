@@ -572,6 +572,18 @@ class TestSummarize:
         assert summary.num_events == 2
         assert "skipped 1 malformed line" in summary.to_text()
 
+    def test_negative_duration_is_skipped_not_raised(self, tmp_path):
+        # A hostile record cannot abort the rollup or poison the
+        # phase's minimum and total.
+        path = tmp_path / "trace.jsonl"
+        path.write_text('{"kind":"round_end","round":0,"duration_s":0.5}\n'
+                        '{"kind":"round_end","round":1,"duration_s":-3}\n')
+        summary = summarize_trace(path)
+        timing = summary.phase_timings["round"]
+        assert summary.events_by_kind["round_end"] == 2
+        assert (timing.count, timing.total, timing.minimum) == (1, 0.5, 0.5)
+        assert "per-phase timing" in summary.to_text()
+
     def test_clean_trace_reports_no_skips(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         path.write_text('{"kind":"round_start","round":0}\n')

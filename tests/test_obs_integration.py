@@ -19,6 +19,7 @@ from repro.obs import (
 )
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import TradingSimulator
+from repro.sim.results import SERIES_FIELDS
 
 
 def _config(**overrides):
@@ -35,10 +36,7 @@ def _ucb():
 
 
 def _series_equal(a, b):
-    for name in ("realized_revenue", "expected_revenue", "regret",
-                 "consumer_profit", "platform_profit", "seller_profit_mean",
-                 "service_price", "collection_price", "total_sensing_time",
-                 "selection_counts", "estimation_error"):
+    for name in SERIES_FIELDS:
         if not np.array_equal(getattr(a, name), getattr(b, name)):
             return False
     return True

@@ -67,10 +67,6 @@ class TestParameters:
         with pytest.raises(ConfigurationError, match="max_task_retries"):
             ParallelExecutor(square, workers=1, max_task_retries=-1)
 
-    def test_rejects_bad_ring_capacity(self):
-        with pytest.raises(ConfigurationError, match="ring_capacity"):
-            ParallelExecutor(square, workers=1, ring_capacity=0)
-
 
 class TestExecution:
     def test_map_preserves_submission_order(self):

@@ -233,6 +233,12 @@ class TestProfileCli:
         assert main(["profile", "--rounds", "0"]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_unwritable_out_path_fails_cleanly(self, capsys, tmp_path):
+        out = tmp_path / "no-such-dir" / "profile.json"
+        assert main(["profile", "--sellers", "20", "--selected", "3",
+                     "--rounds", "20", "--out", str(out)]) == 1
+        assert "cannot write profile" in capsys.readouterr().err
+
 
 def _span(kind, duration, round_index=None, **payload):
     record = {"kind": kind, "duration_s": duration, **payload}
@@ -309,3 +315,13 @@ class TestCriticalPath:
         assert "critical path: run > round > selection" in printed
         payload = json.loads(out.read_text())
         assert payload["dominant"] == "run > round > selection"
+
+    def test_cli_unwritable_report_path_fails_cleanly(self, capsys,
+                                                      tmp_path):
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text(_span("round_end", 1.0, round_index=0) + "\n")
+        out = tmp_path / "no-such-dir" / "critical.json"
+        assert main(["trace", "critical-path", str(trace),
+                     "--report", str(out)]) == 1
+        assert "cannot write critical-path report" in \
+            capsys.readouterr().err

@@ -37,21 +37,15 @@ from repro.resilience import (
 )
 from repro.sim import SimulationConfig, TradingSimulator
 from repro.sim.replication import replicate_comparison
+from repro.sim.results import SERIES_FIELDS
 from repro.verify import check_recovery_equivalence
 
 CONFIG = SimulationConfig(num_sellers=10, num_selected=3, num_rounds=40,
                           seed=2)
 
-METRIC_FIELDS = (
-    "realized_revenue", "expected_revenue", "regret", "consumer_profit",
-    "platform_profit", "seller_profit_mean", "service_price",
-    "collection_price", "total_sensing_time", "selection_counts",
-    "estimation_error",
-)
-
 
 def assert_runs_identical(reference, resumed):
-    for field in METRIC_FIELDS:
+    for field in SERIES_FIELDS:
         np.testing.assert_array_equal(
             getattr(reference, field), getattr(resumed, field),
             err_msg=field,

@@ -23,18 +23,12 @@ from repro.obs import PhaseProfiler
 from repro.runtime import ChurnSpec, MarketRuntime
 from repro.sim import SimulationConfig, TradingSimulator
 from repro.sim.persistence import load_checkpoint, save_checkpoint
+from repro.sim.results import SERIES_FIELDS
 
 CONFIG = SimulationConfig(num_sellers=12, num_selected=3, num_pois=4,
                           num_rounds=30, seed=7)
 CHURN = ChurnSpec(arrival_rate=0.3, departure_rate=0.15, min_online=2)
 FAULTS = FaultSpec(dropout_rate=0.2, corruption_rate=0.1, stall_rate=0.05)
-
-METRIC_FIELDS = (
-    "realized_revenue", "expected_revenue", "regret", "consumer_profit",
-    "platform_profit", "seller_profit_mean", "service_price",
-    "collection_price", "total_sensing_time", "selection_counts",
-    "estimation_error",
-)
 
 
 def _runtime() -> MarketRuntime:
@@ -138,7 +132,7 @@ class TestFailedRuntimeRestore:
         assert len(live.ledger) == 3
 
         finished, expected = live.run(), twin.run()
-        for field in METRIC_FIELDS:
+        for field in SERIES_FIELDS:
             np.testing.assert_array_equal(getattr(finished, field),
                                           getattr(expected, field),
                                           err_msg=field)

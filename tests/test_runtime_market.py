@@ -28,14 +28,7 @@ from repro.resilience import ScheduledAbort
 from repro.runtime import ChurnSpec, MarketRuntime, TradeLedger, TradeRecord
 from repro.sim import SimulationConfig, TradingSimulator
 from repro.sim.persistence import load_checkpoint, save_checkpoint
-
-#: Every RunMetrics array compared bit-for-bit in the equivalence tests.
-METRIC_FIELDS = (
-    "realized_revenue", "expected_revenue", "regret", "consumer_profit",
-    "platform_profit", "seller_profit_mean", "service_price",
-    "collection_price", "total_sensing_time", "selection_counts",
-    "estimation_error",
-)
+from repro.sim.results import SERIES_FIELDS
 
 CHURN = ChurnSpec(arrival_rate=0.3, departure_rate=0.15, min_online=2)
 
@@ -62,7 +55,7 @@ class TestBatchEquivalence:
         batch = TradingSimulator(config).run(UCBPolicy())
         live = MarketRuntime(config, UCBPolicy()).run()
         assert live.policy_name == batch.policy_name
-        for field in METRIC_FIELDS:
+        for field in SERIES_FIELDS:
             assert np.array_equal(getattr(live, field),
                                   getattr(batch, field)), field
 
@@ -70,7 +63,7 @@ class TestBatchEquivalence:
         config = _config(num_rounds=25, seed=3)
         batch = TradingSimulator(config).run(EpsilonGreedyPolicy())
         live = MarketRuntime(config, EpsilonGreedyPolicy()).run()
-        for field in METRIC_FIELDS:
+        for field in SERIES_FIELDS:
             assert np.array_equal(getattr(live, field),
                                   getattr(batch, field)), field
 
@@ -107,7 +100,7 @@ class TestChurnDeterminism:
         assert a.ledger.digest() == b.ledger.digest()
         assert a.sessions_opened == b.sessions_opened
         assert a.sessions_closed == b.sessions_closed
-        for field in METRIC_FIELDS:
+        for field in SERIES_FIELDS:
             assert np.array_equal(getattr(metrics_a, field),
                                   getattr(metrics_b, field)), field
 
@@ -290,7 +283,7 @@ class TestCheckpointResume:
                 == straight.kernel.messages_delivered)
         assert (resumed.kernel.messages_dropped
                 == straight.kernel.messages_dropped)
-        for field in METRIC_FIELDS:
+        for field in SERIES_FIELDS:
             assert np.array_equal(getattr(resumed_metrics, field),
                                   getattr(straight_metrics, field)), field
 

@@ -9,7 +9,8 @@ import pytest
 import repro.sim.rounds as rounds_module
 from repro.cli import build_parser, main
 from repro.exceptions import ConfigurationError
-from repro.verify import run_verification
+from repro.verify import run_verification, update_goldens
+from repro.verify.runner import SECTIONS
 
 
 class TestParser:
@@ -45,15 +46,28 @@ class TestRunner:
 
     def test_section_subset_leaves_others_unset(self):
         report = run_verification(sections=("strict",), strict_rounds=15)
-        assert report.oracles is None
-        assert report.goldens is None
-        assert report.strict is not None
-        assert report.passed == report.strict.passed
+        assert "oracles" not in report.sections
+        assert "goldens" not in report.sections
+        assert "strict" in report.sections
+        assert report.passed == all(
+            check.passed for check in report.sections["strict"])
 
     def test_report_to_text_has_verdict_line(self):
         report = run_verification(sections=("strict",), strict_rounds=15)
         text = report.to_text()
         assert text.splitlines()[-1].startswith("verification:")
+
+    def test_every_section_reports_one_json_shape(self, tmp_path):
+        # Goldens are blessed into a scratch store so both golden-backed
+        # sections run; the oracle suite keeps to its edge cases.
+        update_goldens(str(tmp_path))
+        payload = run_verification(oracle_cases=0, strict_rounds=15,
+                                   goldens_dir=str(tmp_path)).to_dict()
+        assert list(payload) == ["passed", *SECTIONS]
+        for section in SECTIONS:
+            assert set(payload[section]) == {
+                "passed", "num_checks", "num_failed", "failures"}, section
+        assert payload["passed"] is True
 
 
 class TestVerifyCommand:
@@ -67,7 +81,7 @@ class TestVerifyCommand:
     def test_goldens_against_checked_in_store(self, capsys):
         assert main(["verify", "--only", "goldens"]) == 0
         out = capsys.readouterr().out
-        assert "goldens: PASS (3 cases, 0 drifted)" in out
+        assert "goldens: PASS (3 checks, 0 failed)" in out
 
     def test_update_then_verify_round_trips(self, tmp_path, capsys):
         assert main(["verify", "--update-goldens",

@@ -11,15 +11,13 @@ from repro.exceptions import PersistenceError
 from repro.sim.persistence import denormalize_json_value
 from repro.verify import (
     GOLDEN_CASES,
+    RUNTIME_GOLDEN_CASE,
     GoldenCase,
-    compute_golden,
-    compute_runtime_golden,
     golden_directory,
     golden_path,
     update_goldens,
     verify_goldens,
 )
-from repro.verify.runtime import _golden_path as runtime_golden_path
 
 #: The cheapest canonical case, used where one run suffices.
 SMALL_CASE = GoldenCase("tiny", num_sellers=8, num_selected=2, num_pois=3,
@@ -50,9 +48,8 @@ class TestCheckedInGoldens:
             assert os.path.exists(golden_path(case)), case.name
 
     def test_no_drift_against_checked_in_goldens(self):
-        results = verify_goldens()
-        drifted = {name: [m.describe() for m in mismatches]
-                   for name, mismatches in results.items() if mismatches}
+        drifted = {check.name: check.detail for check in verify_goldens()
+                   if not check.passed}
         assert drifted == {}
 
     def test_goldens_cover_distinct_regimes(self):
@@ -71,7 +68,8 @@ class TestGoldenStore:
         paths = update_goldens(str(tmp_path), self.CASES)
         assert paths == [str(tmp_path / "tiny.json")]
         results = verify_goldens(str(tmp_path), self.CASES)
-        assert results == {"tiny": []}
+        assert [(check.name, check.passed) for check in results] == [
+            ("tiny", True)]
 
     def test_tampered_series_value_is_reported(self, tmp_path):
         update_goldens(str(tmp_path), self.CASES)
@@ -81,10 +79,9 @@ class TestGoldenStore:
         payload["series"]["regret"][10] += 1.0
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(payload, handle)
-        results = verify_goldens(str(tmp_path), self.CASES)
-        assert len(results["tiny"]) == 1
-        mismatch = results["tiny"][0]
-        assert mismatch.path == "series.regret[10]"
+        [check] = verify_goldens(str(tmp_path), self.CASES)
+        assert not check.passed
+        assert check.detail.startswith("1 mismatch: series.regret[10]: ")
 
     def test_edited_case_parameters_are_detected_drift(self, tmp_path):
         # The payload embeds the case: changing GOLDEN_CASES without
@@ -92,13 +89,15 @@ class TestGoldenStore:
         update_goldens(str(tmp_path), self.CASES)
         edited = GoldenCase("tiny", num_sellers=8, num_selected=2,
                             num_pois=3, num_rounds=30, seed=6)
-        results = verify_goldens(str(tmp_path), (edited,))
-        assert any("case.seed" in m.path for m in results["tiny"])
+        [check] = verify_goldens(str(tmp_path), (edited,))
+        assert not check.passed
+        assert "case.seed: " in check.detail
 
     def test_missing_file_points_at_update_command(self, tmp_path):
         results = verify_goldens(str(tmp_path), self.CASES)
-        assert len(results["tiny"]) == 1
-        assert "--update-goldens" in results["tiny"][0].detail
+        assert len(results) == 1
+        assert not results[0].passed
+        assert "--update-goldens" in results[0].detail
 
     def test_corrupt_file_raises_persistence_error(self, tmp_path):
         path = tmp_path / "tiny.json"
@@ -111,12 +110,13 @@ class TestGoldenStore:
                            num_pois=3, num_rounds=30, seed=7)
         update_goldens(str(tmp_path), (other,))
         results = verify_goldens(str(tmp_path), (SMALL_CASE, other))
-        assert results["tiny"] and not results["tiny2"]
+        assert [(check.name, check.passed) for check in results] == [
+            ("tiny", False), ("tiny2", True)]
 
 
 class TestComputeGolden:
     def test_payload_shape(self):
-        payload = compute_golden(SMALL_CASE)
+        payload = SMALL_CASE.compute()
         assert payload["case"]["name"] == "tiny"
         assert payload["policy"]
         assert set(payload["series"]) >= {"regret", "realized_revenue",
@@ -126,8 +126,7 @@ class TestComputeGolden:
     def test_strict_mode_produces_identical_golden(self):
         # The invariant monitor must be purely observational: computing
         # a golden under strict mode cannot change a single number.
-        assert compute_golden(SMALL_CASE, strict=True) == \
-            compute_golden(SMALL_CASE)
+        assert SMALL_CASE.compute(strict=True) == SMALL_CASE.compute()
 
 
 def test_golden_directory_is_packaged():
@@ -147,7 +146,7 @@ def test_engine_golden_bit_identical(case):
     # Exact equality, not the verify tolerance: any hot-path shortcut
     # that moves one ulp of one settled price in one round shows up here.
     stored = _load(golden_path(case))
-    fresh = compute_golden(case)
+    fresh = case.compute()
     assert fresh["case"] == stored["case"]
     assert fresh["policy"] == stored["policy"]
     assert fresh["summary"] == stored["summary"]
@@ -158,10 +157,24 @@ def test_engine_golden_bit_identical(case):
 
 
 def test_runtime_churn_golden_bit_identical():
-    stored = _load(runtime_golden_path())
-    fresh = compute_runtime_golden()
+    stored = _load(golden_path(RUNTIME_GOLDEN_CASE))
+    fresh = RUNTIME_GOLDEN_CASE.compute()
     assert fresh["ledger_digest"] == stored["ledger_digest"]
     assert fresh["summary"] == stored["summary"]
     for key in ("sessions_opened", "sessions_closed",
                 "messages_delivered", "messages_dropped"):
         assert fresh[key] == stored[key]
+
+
+def test_update_goldens_rewrites_the_checked_in_store_byte_for_byte(
+        tmp_path):
+    # One store, four files: regenerating into an empty directory must
+    # reproduce exactly the checked-in set, bytes included.
+    paths = update_goldens(str(tmp_path))
+    checked_in = sorted(os.listdir(golden_directory()))
+    assert sorted(os.listdir(tmp_path)) == checked_in
+    assert len(paths) == len(checked_in) == 4
+    for name in checked_in:
+        with open(os.path.join(golden_directory(), name), "rb") as handle:
+            expected = handle.read()
+        assert (tmp_path / name).read_bytes() == expected, name

@@ -8,8 +8,8 @@ import repro.verify.oracles as oracles
 from repro.core.selection import top_k_indices
 from repro.game.profits import GameInstance
 from repro.verify import (
-    OracleCheck,
-    OracleSuiteReport,
+    Check,
+    VerificationReport,
     brute_force_top_k,
     check_full_solve_oracle,
     check_selection_oracle,
@@ -150,31 +150,31 @@ class TestSelectionOracle:
 
 
 class TestSuiteReport:
-    def make_report(self, *passed_flags: bool) -> OracleSuiteReport:
-        return OracleSuiteReport([
-            OracleCheck("stage3", f"case-{i}", flag, "detail", 0.1)
+    def make_report(self, *passed_flags: bool) -> VerificationReport:
+        return VerificationReport({"oracles": [
+            Check(f"stage3/case-{i}", flag, "detail", 0.1)
             for i, flag in enumerate(passed_flags)
-        ])
+        ]})
 
     def test_all_passed(self):
         report = self.make_report(True, True)
         assert report.passed
-        assert report.num_failed == 0
-        assert report.failures() == []
+        assert report.to_dict()["oracles"]["num_failed"] == 0
+        assert report.to_dict()["oracles"]["failures"] == []
 
     def test_failures_surface(self):
         report = self.make_report(True, False, False)
         assert not report.passed
-        assert report.num_failed == 2
-        assert len(report.failures()) == 2
+        assert report.to_dict()["oracles"]["num_failed"] == 2
+        assert len(report.to_dict()["oracles"]["failures"]) == 2
 
     def test_to_dict_shape(self):
-        payload = self.make_report(True, False).to_dict()
+        payload = self.make_report(True, False).to_dict()["oracles"]
         assert payload["passed"] is False
         assert payload["num_checks"] == 2
         assert payload["num_failed"] == 1
-        assert payload["failures"][0]["case"] == "case-1"
+        assert payload["failures"][0]["name"] == "stage3/case-1"
 
     def test_describe_marks_status(self):
-        assert "[ok]" in OracleCheck("stage3", "c", True, "d").describe()
-        assert "[FAIL]" in OracleCheck("stage3", "c", False, "d").describe()
+        assert "[ok]" in Check("stage3/c", True, "d").describe()
+        assert "[FAIL]" in Check("stage3/c", False, "d").describe()
