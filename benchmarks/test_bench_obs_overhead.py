@@ -51,8 +51,11 @@ def _run_once(tracer=None, metrics=None, profiler=None) -> float:
     config = SimulationConfig(**_CONFIG)
     simulator = TradingSimulator(config)
     start = time.process_time()
-    simulator.run(UCBPolicy(), tracer=tracer, metrics=metrics,
-                  profiler=profiler)
+    if profiler is None:
+        simulator.run(UCBPolicy(), tracer=tracer, metrics=metrics)
+    else:
+        with profiler.profile():
+            simulator.run(UCBPolicy(), metrics=profiler.registry)
     return time.process_time() - start
 
 

@@ -81,7 +81,7 @@ def _add_fault_tolerance_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--resume", action="store_true",
-        help="continue from the checkpoints in --checkpoint-dir",
+        help="continue from the checkpoints in --checkpoint-dir (required)",
     )
 
 
@@ -90,17 +90,17 @@ def _add_resilience_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--timeout-s", type=float, default=None, metavar="S",
         help=(
-            "per-task wall-clock budget in seconds: arms the parallel "
-            "watchdog and bounds checkpoint-write retries "
-            "(default: no deadline)"
+            "wall-clock budget in seconds: the parallel watchdog's "
+            "per-task deadline, and the point after which a failing "
+            "checkpoint write is no longer retried (default: none)"
         ),
     )
     parser.add_argument(
-        "--max-retries", type=int, default=None, metavar="N",
+        "--max-retries", type=int, default=0, metavar="N",
         help=(
-            "retry transient checkpoint-I/O failures and worker "
-            "crashes up to N times with seeded exponential backoff "
-            "(default: no retries beyond the built-in crash handling)"
+            "retry a failed checkpoint write up to N times, waiting "
+            "min(0.05*2^(k-1), 5) s before retry k (default: 0); "
+            "worker crashes are re-queued up to 2 times regardless"
         ),
     )
 
@@ -109,7 +109,8 @@ def _build_resilience(args: argparse.Namespace):
     """The :class:`ResiliencePolicy` requested by the shared flags."""
     from repro.resilience import ResiliencePolicy
 
-    return ResiliencePolicy.from_cli(args.timeout_s, args.max_retries)
+    return ResiliencePolicy(max_retries=args.max_retries,
+                            timeout_s=args.timeout_s)
 
 
 def _add_observability_arguments(parser: argparse.ArgumentParser) -> None:
@@ -619,22 +620,16 @@ def _command_run(args: argparse.Namespace) -> int:
         wanted = [experiment_id for experiment_id, __ in list_experiments()]
     if args.workers > 1 and len(wanted) > 1:
         from repro.parallel import ParallelExecutor
-        from repro.resilience import WatchdogConfig
+        from repro.resilience import task_watchdog
         from repro.sim.persistence import experiment_result_from_dict
 
-        resilience = _build_resilience(args)
         # One experiment per chunk: the work units are few and heavy,
         # so fine-grained scheduling beats round-trip amortisation.
         executor = ParallelExecutor(
             _experiment_task_runner,
             workers=min(args.workers, len(wanted)),
             chunk_size=1,
-            retry_policy=(resilience.retry
-                          if not resilience.retry.is_noop else None),
-            watchdog=(
-                WatchdogConfig(task_timeout_s=resilience.deadline.timeout_s)
-                if resilience.deadline.enabled else None
-            ),
+            watchdog=task_watchdog(_build_resilience(args)),
         )
         payloads = [(experiment_id, scale.value, args.seed)
                     for experiment_id in wanted]
@@ -712,7 +707,7 @@ def _command_quickstart(args: argparse.Namespace) -> int:
             checkpoint_path=checkpoint_path,
             checkpoint_every=(max(1, args.rounds // 10)
                               if checkpoint_path else 0),
-            resume=args.resume and checkpoint_path is not None,
+            resume=args.resume,
             tracer=tracer,
             metrics=metrics,
             strict=args.strict,
@@ -774,12 +769,12 @@ def _command_replicate(args: argparse.Namespace) -> int:
     if args.checkpoint_dir:
         os.makedirs(args.checkpoint_dir, exist_ok=True)
         checkpoint_path = os.path.join(args.checkpoint_dir,
-                                       "replicate-sweep.json")
+                                       "replicate-sweep.npz")
     result = replicate_comparison(
         config, factory, num_seeds=args.seeds, first_seed=args.first_seed,
         fault_spec=spec,
         checkpoint_path=checkpoint_path,
-        resume=args.resume and checkpoint_path is not None,
+        resume=args.resume,
         workers=args.workers,
         tracer=tracer,
         metrics=metrics,
@@ -1038,11 +1033,16 @@ def _run_profiled_sweep(args: argparse.Namespace, *,
         num_rounds=args.rounds,
     )
     profiler = PhaseProfiler(memory=memory)
-    replicate_comparison(
-        config, _profile_policy_factory(policy),
-        num_seeds=args.seeds, first_seed=args.seed,
-        workers=args.workers, profiler=profiler,
-    )
+    with profiler.profile(
+        num_seeds=args.seeds, first_seed=args.seed, workers=args.workers,
+        num_sellers=config.num_sellers, num_selected=config.num_selected,
+        num_rounds=config.num_rounds,
+    ):
+        replicate_comparison(
+            config, _profile_policy_factory(policy),
+            num_seeds=args.seeds, first_seed=args.seed,
+            workers=args.workers, metrics=profiler.registry,
+        )
     return profiler.report()
 
 

@@ -131,12 +131,13 @@ class ExperimentError(ReproError):
 
 
 class DeadlineExceededError(ReproError):
-    """A unit of work ran past its :class:`repro.resilience.Deadline`.
+    """A guarded call kept failing past its policy's ``timeout_s``.
 
-    Raised by the resilience policy engine when a guarded call exceeds
-    its wall-clock budget, and by the parallel coordinator when a task
-    blows through its per-task deadline more times than the retry
-    policy allows.
+    Raised by :func:`repro.resilience.execute_with_policy` when a
+    checkpoint write is still failing once the
+    :class:`repro.resilience.ResiliencePolicy`'s ``timeout_s`` has
+    passed (checked between attempts; an attempt in progress is never
+    interrupted).
     """
 
 

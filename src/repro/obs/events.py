@@ -51,10 +51,10 @@ __all__ = ["EVENT_KINDS", "TraceEvent"]
 #: * ``worker_crashed`` — a worker process died mid-batch (payload:
 #:   ``worker``, ``exitcode``, ``lost_tasks`` re-queued to a fresh
 #:   worker).
-#: * ``retry_attempt`` — a guarded operation failed and will be retried
-#:   under a :class:`~repro.resilience.RetryPolicy` (payload: ``op``
-#:   label, ``attempt``, ``max_attempts``, seeded ``delay_s``,
-#:   ``error``).
+#: * ``retry_attempt`` — a checkpoint write failed and will be retried
+#:   under a :class:`~repro.resilience.ResiliencePolicy`, or a crashed
+#:   worker's task is re-queued (payload: ``op`` label, ``attempt``,
+#:   ``max_attempts``, ``error``; checkpoint writes add ``delay_s``).
 #: * ``watchdog_kill`` — the parallel watchdog killed a stalled worker
 #:   (payload: ``worker``, ``reason``, ``task``, ``elapsed_s``,
 #:   ``limit_s``).

@@ -18,13 +18,14 @@ The profiler is *clock-injected*: every wall-clock read goes through
 the constructor's ``clock`` callable (default
 :func:`repro.obs.timing.perf_counter`), so tests drive it with a fake
 clock and assert exact rates.  It never touches an RNG stream and is
-strictly opt-in — ``profiler=None`` everywhere keeps unprofiled runs
-byte-identical.
+strictly opt-in: a run that never enters a profiling bracket is
+byte-identical to one that does.
 
 Usage::
 
     profiler = PhaseProfiler()
-    simulator.run(policy, profiler=profiler)
+    with profiler.profile(policy="CMAB-HS"):
+        simulator.run(policy, metrics=profiler.registry)
     report = profiler.report()
     print(report.hotspot_table())
     atomic_write_json("profile.json", report.to_dict())
@@ -187,12 +188,13 @@ class ProfileReport:
 class PhaseProfiler:
     """Clock-injected profiler over the runtime's phase timers.
 
-    Pass one to :meth:`~repro.sim.engine.TradingSimulator.run`,
+    Run the work inside ``with profiler.profile(**context):`` and pass
+    ``metrics=profiler.registry`` to it (to
+    :meth:`~repro.sim.engine.TradingSimulator.run`,
     :meth:`~repro.sim.engine.TradingSimulator.compare`, or
-    :func:`~repro.sim.replication.replicate_comparison` — the run's
-    metrics land in :attr:`registry` (or the caller's own registry when
-    one is also given) and the run is bracketed so active wall-clock
-    and peak memory are accounted.  :meth:`report` then derives phase
+    :func:`~repro.sim.replication.replicate_comparison`): the run's
+    metrics land in :attr:`registry` and the bracket accounts active
+    wall-clock and peak memory.  :meth:`report` then derives phase
     self-times and hot-path rates.
 
     Parameters
@@ -234,13 +236,12 @@ class PhaseProfiler:
         """The configured memory probe name."""
         return self._memory
 
-    # -- run bracketing (called by the engine / replication opt-ins) -----------------
+    # -- run bracketing ---------------------------------------------------------------
 
     def bind(self, metrics: MetricsRegistry | None) -> MetricsRegistry:
         """Adopt the run's registry (the caller's, or this profiler's own).
 
-        The engine calls this once per profiled run so :meth:`report`
-        reads whichever registry actually accumulated the run's timers.
+        Lets :meth:`report` read a registry the caller already owns.
         Returns the registry the run should use.
         """
         self._registry = (metrics if metrics is not None
@@ -272,9 +273,13 @@ class PhaseProfiler:
             self._sample_memory()
         self._context.update(context)
 
-    def profile(self) -> "_ProfileBracket":
-        """Context manager form of the start/finish bracket."""
-        return _ProfileBracket(self)
+    def profile(self, **context) -> "_ProfileBracket":
+        """Context manager form of the start/finish bracket.
+
+        ``context`` is folded into the report as :meth:`run_finished`
+        does, when the bracket closes.
+        """
+        return _ProfileBracket(self, context)
 
     def _sample_memory(self) -> None:
         if self._memory == "rss":
@@ -331,17 +336,18 @@ class PhaseProfiler:
 
 
 class _ProfileBracket:
-    """``with profiler.profile():`` — one start/finish bracket."""
+    """``with profiler.profile(**context):`` — one start/finish bracket."""
 
-    def __init__(self, profiler: PhaseProfiler) -> None:
+    def __init__(self, profiler: PhaseProfiler, context: dict) -> None:
         self._profiler = profiler
+        self._context = context
 
     def __enter__(self) -> PhaseProfiler:
         self._profiler.run_started()
         return self._profiler
 
     def __exit__(self, *exc_info) -> None:
-        self._profiler.run_finished()
+        self._profiler.run_finished(**self._context)
 
 
 def _phase_stats(timers: dict[str, Timer],

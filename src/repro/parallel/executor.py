@@ -42,7 +42,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 import queue as queue_module
-import time
 from collections.abc import Callable, Iterator, Sequence
 from typing import Any
 
@@ -52,7 +51,6 @@ from repro.obs.timing import perf_counter
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.parallel.tasks import TaskResult, TaskSpec
 from repro.parallel.worker import worker_main
-from repro.resilience.policy import RetryPolicy
 from repro.resilience.watchdog import (
     REASON_TASK_DEADLINE,
     WatchdogConfig,
@@ -111,18 +109,15 @@ class ParallelExecutor:
         Tasks per scheduling chunk; ``None`` picks ~4 chunks per worker.
     max_task_retries:
         How many times one task may be re-queued after worker crashes
-        before the run fails (runner exceptions never retry).  The
-        legacy spelling of ``retry_policy=RetryPolicy.of(n)``; ignored
-        when ``retry_policy`` is given.
-    retry_policy:
-        Full :class:`~repro.resilience.RetryPolicy` governing crash
-        re-queues: attempt budget plus (deterministic) backoff between
-        re-queues.  ``None`` derives one from ``max_task_retries``.
+        before the run fails (runner exceptions never retry); ``0``
+        fails the run on the first crash.  A crashed task is re-queued
+        at once: the replacement worker is a fresh process, so there
+        is nothing to back off from.
     watchdog:
         :class:`~repro.resilience.WatchdogConfig` arming stall
         detection: workers running one task longer than its per-task
         deadline, or falling heartbeat-silent, are killed and replaced
-        under the retry policy (``watchdog_kill`` /
+        under the crash budget (``watchdog_kill`` /
         ``task_deadline_exceeded`` trace events).  ``None`` (default)
         disables the watchdog and the worker-side heartbeat thread
         entirely.
@@ -144,7 +139,6 @@ class ParallelExecutor:
                  workers: int | None = None,
                  chunk_size: int | None = None,
                  max_task_retries: int = 2,
-                 retry_policy: RetryPolicy | None = None,
                  watchdog: WatchdogConfig | None = None,
                  tracer: Tracer | None = None,
                  metrics: MetricsRegistry | None = None) -> None:
@@ -168,8 +162,7 @@ class ParallelExecutor:
         self._runner = runner
         self._workers = int(workers)
         self._chunk_size = chunk_size
-        self._retry_policy = (retry_policy if retry_policy is not None
-                              else RetryPolicy.of(int(max_task_retries)))
+        self._max_attempts = int(max_task_retries) + 1
         self._watchdog_config = watchdog
         self._tracer = tracer if tracer is not None else NULL_TRACER
         self._metrics = metrics if metrics is not None else MetricsRegistry()
@@ -317,8 +310,8 @@ class ParallelExecutor:
         native code, SIGSTOP) may not honour anything milder, and the
         point of the watchdog is that recovery cannot depend on the
         patient's cooperation.  The kill makes the process reap-able;
-        :meth:`_reap_crashed` then re-queues its tasks under the retry
-        policy exactly as for an organic crash.
+        :meth:`_reap_crashed` then re-queues its tasks under the crash
+        budget exactly as for an organic crash.
         """
         for verdict in watchdog.poll(perf_counter()):
             process = processes.get(verdict.worker_id)
@@ -371,12 +364,9 @@ class ParallelExecutor:
                       watchdog: WorkerWatchdog | None = None) -> int:
         """Re-queue the tasks of dead workers onto fresh replacements.
 
-        Re-queues are governed by the retry policy: a task that has
-        already started ``max_attempts`` times fails the run, and each
-        re-queue emits a ``retry_attempt`` event and waits the policy's
-        (deterministic) backoff delay.
+        A task that has already started ``max_task_retries + 1`` times
+        fails the run; each re-queue emits a ``retry_attempt`` event.
         """
-        policy = self._retry_policy
         for worker_id, process in list(processes.items()):
             if process.is_alive():
                 continue
@@ -394,25 +384,21 @@ class ParallelExecutor:
                                   exitcode=process.exitcode,
                                   lost_tasks=list(lost))
             for task_id in lost:
-                if attempts[task_id] >= policy.max_attempts:
+                if attempts[task_id] >= self._max_attempts:
                     raise ParallelExecutionError(
                         f"task {task_id} was lost to {attempts[task_id]} "
-                        f"worker crashes (retry policy allows "
-                        f"{policy.max_attempts} attempts)"
+                        f"worker crashes (the crash budget allows "
+                        f"{self._max_attempts} attempts)"
                     )
                 self._metrics.counter("parallel.tasks_requeued").inc()
                 if self._tracer.enabled:
                     self._tracer.emit("retry_attempt",
                                       op=f"parallel.task-{task_id}",
                                       attempt=attempts[task_id],
-                                      max_attempts=policy.max_attempts,
+                                      max_attempts=self._max_attempts,
                                       error=f"worker {worker_id} died "
                                             f"(exitcode "
                                             f"{process.exitcode})")
-                delay = policy.backoff.delay_s(max(1, attempts[task_id]),
-                                               f"parallel.task-{task_id}")
-                if delay > 0.0:
-                    time.sleep(delay)
                 task_queue.put([spec_of[task_id]])
             replacement = self._spawn_worker(next_worker_id, task_queue,
                                              result_queue, watchdog)

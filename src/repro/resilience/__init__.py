@@ -1,10 +1,11 @@
-"""Deterministic resilience runtime: policies, watchdog, graceful shutdown.
+"""Deterministic resilience runtime: policy, watchdog, graceful shutdown.
 
 Three composable layers harden long runs without perturbing results:
 
-* :mod:`repro.resilience.policy` — retry / deadline / backoff policies
-  with seeded-jitter delays, applied to persistence I/O and the
-  parallel coordinator's task re-queue.
+* :mod:`repro.resilience.policy` — the four-field
+  :class:`ResiliencePolicy` (checkpoint-write retries, a deadline,
+  checkpoint generations, quarantine) and the retry engine that
+  applies it to checkpoint writes.
 * :mod:`repro.resilience.watchdog` — a clock-injected stall detector
   for worker pools (per-task deadlines + heartbeat loss).
 * :mod:`repro.resilience.shutdown` — cooperative SIGINT/SIGTERM drain
@@ -20,14 +21,10 @@ is byte-identical to one built before this package existed.
 """
 
 from repro.resilience.policy import (
-    NO_DEADLINE,
-    NO_RETRY,
     NOOP_POLICY,
-    Backoff,
-    Deadline,
     ResiliencePolicy,
-    RetryPolicy,
     execute_with_policy,
+    task_watchdog,
 )
 from repro.resilience.shutdown import (
     NEVER_STOP,
@@ -43,13 +40,9 @@ from repro.resilience.watchdog import (
 )
 
 __all__ = [
-    "Backoff",
-    "RetryPolicy",
-    "Deadline",
     "ResiliencePolicy",
     "execute_with_policy",
-    "NO_RETRY",
-    "NO_DEADLINE",
+    "task_watchdog",
     "NOOP_POLICY",
     "WatchdogConfig",
     "WorkerWatchdog",

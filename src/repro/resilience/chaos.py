@@ -1,16 +1,17 @@
 """Chaos-testing harness: seeded fault storms with an exactness oracle.
 
-The resilience layers — retry policies, the worker watchdog, checkpoint
-quarantine and rollback, graceful shutdown — each have unit tests, but
-real failures compose: a sweep is interrupted, its newest checkpoint is
-then corrupted on disk, the resumed sweep loses a worker to a crash,
-and the worker after *that* wedges and must be shot by the watchdog.
+The resilience layers — checkpoint-write retries, the worker watchdog,
+checkpoint quarantine and rollback, graceful shutdown — each have unit
+tests, but real failures compose: a sweep is interrupted, its newest
+checkpoint is then corrupted on disk, the resumed sweep loses a worker
+to a crash, and the worker after *that* wedges and must be shot by the
+watchdog.
 This module drills exactly such compositions, deterministically.
 
 A chaos run is ``rounds`` independent rounds.  Each round derives a
 fault plan from ``seeded_generator([seed, round_index])`` — up to
 ``budget`` faults drawn from the menu below — applies them to a small
-replication sweep running under a full resilience policy (retry +
+replication sweep running under a full resilience policy (retries +
 generations + quarantine), finishes the sweep with a fault-free resume,
 and hands the result to the recovery-equivalence oracle
 (:func:`repro.verify.check_recovery_equivalence`): the battered sweep
@@ -25,12 +26,12 @@ Fault menu (one layer each):
 * ``corrupt_checkpoint`` — a random byte of the newest checkpoint
   artefact is flipped (parse/checksum layer).
 * ``tamper_checkpoint`` — a *semantically valid* edit: one completed
-  seed's revenue sample is inflated while the stale checksum is kept.
-  Only the checksum can catch this; it is the fault that kills the
-  "disable verification" mutation.
+  seed's revenue sample is inflated in the archive's metadata record
+  while the stale checksum footer is kept.  Only the checksum can catch
+  this; it is the fault that kills the "disable verification" mutation.
 * ``truncate_checkpoint`` — the artefact loses its tail (torn write).
-* ``worker_crash`` — a parallel worker dies hard mid-seed (retry
-  layer; uses the executor's single-shot crash injection).
+* ``worker_crash`` — a parallel worker dies hard mid-seed (crash
+  re-queue layer; uses the executor's single-shot crash injection).
 * ``worker_stall`` — a parallel worker wedges mid-seed and must be
   killed by the watchdog (watchdog layer).
 
@@ -41,8 +42,11 @@ watchdog timeout, so they dominate wall-clock time; disable them with
 
 from __future__ import annotations
 
+import io
+import json
 import os
 import tempfile
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,15 +63,11 @@ from repro.parallel.worker import (
     STALL_MARKER_ENV,
     STALL_TASK_ENV,
 )
-from repro.resilience.policy import (
-    Backoff,
-    ResiliencePolicy,
-    RetryPolicy,
-)
+from repro.resilience.policy import ResiliencePolicy
 from repro.resilience.shutdown import ScheduledAbort
 from repro.resilience.watchdog import WatchdogConfig
 from repro.sim.config import SimulationConfig
-from repro.sim.persistence import generation_paths
+from repro.sim.persistence import _CHECKSUM_FOOTER_LEN, generation_paths
 from repro.sim.replication import ReplicationResult, replicate_comparison
 from repro.sim.rng import seeded_generator
 from repro.verify.compare import Check
@@ -270,21 +270,26 @@ def _truncate(path: str, rng: np.random.Generator) -> dict:
 
 
 def _tamper(path: str, rng: np.random.Generator) -> dict:
-    """Inflate one completed seed's revenue sample, keep the checksum.
+    """Inflate one completed seed's revenue sample, keep the footer.
 
-    The file stays valid JSON with a plausible schema — only the (now
-    stale) checksum betrays it.  On code with working verification the
-    load quarantines and rolls back; on code with verification disabled
-    the poisoned sample reaches aggregation and the oracle flags it.
+    The archive is rebuilt with an edited ``checkpoint_meta`` record and
+    the old — now stale — checksum footer appended, so the file is a
+    valid NPZ whose metadata decodes to a plausible sweep.  Only the
+    footer betrays it: on code with working verification the load
+    quarantines and rolls back; on code with verification disabled the
+    poisoned sample reaches aggregation and the oracle flags it.
     """
-    import json
-
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    payload, footer = (raw[:-_CHECKSUM_FOOTER_LEN],
+                       raw[-_CHECKSUM_FOOTER_LEN:])
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except (OSError, ValueError):
-        return {"skipped": True, "reason": "not parseable JSON"}
-    samples = payload.get("seed_samples")
+        with np.load(io.BytesIO(payload)) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        meta = json.loads(str(arrays["checkpoint_meta"]))
+    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
+        return {"skipped": True, "reason": "not a loadable checkpoint"}
+    samples = meta.get("seed_samples") if isinstance(meta, dict) else None
     if not isinstance(samples, dict) or not samples:
         return {"skipped": True, "reason": "no completed seeds"}
     seed_key = sorted(samples)[int(rng.integers(0, len(samples)))]
@@ -296,8 +301,11 @@ def _tamper(path: str, rng: np.random.Generator) -> dict:
     if not isinstance(metrics, dict) or "total_revenue" not in metrics:
         return {"skipped": True, "reason": "malformed policy record"}
     metrics["total_revenue"] = float(metrics["total_revenue"]) * 1.5 + 1.0
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle)
+    arrays["checkpoint_meta"] = np.array(json.dumps(meta))
+    buffer = io.BytesIO()
+    np.savez(buffer, **arrays)
+    with open(path, "wb") as handle:
+        handle.write(buffer.getvalue() + footer)
     return {"seed": seed_key, "policy": policy_key}
 
 
@@ -376,12 +384,9 @@ def _run_round(round_index: int, config: ChaosConfig, workdir: str,
         fault_spec=fault_spec,
     )
 
-    checkpoint_path = os.path.join(workdir, f"round-{round_index}.json")
-    resilience = ResiliencePolicy(
-        retry=RetryPolicy.of(2, Backoff.none()),
-        checkpoint_generations=3,
-        quarantine=True,
-    )
+    checkpoint_path = os.path.join(workdir, f"round-{round_index}.npz")
+    resilience = ResiliencePolicy(max_retries=2, checkpoint_generations=3,
+                                  quarantine=True)
     # The per-task deadline is the stall detector (the injected stall
     # wedges at task start, so ~1.5s bounds the episode); heartbeat
     # monitoring runs too, but with a limit generous enough to never

@@ -1,32 +1,29 @@
-"""Composable retry / deadline / backoff policies.
+"""The resilience posture of a run: one flat policy and its retry engine.
 
-The recovery layers (checkpoint persistence, the parallel coordinator's
-re-queue, the chaos harness) all need the same discipline: *how many
-times* may an operation fail, *how long* between attempts, and *how
-long overall* before giving up.  This module makes those three answers
-first-class values — a :class:`RetryPolicy`, a :class:`Backoff`, and a
-:class:`Deadline` composed into one :class:`ResiliencePolicy` — so
-every layer applies identical, auditable semantics instead of ad-hoc
-counters.
+A :class:`ResiliencePolicy` answers every "how does a run survive a
+fault" question in four fields: how many times a checkpoint write may
+be retried, how long retrying may go on (which also arms the parallel
+watchdog's per-task deadline, see :func:`task_watchdog`), how many
+checkpoint generations stay on disk, and whether a resume quarantines
+bad checkpoints and rolls back instead of raising.
 
-Determinism contract: backoff *delays* are pure functions of
-``(seed, label, attempt)`` — jitter is drawn from a
-:func:`repro.sim.rng.seeded_generator` stream, never from OS entropy —
-so a replayed run waits the exact same schedule.  The *sleeps*
-themselves are wall-clock side effects that never feed back into
+The wait before retry ``k`` is fixed at ``min(0.05 * 2**(k-1), 5)``
+seconds.  There is no jitter: jitter only helps several writers that
+contend for one resource, and here one coordinator writes each file.
+The *sleeps* are wall-clock side effects that never feed back into
 simulation state (the same contract as :mod:`repro.obs` timing).
 
-The default :data:`NOOP_POLICY` (single attempt, no backoff, no
-deadline, single checkpoint generation, no quarantine) is behaviourally
-invisible: code guarded by it runs exactly as unguarded code, which is
-what keeps pre-existing invocations byte-identical.
+The default :data:`NOOP_POLICY` (no retries, no deadline, a single
+checkpoint generation, no quarantine) is behaviourally invisible: code
+guarded by it runs exactly as unguarded code, which is what keeps
+pre-existing invocations byte-identical.
 """
 
 from __future__ import annotations
 
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, TypeVar
 
 from repro.exceptions import (
@@ -38,291 +35,111 @@ from repro.exceptions import (
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.timing import perf_counter
 from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.resilience.watchdog import WatchdogConfig
 
 __all__ = [
-    "Backoff",
-    "RetryPolicy",
-    "Deadline",
     "ResiliencePolicy",
-    "NO_RETRY",
-    "NO_DEADLINE",
     "NOOP_POLICY",
     "execute_with_policy",
+    "task_watchdog",
 ]
 
 T = TypeVar("T")
 
-
-def _stable_label_hash(label: str) -> int:
-    """A salt-free 32-bit hash of ``label`` (Python's ``hash`` is salted)."""
-    value = 0
-    for char in label:
-        value = (value * 131 + ord(char)) & 0xFFFFFFFF
-    return value
-
-
-@dataclass(frozen=True)
-class Backoff:
-    """Delay schedule between retry attempts.
-
-    ``delay_s(attempt)`` for attempt ``k`` (1-based count of failures so
-    far) is ``min(base_s * factor**(k-1), max_s)``, optionally shrunk by
-    seeded jitter.  ``base_s = 0`` (the default) is the no-delay
-    schedule; ``factor = 1`` gives fixed delays.
-
-    Attributes
-    ----------
-    base_s:
-        First-retry delay in seconds (0 disables delays entirely).
-    factor:
-        Multiplier applied per additional attempt (>= 1).
-    max_s:
-        Upper clamp on any single delay.
-    jitter:
-        Fraction in ``[0, 1]``: each delay is scaled by a seeded
-        uniform draw from ``[1 - jitter, 1]``, de-synchronising
-        contending retriers without sacrificing replayability.
-    seed:
-        Entropy for the jitter stream; two schedules with the same
-        ``(seed, label, attempt)`` produce identical delays.
-    """
-
-    base_s: float = 0.0
-    factor: float = 2.0
-    max_s: float = 60.0
-    jitter: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.base_s < 0.0:
-            raise ConfigurationError(
-                f"backoff base_s must be >= 0, got {self.base_s}"
-            )
-        if self.factor < 1.0:
-            raise ConfigurationError(
-                f"backoff factor must be >= 1, got {self.factor}"
-            )
-        if self.max_s < 0.0:
-            raise ConfigurationError(
-                f"backoff max_s must be >= 0, got {self.max_s}"
-            )
-        if not (0.0 <= self.jitter <= 1.0):
-            raise ConfigurationError(
-                f"backoff jitter must be in [0, 1], got {self.jitter}"
-            )
-
-    @classmethod
-    def none(cls) -> "Backoff":
-        """No delay between attempts."""
-        return cls(base_s=0.0)
-
-    @classmethod
-    def fixed(cls, delay_s: float) -> "Backoff":
-        """The same ``delay_s`` before every retry."""
-        return cls(base_s=delay_s, factor=1.0, max_s=delay_s)
-
-    @classmethod
-    def exponential(cls, base_s: float = 0.05, factor: float = 2.0,
-                    max_s: float = 5.0, jitter: float = 0.0,
-                    seed: int = 0) -> "Backoff":
-        """Exponentially growing delays, optionally seeded-jittered."""
-        return cls(base_s=base_s, factor=factor, max_s=max_s,
-                   jitter=jitter, seed=seed)
-
-    def delay_s(self, attempt: int, label: str = "") -> float:
-        """The deterministic delay before retry number ``attempt``.
-
-        ``attempt`` counts failures so far, starting at 1.  With
-        ``jitter > 0`` the draw comes from a fresh
-        :func:`~repro.sim.rng.seeded_generator` stream keyed by
-        ``(seed, label, attempt)``, so delays are replayable and
-        request-order independent.
-        """
-        if attempt < 1:
-            raise ConfigurationError(
-                f"attempt must be >= 1, got {attempt}"
-            )
-        raw = min(self.base_s * self.factor ** (attempt - 1), self.max_s)
-        if raw <= 0.0 or self.jitter <= 0.0:
-            return float(raw)
-        # Imported at call time: repro.sim imports the parallel/obs
-        # layers that import this module, so a module-level import
-        # would cycle (same pattern as repro.obs's RNG helpers).
-        from repro.sim.rng import seeded_generator
-
-        rng = seeded_generator(
-            [self.seed, _stable_label_hash(label), int(attempt)]
-        )
-        return float(raw * (1.0 - self.jitter * float(rng.random())))
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """How many times an operation may be attempted, and on what.
-
-    Attributes
-    ----------
-    max_attempts:
-        Total attempts allowed (>= 1); ``1`` means "never retry" — the
-        no-op policy whose guarded call is indistinguishable from an
-        unguarded one.
-    backoff:
-        Delay schedule between attempts.
-    retry_on:
-        Exception types that trigger a retry; anything else propagates
-        immediately (a bug is not a fault to paper over).
-    """
-
-    max_attempts: int = 1
-    backoff: Backoff = field(default_factory=Backoff.none)
-    retry_on: tuple[type[BaseException], ...] = (PersistenceError, OSError)
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ConfigurationError(
-                f"max_attempts must be >= 1, got {self.max_attempts}"
-            )
-        if not self.retry_on:
-            raise ConfigurationError(
-                "retry_on must name at least one exception type"
-            )
-
-    @property
-    def is_noop(self) -> bool:
-        """Whether this policy never actually retries."""
-        return self.max_attempts == 1
-
-    @classmethod
-    def of(cls, max_retries: int,
-           backoff: Backoff | None = None) -> "RetryPolicy":
-        """A policy allowing ``max_retries`` retries after the first try."""
-        if max_retries < 0:
-            raise ConfigurationError(
-                f"max_retries must be >= 0, got {max_retries}"
-            )
-        return cls(max_attempts=max_retries + 1,
-                   backoff=backoff if backoff is not None else Backoff.none())
-
-
-@dataclass(frozen=True)
-class Deadline:
-    """A wall-clock budget for one guarded operation.
-
-    ``timeout_s = None`` (the default) disables the deadline.  At the
-    policy-engine layer a deadline bounds *retrying* — a synchronous
-    attempt cannot be preempted from within, so the check runs between
-    attempts.  Pre-emptive enforcement mid-attempt is the parallel
-    watchdog's job (it can kill a worker process; a function call has
-    no such handle).
-    """
-
-    timeout_s: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.timeout_s is not None and self.timeout_s <= 0.0:
-            raise ConfigurationError(
-                f"timeout_s must be positive (or None), got {self.timeout_s}"
-            )
-
-    @property
-    def enabled(self) -> bool:
-        """Whether this deadline constrains anything."""
-        return self.timeout_s is not None
-
-
-#: Single attempt, no backoff: guarded calls behave exactly unguarded.
-NO_RETRY = RetryPolicy()
-
-#: No wall-clock budget.
-NO_DEADLINE = Deadline()
+#: The failures a checkpoint write may be retried on; anything else
+#: propagates at once (a bug is not a fault to paper over).
+_RETRYABLE = (PersistenceError, OSError)
 
 
 @dataclass(frozen=True)
 class ResiliencePolicy:
-    """The full resilience posture of a run, composed of the pieces above.
+    """The full resilience posture of a run.
 
     Attributes
     ----------
-    retry:
-        Attempt budget + backoff for persistence I/O and the parallel
-        coordinator's task re-queue.
-    deadline:
-        Per-task wall-clock budget (enforced by the parallel watchdog;
-        advisory between attempts elsewhere).
+    max_retries:
+        How many times a failed checkpoint write is retried (>= 0).
+    timeout_s:
+        Wall-clock budget in seconds (``None`` disables it): retrying a
+        checkpoint write stops once it has passed, and it arms the
+        parallel pool's per-task watchdog (see :func:`task_watchdog`).
     checkpoint_generations:
         How many checkpoint generations to keep on disk (>= 1).  With
         more than one, each write rotates the previous file into a
         ``.gen-k`` sibling, giving rollback targets.
     quarantine:
-        Whether a corrupt/unreadable checkpoint found on resume is
-        moved into a ``*.quarantine/`` directory and the run rolled
-        back to the newest valid generation (or a fresh start), instead
-        of raising :class:`~repro.exceptions.PersistenceError`.
+        Whether a checkpoint found on resume that does not load or does
+        not decode is moved into a ``*.quarantine/`` directory and the
+        run rolled back to the newest valid generation (or a fresh
+        start), instead of raising
+        :class:`~repro.exceptions.PersistenceError`.
     """
 
-    retry: RetryPolicy = field(default_factory=lambda: NO_RETRY)
-    deadline: Deadline = field(default_factory=lambda: NO_DEADLINE)
+    max_retries: int = 0
+    timeout_s: float | None = None
     checkpoint_generations: int = 1
     quarantine: bool = False
 
     def __post_init__(self) -> None:
+        if self.max_retries < 0:
+            raise ConfigurationError(
+                f"max_retries must be >= 0, got {self.max_retries}"
+            )
+        if self.timeout_s is not None and self.timeout_s <= 0.0:
+            raise ConfigurationError(
+                f"timeout_s must be positive (or None), got {self.timeout_s}"
+            )
         if self.checkpoint_generations < 1:
             raise ConfigurationError(
                 "checkpoint_generations must be >= 1, got "
                 f"{self.checkpoint_generations}"
             )
 
-    @property
-    def is_noop(self) -> bool:
-        """Whether this policy changes nothing over unguarded behaviour."""
-        return (self.retry.is_noop and not self.deadline.enabled
-                and self.checkpoint_generations == 1 and not self.quarantine)
-
-    @classmethod
-    def from_cli(cls, timeout_s: float | None,
-                 max_retries: int | None) -> "ResiliencePolicy":
-        """The policy requested by ``--timeout-s`` / ``--max-retries``.
-
-        Both flags default to ``None`` → the no-op policy, keeping
-        existing invocations byte-identical.
-        """
-        retry = (RetryPolicy.of(max_retries,
-                                Backoff.exponential(jitter=0.5))
-                 if max_retries is not None else NO_RETRY)
-        deadline = Deadline(timeout_s) if timeout_s is not None else NO_DEADLINE
-        return cls(retry=retry, deadline=deadline)
-
 
 #: The default posture: zero-cost when idle, byte-identical behaviour.
 NOOP_POLICY = ResiliencePolicy()
 
 
+def task_watchdog(policy: ResiliencePolicy) -> WatchdogConfig | None:
+    """The parallel pool's watchdog armed by ``policy``'s deadline.
+
+    One task is one seed (or one experiment), so the policy's
+    ``timeout_s`` becomes the per-task deadline; without one the pool
+    runs unwatched.
+    """
+    if policy.timeout_s is None:
+        return None
+    return WatchdogConfig(task_timeout_s=policy.timeout_s)
+
+
 def execute_with_policy(
     operation: Callable[[], T],
-    policy: RetryPolicy,
+    policy: ResiliencePolicy,
     *,
     label: str,
-    deadline: Deadline = NO_DEADLINE,
     tracer: Tracer | None = None,
     metrics: MetricsRegistry | None = None,
     sleep: Callable[[float], Any] = time.sleep,
 ) -> T:
-    """Run ``operation`` under ``policy``, retrying declared failures.
+    """Run ``operation`` under ``policy``, retrying I/O failures.
 
-    Attempts are made until one succeeds, the attempt budget runs out
-    (:class:`~repro.exceptions.RetryBudgetExceededError`, chaining the
-    final failure), or the deadline expires between attempts
-    (:class:`~repro.exceptions.DeadlineExceededError`).  Exceptions not
-    listed in ``policy.retry_on`` propagate immediately.
+    A :class:`~repro.exceptions.PersistenceError` or :class:`OSError`
+    is retried up to ``policy.max_retries`` times, waiting
+    ``min(0.05 * 2**(k-1), 5)`` seconds before retry ``k``.  Once the
+    retries run out the call raises
+    :class:`~repro.exceptions.RetryBudgetExceededError`; once
+    ``policy.timeout_s`` has passed (checked between attempts) it raises
+    :class:`~repro.exceptions.DeadlineExceededError`.  Both chain the
+    final failure.  Any other exception propagates immediately.
 
     Every retry emits a ``retry_attempt`` trace event (operation label,
-    attempt number, deterministic delay, error) and bumps the
-    ``resilience.retry_attempts`` counter.  With the no-op policy the
-    operation is called exactly once and no telemetry is produced — the
-    guard is free.
+    attempt number, delay, error) and bumps the
+    ``resilience.retry_attempts`` counter.  With no retries allowed the
+    operation is called exactly once and its error re-raised unwrapped,
+    with no telemetry — the guard is free.
 
-    ``sleep`` is injectable so tests (and the chaos harness) can run
-    dense retry schedules without wall-clock waits.
+    ``sleep`` is injectable so tests can run dense retry schedules
+    without wall-clock waits.
     """
     tr = tracer if tracer is not None else NULL_TRACER
     start = perf_counter()
@@ -331,29 +148,27 @@ def execute_with_policy(
         attempt += 1
         try:
             return operation()
-        except policy.retry_on as error:
-            if attempt >= policy.max_attempts:
-                if policy.is_noop:
-                    raise  # unguarded semantics, unwrapped traceback
+        except _RETRYABLE as error:
+            if policy.max_retries == 0:
+                raise  # unguarded semantics, unwrapped traceback
+            if attempt > policy.max_retries:
                 raise RetryBudgetExceededError(
                     f"{label} failed on all {attempt} attempts "
-                    f"(max_attempts={policy.max_attempts}): {error}"
+                    f"(max_retries={policy.max_retries}): {error}"
                 ) from error
             elapsed = perf_counter() - start
-            if deadline.enabled and deadline.timeout_s is not None \
-                    and elapsed >= deadline.timeout_s:
+            if policy.timeout_s is not None and elapsed >= policy.timeout_s:
                 raise DeadlineExceededError(
-                    f"{label} exceeded its {deadline.timeout_s:g}s "
+                    f"{label} exceeded its {policy.timeout_s:g}s "
                     f"deadline after {attempt} attempts "
                     f"({elapsed:.3f}s elapsed): {error}"
                 ) from error
-            delay = policy.backoff.delay_s(attempt, label)
+            delay = min(0.05 * 2.0 ** (attempt - 1), 5.0)
             if metrics is not None:
                 metrics.counter("resilience.retry_attempts").inc()
             if tr.enabled:
                 tr.emit("retry_attempt", op=label, attempt=attempt,
-                        max_attempts=policy.max_attempts,
-                        delay_s=float(delay),
+                        max_attempts=policy.max_retries + 1,
+                        delay_s=delay,
                         error=f"{type(error).__name__}: {error}")
-            if delay > 0.0:
-                sleep(delay)
+            sleep(delay)

@@ -9,16 +9,13 @@ from repro.sim.metrics import (
     revenue_share,
 )
 from repro.sim.persistence import (
-    SWEEP_CHECKPOINT_SCHEMA_VERSION,
     experiment_result_from_dict,
     load_checkpoint,
     load_experiment_result,
     load_run_metrics,
-    load_sweep_checkpoint,
     save_checkpoint,
     save_experiment_result,
     save_run_metrics,
-    save_sweep_checkpoint,
 )
 from repro.sim.replication import (
     MetricSummary,
@@ -46,9 +43,6 @@ __all__ = [
     "load_experiment_result",
     "save_checkpoint",
     "load_checkpoint",
-    "save_sweep_checkpoint",
-    "load_sweep_checkpoint",
-    "SWEEP_CHECKPOINT_SCHEMA_VERSION",
     "experiment_result_from_dict",
     "MetricSummary",
     "ReplicationResult",

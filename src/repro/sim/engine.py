@@ -61,7 +61,6 @@ import numpy as np
 from repro.obs.timing import perf_counter
 
 if TYPE_CHECKING:  # runtime import would cycle: repro.verify runs this engine
-    from repro.obs.profile import PhaseProfiler
     from repro.verify.invariants import InvariantMonitor
 
 from repro.bandits.base import SelectionPolicy
@@ -99,7 +98,6 @@ def run_seed_comparison(base_config: SimulationConfig, seed: int,
                         fault_spec: FaultSpec | None = None,
                         *, tracer: Tracer | None = None,
                         metrics: MetricsRegistry | None = None,
-                        profiler: "PhaseProfiler | None" = None,
                         ) -> dict[str, dict[str, float]]:
     """Run one replication seed end to end — the parallel worker entrypoint.
 
@@ -125,10 +123,9 @@ def run_seed_comparison(base_config: SimulationConfig, seed: int,
     fault_spec:
         Optional fault-injection rates; the seed draws its own
         reproducible fault schedule.
-    tracer / metrics / profiler:
+    tracer / metrics:
         Optional observability objects; the seed is bracketed with
-        ``seed_start`` / ``seed_end`` events, and a profiler
-        accumulates the seed's active wall-clock and hot-path rates.
+        ``seed_start`` / ``seed_end`` events.
 
     Returns
     -------
@@ -145,8 +142,7 @@ def run_seed_comparison(base_config: SimulationConfig, seed: int,
     fault_model = (simulator.fault_model(fault_spec)
                    if fault_spec is not None else None)
     comparison = simulator.compare(policies, fault_model=fault_model,
-                                   tracer=tracer, metrics=metrics,
-                                   profiler=profiler)
+                                   tracer=tracer, metrics=metrics)
     summaries = {name: run.summary()
                  for name, run in comparison.runs.items()}
     if tr.enabled:
@@ -221,8 +217,7 @@ class TradingSimulator:
             shutdown: ShutdownSignal | None = None,
             resilience: ResiliencePolicy | None = None,
             tracer: Tracer | None = None,
-            metrics: MetricsRegistry | None = None,
-            profiler: "PhaseProfiler | None" = None) -> RunMetrics:
+            metrics: MetricsRegistry | None = None) -> RunMetrics:
         """Run one policy for ``num_rounds`` rounds (default: config's N).
 
         Parameters
@@ -265,12 +260,12 @@ class TradingSimulator:
             later ``resume=True`` run continues bit-identically.
         resilience:
             A :class:`~repro.resilience.ResiliencePolicy` governing
-            checkpoint I/O: its retry policy guards every checkpoint
-            write, ``checkpoint_generations`` keeps rollback targets on
-            disk, and ``quarantine=True`` makes resume survive a
-            checkpoint that does not load or does not decode
-            (quarantine + roll back to the newest generation that
-            does, or start fresh) instead of raising.
+            checkpoint I/O: ``max_retries`` and ``timeout_s`` guard
+            every checkpoint write, ``checkpoint_generations`` keeps
+            rollback targets on disk, and ``quarantine=True`` makes
+            resume survive a checkpoint that does not load or does not
+            decode (quarantine + roll back to the newest generation
+            that does, or start fresh) instead of raising.
             ``None`` is the no-op policy — behaviour (and the bytes of
             results) identical to pre-resilience runs.
         tracer:
@@ -282,37 +277,11 @@ class TradingSimulator:
             snapshot (restored on resume) and the returned
             :class:`RunMetrics` carries a final snapshot in its
             ``telemetry`` field.
-        profiler:
-            A :class:`~repro.obs.PhaseProfiler` bracketing the run:
-            active wall-clock, peak memory, and hot-path rates become
-            available from ``profiler.report()`` afterwards.  The run's
-            timers accumulate into ``metrics`` when that is also given,
-            otherwise into the profiler's own registry.  ``None`` (the
-            default) keeps the run bit-identical to pre-profiler
-            behaviour.
+
+        To profile a run, call it inside ``with profiler.profile():``
+        and pass ``metrics=profiler.registry`` (see
+        :class:`~repro.obs.PhaseProfiler`).
         """
-        if profiler is not None:
-            # Re-enter with the profiler's registry as the metrics sink
-            # so one code path does the work and the bracket is
-            # exception-safe (a graceful shutdown still closes it).
-            profiler.run_started()
-            try:
-                return self.run(
-                    policy, num_rounds, fault_model=fault_model,
-                    fault_log=fault_log, checkpoint_path=checkpoint_path,
-                    checkpoint_every=checkpoint_every, resume=resume,
-                    strict=strict, shutdown=shutdown,
-                    resilience=resilience, tracer=tracer,
-                    metrics=profiler.bind(metrics), profiler=None,
-                )
-            finally:
-                profiler.run_finished(
-                    policy=policy.name,
-                    num_sellers=self._config.num_sellers,
-                    num_selected=self._config.num_selected,
-                    num_pois=self._config.num_pois,
-                    seed=self._config.seed,
-                )
         cfg = self._config
         n = int(num_rounds) if num_rounds is not None else cfg.num_rounds
         if n <= 0:
@@ -359,8 +328,8 @@ class TradingSimulator:
                     checkpoint_path, core, next_round, {}, arrays,
                     keep_generations=res.checkpoint_generations,
                 ),
-                res.retry, label="engine.checkpoint_write",
-                deadline=res.deadline, tracer=tr, metrics=reg,
+                res, label="engine.checkpoint_write", tracer=tr,
+                metrics=reg,
             )
 
         def decode(path: str | os.PathLike):
@@ -440,22 +409,19 @@ class TradingSimulator:
                 strict: bool = False,
                 tracer: Tracer | None = None,
                 metrics: MetricsRegistry | None = None,
-                profiler: "PhaseProfiler | None" = None,
                 ) -> PolicyComparison:
         """Run several policies on this instance and group the results.
 
         With a fault model, every policy faces the *same* per-round,
         per-seller fault schedule (common random faults), keeping the
-        comparison paired.  A shared ``tracer``/``metrics``/``profiler``
-        observes every policy's run (events carry the policy name in
-        their ``run_start`` bracket; metrics and profiled wall-clock
-        accumulate across policies).
+        comparison paired.  A shared ``tracer``/``metrics`` observes
+        every policy's run (events carry the policy name in their
+        ``run_start`` bracket; metrics accumulate across policies).
         """
         comparison = PolicyComparison()
         for policy in policies:
             comparison.add(
                 self.run(policy, num_rounds, fault_model=fault_model,
-                         strict=strict, tracer=tracer, metrics=metrics,
-                         profiler=profiler)
+                         strict=strict, tracer=tracer, metrics=metrics)
             )
         return comparison

@@ -6,15 +6,17 @@ Long paper-scale sweeps are expensive; this module persists
 checkpoints so work survives crashes and can be analysed many times.
 Formats:
 
-* **JSON** — self-describing, for experiment results and sweep
-  checkpoints (small series);
+* **JSON** — self-describing, for experiment results (small series);
 * **NPZ** — uncompressed (``ZIP_STORED``) ``.npy`` members followed by
-  a SHA-256 footer, for per-round run metrics and engine checkpoints
-  (arrays of up to ``2*10^5`` entries).  Members are stored, not
-  deflated: a checkpoint write then costs about what its bytes cost,
-  where zlib spent most of the write on counts and sums that change
-  every round.  ``np.load`` reads stored and deflated members alike,
-  so files written compressed by earlier versions still load.
+  a SHA-256 footer, for per-round run metrics (arrays of up to
+  ``2*10^5`` entries) and every checkpoint: engine, runtime and
+  replication sweep alike, so one loader, one checksum and one
+  rollback walk (:func:`recover_checkpoint`) serve all three.  Members
+  are stored, not deflated: a checkpoint write then costs about what
+  its bytes cost, where zlib spent most of the write on counts and
+  sums that change every round.  ``np.load`` reads stored and deflated
+  members alike, so files written compressed by earlier versions still
+  load.
 
 Every write is **atomic**: content goes to a temp file in the target
 directory which is then :func:`os.replace`-d over the destination, so a
@@ -62,7 +64,6 @@ __all__ = [
     "RUN_SCHEMA_VERSION",
     "EXPERIMENT_SCHEMA_VERSION",
     "CHECKPOINT_SCHEMA_VERSION",
-    "SWEEP_CHECKPOINT_SCHEMA_VERSION",
     "normalize_json_value",
     "denormalize_json_value",
     "atomic_write_bytes",
@@ -76,12 +77,9 @@ __all__ = [
     "load_experiment_result",
     "save_checkpoint",
     "load_checkpoint",
-    "save_sweep_checkpoint",
-    "load_sweep_checkpoint",
     "generation_paths",
     "quarantine_file",
     "recover_checkpoint",
-    "recover_sweep_checkpoint",
 ]
 
 #: Schema version written into every run-metrics NPZ.  Files without the
@@ -91,17 +89,9 @@ RUN_SCHEMA_VERSION = 1
 #: Schema version written into every experiment-result JSON.
 EXPERIMENT_SCHEMA_VERSION = 1
 
-#: Schema version of engine checkpoints (no legacy grace: checkpoints
-#: only ever existed with the field).
+#: Schema version of checkpoints (no legacy grace: checkpoints only
+#: ever existed with the field).
 CHECKPOINT_SCHEMA_VERSION = 1
-
-#: Schema version of replication-sweep checkpoints.  Version 2 replaced
-#: the append-ordered ``samples`` lists with per-seed keyed
-#: ``seed_samples`` / ``seed_durations`` maps, so sweeps whose seeds
-#: complete out of order (the parallel runtime) checkpoint and resume
-#: to bit-identical results, and resumed sweeps keep honest per-seed
-#: wall-clock timing.
-SWEEP_CHECKPOINT_SCHEMA_VERSION = 2
 
 #: Prefix of the temp files backing atomic writes; a crash between
 #: "temp written" and "replace" leaves one of these behind, which is
@@ -138,8 +128,8 @@ _NONFINITE_TOKENS = {"NaN": math.nan, "Infinity": math.inf,
 def normalize_json_value(value: Any) -> Any:
     """One value in the library's canonical JSON form.
 
-    The single normalization rule shared by every JSON writer (sweep
-    checkpoints, experiment results, the verification golden store), so
+    The single normalization rule shared by every JSON writer
+    (experiment results, the verification golden store), so
     no two serializers can diverge on float formatting or NaN/inf
     handling:
 
@@ -256,18 +246,6 @@ def _atomic_write_npz(path: str | os.PathLike,
     with buffer.getbuffer() as payload:
         footer = _CHECKSUM_MAGIC + hashlib.sha256(payload).digest()
         _atomic_write(path, (payload, footer))
-
-
-def _json_checksum(payload: dict) -> str:
-    """SHA-256 over the canonical compact serialization of ``payload``.
-
-    Both writer and reader hash ``normalize_json_value``-d content with
-    sorted keys and compact separators, so the digest is independent of
-    indentation and key order — it certifies the *data*, not the bytes.
-    """
-    canonical = json.dumps(normalize_json_value(payload), sort_keys=True,
-                           separators=(",", ":"), allow_nan=False)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 # -- guarded readers -------------------------------------------------------------
@@ -528,16 +506,23 @@ def _generation_path(path: str, generation: int) -> str:
 
 
 def generation_paths(path: str | os.PathLike) -> list[str]:
-    """``path`` and its ``.gen-k`` siblings on disk, newest first.
+    """``path`` and every ``.gen-k`` sibling on disk, newest first.
 
     ``path`` itself is listed even when it is missing: a crash between
-    rotation and write leaves only the older generations.
+    rotation and write leaves only the older generations.  The siblings
+    are listed in ascending ``k`` whatever gaps lie between them: a
+    crash between two rotation steps, or an earlier quarantine, can
+    leave ``.gen-1`` missing while ``.gen-2`` is a valid rollback target.
     """
     path = os.fspath(path)
-    candidates = [path]
-    while os.path.exists(_generation_path(path, len(candidates))):
-        candidates.append(_generation_path(path, len(candidates)))
-    return candidates
+    directory = os.path.dirname(path) or "."
+    prefix = os.path.basename(path) + ".gen-"
+    names = os.listdir(directory) if os.path.isdir(directory) else []
+    generations = sorted(
+        int(name[len(prefix):]) for name in names
+        if name.startswith(prefix) and name[len(prefix):].isdecimal()
+    )
+    return [path] + [_generation_path(path, k) for k in generations]
 
 
 def _rotate_generations(path: str | os.PathLike, keep: int) -> None:
@@ -636,54 +621,6 @@ def load_checkpoint(path: str | os.PathLike) -> tuple[dict, dict[str, np.ndarray
     return meta, arrays
 
 
-@timed("persistence.save_sweep_checkpoint")
-def save_sweep_checkpoint(path: str | os.PathLike, payload: dict, *,
-                          keep_generations: int = 1) -> None:
-    """Atomically persist a replication-sweep checkpoint as JSON.
-
-    The payload is stamped with a ``checksum`` field — the SHA-256 of
-    its canonical serialization — so in-place corruption that still
-    parses as JSON is detected on load.  ``keep_generations`` works as
-    in :func:`save_checkpoint`.
-    """
-    stamped = dict(payload)
-    stamped["schema_version"] = SWEEP_CHECKPOINT_SCHEMA_VERSION
-    stamped["checksum"] = _json_checksum(stamped)
-    _rotate_generations(path, keep_generations)
-    atomic_write_json(path, stamped)
-
-
-@timed("persistence.load_sweep_checkpoint")
-def load_sweep_checkpoint(path: str | os.PathLike) -> dict:
-    """Load a sweep checkpoint saved by :func:`save_sweep_checkpoint`.
-
-    Raises
-    ------
-    PersistenceError
-        If the file is corrupt or carries an unsupported schema version
-        (including version-1 sweep checkpoints, whose append-ordered
-        sample lists cannot express out-of-order parallel completion).
-    """
-    raw = _load_json(path, "sweep checkpoint")
-    recorded = raw.pop("checksum", None)
-    if recorded is not None and recorded != _json_checksum(raw):
-        raise PersistenceError(
-            f"sweep checkpoint {os.fspath(path)!s} failed its checksum — "
-            "the file was modified or corrupted after it was written",
-            path=os.fspath(path),
-        )
-    payload = denormalize_json_value(raw)
-    if "schema_version" not in payload:
-        raise PersistenceError(
-            f"sweep checkpoint {os.fspath(path)!s} lacks a schema_version",
-            path=os.fspath(path),
-        )
-    _check_schema_version(payload, SWEEP_CHECKPOINT_SCHEMA_VERSION, path,
-                          "sweep checkpoint")
-    payload.pop("schema_version")
-    return payload
-
-
 # -- quarantine & rollback -------------------------------------------------------
 
 
@@ -708,42 +645,6 @@ def quarantine_file(path: str | os.PathLike) -> str:
     return destination
 
 
-def _recover_generations(
-    path: str | os.PathLike,
-    load: Any,
-    what: str,
-    *,
-    tracer: Tracer | None,
-    metrics: MetricsRegistry | None,
-) -> tuple[Any, str] | None:
-    """Walk ``path``, ``path.gen-1``, ... until one loads cleanly.
-
-    Candidates whose ``load`` raises :class:`PersistenceError` are
-    quarantined (with a ``checkpoint_quarantined`` trace event and a
-    ``resilience.checkpoints_quarantined`` count) and the walk falls
-    back to the next-older generation.  Returns ``(loaded,
-    actual_path)`` for the newest valid generation, or ``None`` when no
-    generation survives — the caller starts fresh.
-    """
-    tr = tracer if tracer is not None else NULL_TRACER
-    for candidate in generation_paths(path):
-        try:
-            loaded = load(candidate)
-        except FileNotFoundError:
-            continue
-        except PersistenceError as error:
-            quarantined_to = quarantine_file(candidate)
-            if metrics is not None:
-                metrics.counter("resilience.checkpoints_quarantined").inc()
-            if tr.enabled:
-                tr.emit("checkpoint_quarantined", path=candidate,
-                        quarantined_to=quarantined_to, what=what,
-                        error=f"{type(error).__name__}: {error}")
-            continue
-        return loaded, candidate
-    return None
-
-
 def recover_checkpoint(
     path: str | os.PathLike,
     *,
@@ -751,15 +652,19 @@ def recover_checkpoint(
     tracer: Tracer | None = None,
     metrics: MetricsRegistry | None = None,
 ) -> tuple | None:
-    """Load the newest valid generation of an engine checkpoint.
+    """Load the newest valid generation of a checkpoint.
 
-    The resilient counterpart of :func:`load_checkpoint`: instead of
-    raising on a corrupt/truncated/schema-mismatched file, it
-    quarantines the offender and rolls back through ``.gen-k``
-    siblings.  ``load(candidate)`` judges each generation: a driver
-    that also decodes the file passes its own, so a checkpoint that
-    loads but does not decode is quarantined too.  Returns ``load``'s
-    tuple followed by ``actual_path`` — by default ``(meta, arrays,
+    The resilient counterpart of :func:`load_checkpoint`, and the one
+    rollback walk for engine, runtime and sweep checkpoints: it walks
+    :func:`generation_paths` newest first, and ``load(candidate)``
+    judges each generation.  A driver that also decodes the file passes
+    its own ``load``, so a checkpoint that loads but does not decode is
+    rolled back past too.  A candidate whose ``load`` raises
+    :class:`PersistenceError` is quarantined (with a
+    ``checkpoint_quarantined`` trace event and a
+    ``resilience.checkpoints_quarantined`` count) and the walk falls
+    back to the next-older generation.  Returns ``load``'s tuple
+    followed by ``actual_path`` — by default ``(meta, arrays,
     actual_path)``, where ``actual_path`` names the generation that
     satisfied the load — or ``None`` when no valid generation exists
     (resume from scratch).
@@ -768,37 +673,25 @@ def recover_checkpoint(
     decorator consumes the ``metrics`` keyword, and this function needs
     the registry itself for the quarantine counter.)
     """
+    tr = tracer if tracer is not None else NULL_TRACER
     timer = (metrics.time("persistence.recover_checkpoint")
              if metrics is not None else contextlib.nullcontext())
     with timer:
-        recovered = _recover_generations(path, load, "checkpoint",
-                                         tracer=tracer, metrics=metrics)
-    if recovered is None:
-        return None
-    loaded, actual_path = recovered
-    return (*loaded, actual_path)
-
-
-def recover_sweep_checkpoint(
-    path: str | os.PathLike,
-    *,
-    tracer: Tracer | None = None,
-    metrics: MetricsRegistry | None = None,
-) -> tuple[dict, str] | None:
-    """Load the newest valid generation of a sweep checkpoint.
-
-    The resilient counterpart of :func:`load_sweep_checkpoint`, with
-    the same quarantine-and-roll-back semantics as
-    :func:`recover_checkpoint`.  Returns ``(payload, actual_path)`` or
-    ``None`` when no valid generation exists.
-    """
-    timer = (metrics.time("persistence.recover_sweep_checkpoint")
-             if metrics is not None else contextlib.nullcontext())
-    with timer:
-        recovered = _recover_generations(path, load_sweep_checkpoint,
-                                         "sweep checkpoint", tracer=tracer,
-                                         metrics=metrics)
-    if recovered is None:
-        return None
-    payload, actual_path = recovered
-    return payload, actual_path
+        for candidate in generation_paths(path):
+            try:
+                loaded = load(candidate)
+            except FileNotFoundError:
+                continue
+            except PersistenceError as error:
+                quarantined_to = quarantine_file(candidate)
+                if metrics is not None:
+                    metrics.counter(
+                        "resilience.checkpoints_quarantined").inc()
+                if tr.enabled:
+                    tr.emit("checkpoint_quarantined", path=candidate,
+                            quarantined_to=quarantined_to,
+                            what="checkpoint",
+                            error=f"{type(error).__name__}: {error}")
+                continue
+            return (*loaded, candidate)
+    return None

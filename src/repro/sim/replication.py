@@ -37,7 +37,6 @@ import numpy as np
 from repro.obs.timing import perf_counter
 
 if TYPE_CHECKING:  # runtime import would cycle: parallel workers run this
-    from repro.obs.profile import PhaseProfiler
     from repro.parallel.worker import WorkerContext
 
 from repro.bandits.base import SelectionPolicy
@@ -53,15 +52,16 @@ from repro.resilience.policy import (
     NOOP_POLICY,
     ResiliencePolicy,
     execute_with_policy,
+    task_watchdog,
 )
 from repro.resilience.shutdown import NEVER_STOP, ShutdownSignal
 from repro.resilience.watchdog import WatchdogConfig
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import run_seed_comparison
 from repro.sim.persistence import (
-    load_sweep_checkpoint,
-    recover_sweep_checkpoint,
-    save_sweep_checkpoint,
+    load_checkpoint,
+    recover_checkpoint,
+    save_checkpoint,
 )
 
 __all__ = ["MetricSummary", "ReplicationResult", "replicate_comparison"]
@@ -270,40 +270,23 @@ class _SeedRunner:
         )
 
 
-def _load_resume_state(checkpoint_path: str | os.PathLike,
-                       fingerprint: dict, *,
-                       resilience: ResiliencePolicy = NOOP_POLICY,
-                       tracer: Tracer = NULL_TRACER,
-                       metrics: MetricsRegistry | None = None) -> tuple[
-        dict[int, dict], dict[int, float]]:
-    """Completed per-seed samples and durations from a checkpoint.
+def _decode_sweep_checkpoint(path: str | os.PathLike, *,
+                             metrics: MetricsRegistry | None = None,
+                             ) -> tuple[dict, dict[int, dict],
+                                        dict[int, float]]:
+    """Load and decode one sweep checkpoint; change nothing yet.
 
-    With quarantine enabled the newest *valid* generation wins (corrupt
-    files are moved aside; see
-    :func:`~repro.sim.persistence.recover_sweep_checkpoint`) and a sweep
-    with no salvageable checkpoint simply starts fresh.  A fingerprint
-    mismatch still raises either way: a healthy checkpoint from a
-    different sweep is a configuration error, not corruption.
+    Returns ``(fingerprint, per_seed_samples, seed_durations)``.  A file
+    that loads but is not a sweep checkpoint, or whose per-seed records
+    do not parse, raises :class:`PersistenceError` like a corrupt one,
+    so :func:`~repro.sim.persistence.recover_checkpoint` can quarantine
+    it and roll back.
     """
-    if resilience.quarantine:
-        recovered = recover_sweep_checkpoint(checkpoint_path,
-                                             tracer=tracer,
-                                             metrics=metrics)
-        if recovered is None:
-            return {}, {}
-        payload, __ = recovered
-    else:
-        payload = load_sweep_checkpoint(checkpoint_path)
-    if payload.get("kind") != "replication_sweep":
+    meta, __ = load_checkpoint(path, metrics=metrics)
+    if meta.get("kind") != "replication_sweep":
         raise PersistenceError(
-            f"{os.fspath(checkpoint_path)!s} is not a replication-sweep "
-            "checkpoint"
-        )
-    if payload.get("fingerprint") != fingerprint:
-        raise PersistenceError(
-            f"sweep checkpoint {os.fspath(checkpoint_path)!s} was "
-            "written by a different sweep configuration: "
-            f"{payload.get('fingerprint')!r} != {fingerprint!r}"
+            f"{os.fspath(path)!s} is not a replication-sweep checkpoint",
+            path=os.fspath(path),
         )
     try:
         per_seed = {
@@ -312,17 +295,53 @@ def _load_resume_state(checkpoint_path: str | os.PathLike,
                               for key, value in metric_values.items()}
                 for policy, metric_values in policies.items()
             }
-            for seed, policies in payload.get("seed_samples", {}).items()
+            for seed, policies in meta.get("seed_samples", {}).items()
         }
         durations = {
             int(seed): float(duration)
-            for seed, duration in payload.get("seed_durations", {}).items()
+            for seed, duration in meta.get("seed_durations", {}).items()
         }
     except (TypeError, ValueError, AttributeError) as error:
         raise PersistenceError(
-            f"sweep checkpoint {os.fspath(checkpoint_path)!s} has "
-            f"malformed per-seed records: {error}"
+            f"sweep checkpoint {os.fspath(path)!s} has malformed "
+            f"per-seed records: {error}",
+            path=os.fspath(path),
         ) from error
+    return meta.get("fingerprint"), per_seed, durations
+
+
+def _load_resume_state(checkpoint_path: str | os.PathLike,
+                       fingerprint: dict, *,
+                       resilience: ResiliencePolicy = NOOP_POLICY,
+                       tracer: Tracer = NULL_TRACER,
+                       metrics: MetricsRegistry | None = None) -> tuple[
+        dict[int, dict], dict[int, float]]:
+    """Completed per-seed samples and durations from a checkpoint.
+
+    With quarantine enabled the newest generation that loads *and*
+    decodes wins (the others are moved aside; see
+    :func:`~repro.sim.persistence.recover_checkpoint`) and a sweep
+    with no salvageable checkpoint simply starts fresh.  A fingerprint
+    mismatch still raises either way: a healthy checkpoint from a
+    different sweep is a configuration error, not corruption.
+    """
+    def decode(path: str) -> tuple:
+        return _decode_sweep_checkpoint(path, metrics=metrics)
+
+    if resilience.quarantine:
+        recovered = recover_checkpoint(checkpoint_path, load=decode,
+                                       tracer=tracer, metrics=metrics)
+        if recovered is None:
+            return {}, {}
+        found, per_seed, durations, __ = recovered
+    else:
+        found, per_seed, durations = decode(os.fspath(checkpoint_path))
+    if found != fingerprint:
+        raise PersistenceError(
+            f"sweep checkpoint {os.fspath(checkpoint_path)!s} was "
+            "written by a different sweep configuration: "
+            f"{found!r} != {fingerprint!r}"
+        )
     return per_seed, durations
 
 
@@ -332,8 +351,12 @@ def _save_sweep_state(checkpoint_path: str | os.PathLike,
                       durations: dict[int, float],
                       metrics: MetricsRegistry,
                       keep_generations: int = 1) -> None:
-    """Atomically snapshot the sweep's completed seeds."""
-    save_sweep_checkpoint(checkpoint_path, {
+    """Atomically snapshot the sweep's completed seeds.
+
+    The sweep's whole state lives in the checkpoint's metadata record;
+    it carries no arrays.
+    """
+    save_checkpoint(checkpoint_path, {
         "kind": "replication_sweep",
         "fingerprint": fingerprint,
         "completed_seeds": sorted(per_seed),
@@ -343,7 +366,7 @@ def _save_sweep_state(checkpoint_path: str | os.PathLike,
         "seed_durations": {
             str(seed): durations[seed] for seed in sorted(durations)
         },
-    }, metrics=metrics, keep_generations=keep_generations)
+    }, {}, metrics=metrics, keep_generations=keep_generations)
 
 
 def _stop_sweep_gracefully(checkpoint_path: str | os.PathLike | None,
@@ -386,7 +409,6 @@ def replicate_comparison(
     shutdown: ShutdownSignal | None = None,
     resilience: ResiliencePolicy | None = None,
     watchdog: WatchdogConfig | None = None,
-    profiler: "PhaseProfiler | None" = None,
 ) -> ReplicationResult:
     """Run the comparison under ``num_seeds`` independent seeds.
 
@@ -406,8 +428,9 @@ def replicate_comparison(
         When given, every seed's runs inject faults with these rates
         (each seed draws its own reproducible fault schedule).
     checkpoint_path:
-        JSON file the sweep snapshots into after each completed seed
-        (atomic write; survives crashes).
+        Checkpoint file (NPZ, like the engine's) the sweep snapshots
+        into after each completed seed (atomic write; survives
+        crashes).
     resume:
         Continue from ``checkpoint_path`` if it exists, skipping seeds
         already completed; the result is identical to an uninterrupted
@@ -448,26 +471,23 @@ def replicate_comparison(
         completed seed, so ``resume=True`` finishes the sweep exactly.
     resilience:
         Optional :class:`~repro.resilience.ResiliencePolicy` governing
-        the sweep's checkpoint I/O: its retry policy and deadline guard
-        each checkpoint write, ``checkpoint_generations`` keeps rotated
-        siblings, and ``quarantine`` makes resume roll back past
-        corrupt checkpoints instead of failing.  Its deadline also arms
-        the parallel pool's per-task watchdog (one seed per task) when
-        no explicit ``watchdog`` is given.  The default is a no-op:
-        behaviour is byte-identical to pre-resilience sweeps.
+        the sweep's checkpoint I/O: ``max_retries`` and ``timeout_s``
+        guard each checkpoint write, ``checkpoint_generations`` keeps
+        rotated siblings, and ``quarantine`` makes resume roll back
+        past checkpoints that do not load or do not decode instead of
+        failing.  Its deadline also arms the parallel pool's per-task
+        watchdog (one seed per task; see
+        :func:`~repro.resilience.task_watchdog`) when no explicit
+        ``watchdog`` is given.  The default is a no-op: behaviour is
+        byte-identical to pre-resilience sweeps.
     watchdog:
         Optional :class:`~repro.resilience.WatchdogConfig` for the
         parallel pool, overriding the one derived from ``resilience``.
         Ignored when ``workers == 1``.
-    profiler:
-        Optional :class:`~repro.obs.PhaseProfiler` bracketing the whole
-        sweep: ``profiler.report()`` afterwards carries the sweep's
-        active wall-clock, peak memory, per-phase self times, and
-        hot-path rates (rounds/sec across all seeds; for parallel
-        sweeps the worker registries merge back in, so phase totals
-        cover every worker's rounds while rates stay relative to the
-        coordinator's wall-clock).  ``None`` (the default) keeps the
-        sweep byte-identical to unprofiled behaviour.
+
+    To profile a sweep, run it inside ``with profiler.profile():`` and
+    pass ``metrics=profiler.registry`` (see
+    :class:`~repro.obs.PhaseProfiler`).
 
     Raises
     ------
@@ -479,28 +499,6 @@ def replicate_comparison(
     GracefulShutdownInterrupt
         If ``shutdown`` fired at a seed boundary.
     """
-    if profiler is not None:
-        # Re-enter with the profiler's registry as the metrics sink so
-        # one code path does the work and the bracket closes even when
-        # the sweep raises (graceful shutdown, worker failures).
-        profiler.run_started()
-        try:
-            return replicate_comparison(
-                base_config, policy_factory, num_seeds, first_seed,
-                fault_spec=fault_spec, checkpoint_path=checkpoint_path,
-                resume=resume, workers=workers, chunk_size=chunk_size,
-                max_task_retries=max_task_retries, tracer=tracer,
-                metrics=profiler.bind(metrics), shutdown=shutdown,
-                resilience=resilience, watchdog=watchdog, profiler=None,
-            )
-        finally:
-            profiler.run_finished(
-                num_seeds=num_seeds, first_seed=first_seed,
-                workers=workers,
-                num_sellers=base_config.num_sellers,
-                num_selected=base_config.num_selected,
-                num_rounds=base_config.num_rounds,
-            )
     if num_seeds <= 0:
         raise ConfigurationError(
             f"num_seeds must be positive, got {num_seeds}"
@@ -515,8 +513,8 @@ def replicate_comparison(
     reg = metrics if metrics is not None else MetricsRegistry()
     stop = shutdown if shutdown is not None else NEVER_STOP
     res = resilience if resilience is not None else NOOP_POLICY
-    if watchdog is None and res.deadline.enabled:
-        watchdog = WatchdogConfig(task_timeout_s=res.deadline.timeout_s)
+    if watchdog is None:
+        watchdog = task_watchdog(res)
     fingerprint = _sweep_fingerprint(base_config, num_seeds, first_seed,
                                      fault_spec)
     per_seed: dict[int, dict] = {}
@@ -544,9 +542,8 @@ def replicate_comparison(
                     checkpoint_path, fingerprint, per_seed, durations,
                     reg, keep_generations=res.checkpoint_generations,
                 ),
-                res.retry,
+                res,
                 label="replication.checkpoint_write",
-                deadline=res.deadline,
                 tracer=tr,
                 metrics=reg,
             )
@@ -568,7 +565,6 @@ def replicate_comparison(
             workers=min(workers, len(remaining)),
             chunk_size=chunk_size,
             max_task_retries=max_task_retries,
-            retry_policy=res.retry if not res.retry.is_noop else None,
             watchdog=watchdog,
             tracer=tr if tr.enabled else None,
             metrics=reg,

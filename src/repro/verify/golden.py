@@ -25,9 +25,9 @@ Two case types share the store, and each computes its own payload:
 
 Goldens are written through the same
 :func:`~repro.sim.persistence.atomic_write_json` /
-:func:`~repro.sim.persistence.normalize_json_value` pipeline as sweep
-checkpoints, so float formatting and NaN/inf handling cannot diverge
-between the two stores.  Intentional changes are blessed with
+:func:`~repro.sim.persistence.normalize_json_value` pipeline as
+experiment results, so float formatting and NaN/inf handling cannot
+diverge between the two stores.  Intentional changes are blessed with
 ``repro verify --update-goldens``, which rewrites all four files for
 review in the diff.
 """

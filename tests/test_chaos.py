@@ -9,6 +9,7 @@ rather than rubber-stamping it.
 from __future__ import annotations
 
 import json
+import types
 
 import pytest
 
@@ -111,8 +112,17 @@ class TestChaosRun:
         config = find_seed(tamper_survives)
         assert run_chaos(config).passed  # healthy code: clean
 
-        monkeypatch.setattr(persistence, "_json_checksum",
-                            lambda payload: "0" * 64)
+        # Disable the NPZ footer check: a digest that certifies nothing
+        # makes every stale footer match, so a tampered file loads.
+        class NullDigest:
+            def __init__(self, data=b""):
+                pass
+
+            def digest(self):
+                return bytes(32)
+
+        monkeypatch.setattr(persistence, "hashlib",
+                            types.SimpleNamespace(sha256=NullDigest))
         report = run_chaos(config)
         assert report.num_violations >= 1
         assert not report.passed

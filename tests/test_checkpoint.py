@@ -36,6 +36,20 @@ CONFIG = SimulationConfig(num_sellers=12, num_selected=3, num_rounds=90,
                           seed=4)
 
 
+def keep_first_seeds(path, count: int) -> None:
+    """Emulate a crash after ``count`` seeds: drop the later seeds' records.
+
+    The edit goes through the checkpoint API, so the file keeps a valid
+    checksum.
+    """
+    meta, arrays = load_checkpoint(path)
+    kept = meta["completed_seeds"][:count]
+    meta["completed_seeds"] = kept
+    for key in ("seed_samples", "seed_durations"):
+        meta[key] = {str(seed): meta[key][str(seed)] for seed in kept}
+    save_checkpoint(path, meta, arrays)
+
+
 def assert_runs_identical(reference, resumed):
     assert reference.policy_name == resumed.policy_name
     for field in SERIES_FIELDS:
@@ -283,7 +297,7 @@ class TestSweepResume:
     def test_killed_sweep_resumes_to_identical_result(self, tmp_path):
         config = SimulationConfig(num_sellers=12, num_selected=3,
                                   num_rounds=50)
-        path = tmp_path / "sweep.json"
+        path = tmp_path / "sweep.npz"
         reference = replicate_comparison(config, self.factory, num_seeds=4)
 
         # Full sweep with checkpointing, then emulate a crash after seed
@@ -291,17 +305,7 @@ class TestSweepResume:
         # seeds (records are keyed per seed).
         replicate_comparison(config, self.factory, num_seeds=4,
                              checkpoint_path=path)
-        payload = json.loads(path.read_text())
-        kept = payload["completed_seeds"][:2]
-        payload["completed_seeds"] = kept
-        payload["seed_samples"] = {
-            str(seed): payload["seed_samples"][str(seed)] for seed in kept
-        }
-        payload["seed_durations"] = {
-            str(seed): payload["seed_durations"][str(seed)] for seed in kept
-        }
-        payload.pop("checksum", None)  # hand-edit invalidates it
-        path.write_text(json.dumps(payload))
+        keep_first_seeds(path, 2)
 
         resumed = replicate_comparison(config, self.factory, num_seeds=4,
                                        checkpoint_path=path, resume=True)
@@ -315,7 +319,7 @@ class TestSweepResume:
     def test_resume_rejects_different_sweep(self, tmp_path):
         config = SimulationConfig(num_sellers=12, num_selected=3,
                                   num_rounds=40)
-        path = tmp_path / "sweep.json"
+        path = tmp_path / "sweep.npz"
         replicate_comparison(config, self.factory, num_seeds=2,
                              checkpoint_path=path)
         with pytest.raises(PersistenceError, match="different sweep"):
@@ -331,22 +335,12 @@ class TestSweepResume:
         config = SimulationConfig(num_sellers=12, num_selected=3,
                                   num_rounds=40)
         spec = FaultSpec(dropout_rate=0.2, corruption_rate=0.05)
-        path = tmp_path / "sweep.json"
+        path = tmp_path / "sweep.npz"
         reference = replicate_comparison(config, self.factory, num_seeds=3,
                                          fault_spec=spec)
         replicate_comparison(config, self.factory, num_seeds=3,
                              fault_spec=spec, checkpoint_path=path)
-        payload = json.loads(path.read_text())
-        kept = payload["completed_seeds"][:1]
-        payload["completed_seeds"] = kept
-        payload["seed_samples"] = {
-            str(seed): payload["seed_samples"][str(seed)] for seed in kept
-        }
-        payload["seed_durations"] = {
-            str(seed): payload["seed_durations"][str(seed)] for seed in kept
-        }
-        payload.pop("checksum", None)  # hand-edit invalidates it
-        path.write_text(json.dumps(payload))
+        keep_first_seeds(path, 1)
         resumed = replicate_comparison(config, self.factory, num_seeds=3,
                                        fault_spec=spec,
                                        checkpoint_path=path, resume=True)

@@ -169,6 +169,21 @@ class TestCommands:
 
         assert len(load_trace(out_file)) == 1_500
 
+    @pytest.mark.parametrize("command", [
+        ["quickstart", "--sellers", "8", "--selected", "2",
+         "--rounds", "20"],
+        ["replicate", "--sellers", "8", "--selected", "2",
+         "--rounds", "20", "--seeds", "2"],
+        ["serve", "--sellers", "8", "--selected", "2", "--rounds", "20"],
+    ], ids=["quickstart", "replicate", "serve"])
+    def test_resume_without_checkpoint_fails(self, capsys, command):
+        # --resume with nothing to resume from is a configuration
+        # error, never a silent run from scratch.
+        assert main([*command, "--resume"]) == 1
+        captured = capsys.readouterr()
+        assert "requires checkpoint_path" in captured.err
+        assert "revenue" not in captured.out
+
     def test_trace_fails_cleanly_on_impossible_demand(self, capsys):
         assert main(["trace", "--trips", "300", "--taxis", "5",
                      "--pois", "4", "--sellers", "500"]) == 1

@@ -9,7 +9,6 @@ themselves (exact float comparison, no tolerance).
 
 from __future__ import annotations
 
-import json
 import random
 
 import numpy as np
@@ -20,6 +19,7 @@ from repro.faults import FaultSpec
 from repro.obs import MetricsRegistry, RingBufferSink, Tracer
 from repro.parallel.worker import CRASH_MARKER_ENV, CRASH_TASK_ENV
 from repro.sim.config import SimulationConfig
+from repro.sim.persistence import load_checkpoint, save_checkpoint
 from repro.sim.replication import replicate_comparison
 
 CONFIG = SimulationConfig(num_sellers=10, num_selected=3, num_pois=3,
@@ -28,6 +28,20 @@ CONFIG = SimulationConfig(num_sellers=10, num_selected=3, num_pois=3,
 
 def factory(qualities: np.ndarray):
     return [OptimalPolicy(qualities), UCBPolicy(), RandomPolicy()]
+
+
+def keep_first_seeds(path, keep: int) -> None:
+    """Emulate a crash after ``keep`` seeds: drop the later seeds' records.
+
+    The edit goes through the checkpoint API, so the file keeps a valid
+    checksum.
+    """
+    meta, arrays = load_checkpoint(path)
+    kept = meta["completed_seeds"][:keep]
+    meta["completed_seeds"] = kept
+    for key in ("seed_samples", "seed_durations"):
+        meta[key] = {str(seed): meta[key][str(seed)] for seed in kept}
+    save_checkpoint(path, meta, arrays)
 
 
 def assert_bit_identical(reference, candidate):
@@ -93,26 +107,13 @@ class TestDeterminism:
 
 
 class TestCheckpointInterop:
-    def _truncate(self, path, keep):
-        payload = json.loads(path.read_text())
-        kept = payload["completed_seeds"][:keep]
-        payload["completed_seeds"] = kept
-        payload["seed_samples"] = {
-            str(seed): payload["seed_samples"][str(seed)] for seed in kept
-        }
-        payload["seed_durations"] = {
-            str(seed): payload["seed_durations"][str(seed)] for seed in kept
-        }
-        payload.pop("checksum", None)  # hand-edit invalidates it
-        path.write_text(json.dumps(payload))
-
     def test_parallel_sweep_resumes_serial_checkpoint(self, serial,
                                                       tmp_path):
         # Crash mid-sweep serially, resume with 4 workers: identical.
-        path = tmp_path / "sweep.json"
+        path = tmp_path / "sweep.npz"
         replicate_comparison(CONFIG, factory, num_seeds=4,
                              checkpoint_path=path)
-        self._truncate(path, keep=2)
+        keep_first_seeds(path, keep=2)
         resumed = replicate_comparison(CONFIG, factory, num_seeds=4,
                                        checkpoint_path=path, resume=True,
                                        workers=4)
@@ -120,19 +121,19 @@ class TestCheckpointInterop:
 
     def test_serial_sweep_resumes_parallel_checkpoint(self, serial,
                                                       tmp_path):
-        path = tmp_path / "sweep.json"
+        path = tmp_path / "sweep.npz"
         replicate_comparison(CONFIG, factory, num_seeds=4,
                              checkpoint_path=path, workers=2)
-        self._truncate(path, keep=1)
+        keep_first_seeds(path, keep=1)
         resumed = replicate_comparison(CONFIG, factory, num_seeds=4,
                                        checkpoint_path=path, resume=True)
         assert_bit_identical(serial, resumed)
 
     def test_resumed_durations_cover_both_halves(self, tmp_path):
-        path = tmp_path / "sweep.json"
+        path = tmp_path / "sweep.npz"
         replicate_comparison(CONFIG, factory, num_seeds=4,
                              checkpoint_path=path, workers=2)
-        self._truncate(path, keep=2)
+        keep_first_seeds(path, keep=2)
         resumed = replicate_comparison(CONFIG, factory, num_seeds=4,
                                        checkpoint_path=path, resume=True,
                                        workers=2)
@@ -166,22 +167,12 @@ class TestWorkerCrashRecovery:
         # resumed serially still reproduces the serial reference.
         monkeypatch.setenv(CRASH_TASK_ENV, "2")
         monkeypatch.setenv(CRASH_MARKER_ENV, str(tmp_path / "marker"))
-        path = tmp_path / "sweep.json"
+        path = tmp_path / "sweep.npz"
         replicate_comparison(CONFIG, factory, num_seeds=4,
                              checkpoint_path=path, workers=2,
                              chunk_size=1)
         monkeypatch.delenv(CRASH_TASK_ENV)
-        payload = json.loads(path.read_text())
-        kept = payload["completed_seeds"][:2]
-        payload["completed_seeds"] = kept
-        payload["seed_samples"] = {
-            str(seed): payload["seed_samples"][str(seed)] for seed in kept
-        }
-        payload["seed_durations"] = {
-            str(seed): payload["seed_durations"][str(seed)] for seed in kept
-        }
-        payload.pop("checksum", None)  # hand-edit invalidates it
-        path.write_text(json.dumps(payload))
+        keep_first_seeds(path, keep=2)
         resumed = replicate_comparison(CONFIG, factory, num_seeds=4,
                                        checkpoint_path=path, resume=True)
         assert_bit_identical(serial, resumed)

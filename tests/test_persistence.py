@@ -1,4 +1,4 @@
-"""Unit tests for result persistence (NPZ runs, JSON experiments)."""
+"""Unit tests for result persistence (NPZ runs and checkpoints, JSON experiments)."""
 
 from __future__ import annotations
 
@@ -12,6 +12,8 @@ import pytest
 
 from repro.exceptions import PersistenceError
 from repro.experiments.registry import ExperimentResult, Series
+from repro.obs.metrics import MetricsRegistry
+from repro.resilience.chaos import _tamper
 from repro.sim import persistence
 from repro.sim.persistence import (
     CHECKPOINT_SCHEMA_VERSION,
@@ -20,17 +22,28 @@ from repro.sim.persistence import (
     experiment_result_to_dict,
     load_checkpoint,
     load_experiment_result,
+    generation_paths,
     load_run_metrics,
-    load_sweep_checkpoint,
     quarantine_file,
     recover_checkpoint,
-    recover_sweep_checkpoint,
     save_checkpoint,
     save_experiment_result,
     save_run_metrics,
-    save_sweep_checkpoint,
 )
+from repro.sim.replication import _decode_sweep_checkpoint, _save_sweep_state
 from repro.sim.results import RunMetrics
+from repro.sim.rng import seeded_generator
+
+#: One completed seed's per-policy samples, as the sweep records them.
+SEED_SAMPLES = {"CMAB-HS": {"total_revenue": 12.5, "regret": 3.25}}
+
+
+def save_sweep(path, seeds, keep_generations: int = 1) -> None:
+    """A sweep checkpoint holding ``seeds`` completed seeds."""
+    _save_sweep_state(path, {"num_seeds": 3},
+                      {seed: SEED_SAMPLES for seed in seeds},
+                      {seed: 0.5 for seed in seeds}, MetricsRegistry(),
+                      keep_generations=keep_generations)
 
 
 def make_run(n=25) -> RunMetrics:
@@ -263,17 +276,22 @@ class TestCheckpointPersistence:
             load_checkpoint(path)
 
     def test_sweep_checkpoint_round_trip(self, tmp_path):
-        path = tmp_path / "sweep.json"
-        payload = {"kind": "replication_sweep", "completed_seeds": [0, 1]}
-        save_sweep_checkpoint(path, payload)
-        loaded = load_sweep_checkpoint(path)
-        assert loaded == payload
+        path = tmp_path / "sweep.npz"
+        save_sweep(path, [0, 1])
+        fingerprint, per_seed, durations = _decode_sweep_checkpoint(path)
+        assert fingerprint == {"num_seeds": 3}
+        assert per_seed == {0: SEED_SAMPLES, 1: SEED_SAMPLES}
+        assert durations == {0: 0.5, 1: 0.5}
+        meta, arrays = load_checkpoint(path)
+        assert meta["kind"] == "replication_sweep"
+        assert meta["completed_seeds"] == [0, 1]
+        assert arrays == {}  # the sweep's state is all metadata
 
     def test_sweep_checkpoint_without_version_rejected(self, tmp_path):
-        path = tmp_path / "sweep.json"
-        path.write_text('{"kind": "replication_sweep"}')
+        path = tmp_path / "sweep.npz"
+        write_checkpoint_meta(path, {"kind": "replication_sweep"}, {})
         with pytest.raises(PersistenceError, match="schema_version"):
-            load_sweep_checkpoint(path)
+            _decode_sweep_checkpoint(path)
 
 
 class TestPersistenceErrorContext:
@@ -302,10 +320,10 @@ class TestPersistenceErrorContext:
         assert f"expected {CHECKPOINT_SCHEMA_VERSION}" in str(error)
 
     def test_corruption_carries_path_and_cause(self, tmp_path):
-        path = tmp_path / "sweep.json"
+        path = tmp_path / "figX.json"
         path.write_text("{garbage")
         with pytest.raises(PersistenceError) as excinfo:
-            load_sweep_checkpoint(path)
+            load_experiment_result(path)
         error = excinfo.value
         assert error.path == str(path)
         assert error.schema_found is None
@@ -349,13 +367,12 @@ class TestChecksumFooter:
         del io
 
     def test_sweep_value_tamper_detected(self, tmp_path):
-        path = tmp_path / "sweep.json"
-        save_sweep_checkpoint(path, {"completed_seeds": [0, 1]})
-        path.write_text(
-            path.read_text().replace("completed_seeds", "completed_seedz")
-        )
+        path = tmp_path / "sweep.npz"
+        save_sweep(path, [0, 1])
+        # One sample inflated in the metadata, under the stale footer.
+        assert "skipped" not in _tamper(str(path), seeded_generator(0))
         with pytest.raises(PersistenceError, match="checksum"):
-            load_sweep_checkpoint(path)
+            _decode_sweep_checkpoint(path)
 
 
 class TestQuarantineAndRollback:
@@ -400,17 +417,62 @@ class TestQuarantineAndRollback:
         assert (tmp_path / "ck.npz.quarantine" / "ck.npz").exists()
 
     def test_recover_sweep_checkpoint(self, tmp_path):
-        path = tmp_path / "sweep.json"
-        save_sweep_checkpoint(path, {"completed_seeds": [0]},
-                              keep_generations=2)
-        save_sweep_checkpoint(path, {"completed_seeds": [0, 1]},
-                              keep_generations=2)
-        path.write_text("{broken")
-        recovered = recover_sweep_checkpoint(path)
+        path = tmp_path / "sweep.npz"
+        save_sweep(path, [0], keep_generations=2)
+        save_sweep(path, [0, 1], keep_generations=2)
+        path.write_bytes(b"{broken")
+        recovered = recover_checkpoint(path, load=_decode_sweep_checkpoint)
         assert recovered is not None
-        payload, actual = recovered
-        assert payload == {"completed_seeds": [0]}
+        __, per_seed, __, actual = recovered
+        assert per_seed == {0: SEED_SAMPLES}
         assert actual.endswith(".gen-1")
+
+    def test_recover_quarantines_a_sweep_that_does_not_decode(
+            self, tmp_path):
+        # Checksummed and loadable, but a per-seed record is malformed:
+        # the walk judges by the sweep's decode, not by loading alone.
+        path = tmp_path / "sweep.npz"
+        save_sweep(path, [0], keep_generations=2)
+        save_sweep(path, [0, 1], keep_generations=2)
+        meta, arrays = load_checkpoint(path)
+        meta["seed_samples"]["1"] = "oops"
+        save_checkpoint(path, meta, arrays)
+        __, per_seed, __, actual = recover_checkpoint(
+            path, load=_decode_sweep_checkpoint)
+        assert per_seed == {0: SEED_SAMPLES}
+        assert actual.endswith(".gen-1")
+        assert (tmp_path / "sweep.npz.quarantine" / "sweep.npz").exists()
+
+    def test_generation_paths_list_every_generation_past_a_gap(
+            self, tmp_path):
+        path = tmp_path / "ck.npz"
+        for i in range(3):
+            save_checkpoint(path, {"next_round": i}, {"x": np.arange(2.0)},
+                            keep_generations=3)
+        (tmp_path / "ck.npz.gen-1").unlink()
+        (tmp_path / "ck.npz.gen-10").write_bytes(b"older")
+        (tmp_path / "ck.npz.gen-x").write_bytes(b"not a generation")
+        assert generation_paths(path) == [
+            str(path), str(path) + ".gen-2", str(path) + ".gen-10"]
+        assert generation_paths(tmp_path / "absent" / "ck.npz") == [
+            str(tmp_path / "absent" / "ck.npz")]
+
+    def test_recover_walks_past_a_missing_generation(self, tmp_path):
+        # A crash between two rotation steps (or an earlier quarantine)
+        # can leave .gen-1 missing; .gen-2 is still a rollback target.
+        path = tmp_path / "ck.npz"
+        for i in range(3):
+            save_checkpoint(path, {"next_round": i}, {"x": np.arange(2.0)},
+                            keep_generations=3)
+        (tmp_path / "ck.npz.gen-1").unlink()
+        content = path.read_bytes()
+        path.write_bytes(content[: len(content) // 2])  # torn write
+        recovered = recover_checkpoint(path)
+        assert recovered is not None
+        meta, __, actual = recovered
+        assert meta == {"next_round": 0}
+        assert actual.endswith(".gen-2")
+        assert (tmp_path / "ck.npz.quarantine" / "ck.npz").exists()
 
     def test_quarantine_disambiguates_repeat_offenders(self, tmp_path):
         path = tmp_path / "ck.npz"
@@ -425,7 +487,6 @@ class TestQuarantineAndRollback:
         ]
 
     def test_quarantine_emits_event_and_metric(self, tmp_path):
-        from repro.obs.metrics import MetricsRegistry
         from repro.obs.tracer import RingBufferSink, Tracer
 
         path = tmp_path / "ck.npz"
@@ -524,11 +585,12 @@ class TestMalformedMetadata:
             load_run_metrics(path)
 
     def test_sweep_schema_version(self, tmp_path):
-        path = tmp_path / "sweep.json"
-        path.write_text('{"schema_version": "two"}')
+        path = tmp_path / "sweep.npz"
+        write_checkpoint_meta(path, {"kind": "replication_sweep",
+                                     "schema_version": "two"}, {})
         with pytest.raises(PersistenceError,
                            match="malformed 'schema_version'"):
-            load_sweep_checkpoint(path)
+            _decode_sweep_checkpoint(path)
 
     def test_recover_rolls_back_past_malformed_schema_version(
             self, tmp_path):

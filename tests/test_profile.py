@@ -159,9 +159,10 @@ class TestProfiledEngine:
             UCBPolicy()
         )
         profiler = PhaseProfiler()
-        profiled = TradingSimulator(SimulationConfig(**self._CONFIG)).run(
-            UCBPolicy(), profiler=profiler
-        )
+        with profiler.profile():
+            profiled = TradingSimulator(
+                SimulationConfig(**self._CONFIG)
+            ).run(UCBPolicy(), metrics=profiler.registry)
         assert np.array_equal(plain.realized_revenue,
                               profiled.realized_revenue)
         assert np.array_equal(plain.regret, profiled.regret)
@@ -170,9 +171,10 @@ class TestProfiledEngine:
 
     def test_engine_run_populates_report(self):
         profiler = PhaseProfiler()
-        TradingSimulator(SimulationConfig(**self._CONFIG)).run(
-            UCBPolicy(), profiler=profiler
-        )
+        with profiler.profile(policy="CMAB-HS", num_sellers=30):
+            TradingSimulator(SimulationConfig(**self._CONFIG)).run(
+                UCBPolicy(), metrics=profiler.registry
+            )
         report = profiler.report()
         assert report.rounds == self._CONFIG["num_rounds"]
         assert report.wall_s > 0.0
@@ -186,19 +188,22 @@ class TestProfiledEngine:
     def test_caller_registry_wins_and_accumulates(self):
         profiler = PhaseProfiler()
         mine = MetricsRegistry()
-        TradingSimulator(SimulationConfig(**self._CONFIG)).run(
-            UCBPolicy(), metrics=mine, profiler=profiler
-        )
+        with profiler.profile():
+            TradingSimulator(SimulationConfig(**self._CONFIG)).run(
+                UCBPolicy(), metrics=profiler.bind(mine)
+            )
         assert profiler.registry is mine
         assert mine.counters["rounds"] == self._CONFIG["num_rounds"]
 
     def test_replicate_comparison_profiles_sweep(self):
         profiler = PhaseProfiler()
-        replicate_comparison(
-            SimulationConfig(num_sellers=16, num_selected=3,
-                             num_rounds=40),
-            lambda q: [UCBPolicy()], num_seeds=2, profiler=profiler,
-        )
+        with profiler.profile(num_seeds=2):
+            replicate_comparison(
+                SimulationConfig(num_sellers=16, num_selected=3,
+                                 num_rounds=40),
+                lambda q: [UCBPolicy()], num_seeds=2,
+                metrics=profiler.registry,
+            )
         report = profiler.report()
         assert report.rounds == 80
         assert report.context["num_seeds"] == 2
@@ -207,9 +212,10 @@ class TestProfiledEngine:
 
     def test_report_dict_is_json_and_versioned(self):
         profiler = PhaseProfiler()
-        TradingSimulator(SimulationConfig(**self._CONFIG)).run(
-            UCBPolicy(), profiler=profiler
-        )
+        with profiler.profile():
+            TradingSimulator(SimulationConfig(**self._CONFIG)).run(
+                UCBPolicy(), metrics=profiler.registry
+            )
         payload = profiler.report().to_dict()
         json.dumps(payload)
         assert payload["schema"] == 1
@@ -228,6 +234,10 @@ class TestProfileCli:
         payload = json.loads(out.read_text())
         assert payload["schema"] == 1
         assert payload["rounds"] == 40
+        assert payload["context"] == {
+            "num_seeds": 1, "first_seed": 0, "workers": 1,
+            "num_sellers": 20, "num_selected": 3, "num_rounds": 40,
+        }
 
     def test_profile_rejects_bad_rounds(self, capsys):
         assert main(["profile", "--rounds", "0"]) == 1

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+from repro.cli import _build_resilience, build_parser
 from repro.exceptions import (
     ConfigurationError,
     DeadlineExceededError,
@@ -12,111 +15,113 @@ from repro.exceptions import (
 )
 from repro.obs import MetricsRegistry, RingBufferSink, Tracer
 from repro.resilience import (
-    NO_DEADLINE,
-    NO_RETRY,
     NOOP_POLICY,
-    Backoff,
-    Deadline,
     ResiliencePolicy,
-    RetryPolicy,
+    WatchdogConfig,
     execute_with_policy,
+    task_watchdog,
 )
 
 
-class TestBackoff:
-    def test_default_is_no_delay(self):
-        assert Backoff().delay_s(1) == 0.0
-        assert Backoff.none().delay_s(7) == 0.0
+class _Sleeps(list):
+    """An injected ``sleep`` that records each requested wait."""
 
-    def test_fixed_delay_is_flat(self):
-        backoff = Backoff.fixed(0.25)
-        assert [backoff.delay_s(k) for k in (1, 2, 5)] == [0.25] * 3
+    def __call__(self, delay: float) -> None:
+        self.append(delay)
+
+
+class TestBackoff:
+    """The fixed wait before retry k: ``min(0.05 * 2**(k-1), 5)`` s."""
+
+    def test_default_is_no_delay(self):
+        slept = _Sleeps()
+        with pytest.raises(OSError):
+            execute_with_policy(_Flaky(failures=1), NOOP_POLICY,
+                                label="op", sleep=slept)
+        assert slept == []
 
     def test_exponential_growth_and_clamp(self):
-        backoff = Backoff.exponential(base_s=0.1, factor=2.0, max_s=0.5)
-        assert backoff.delay_s(1) == pytest.approx(0.1)
-        assert backoff.delay_s(2) == pytest.approx(0.2)
-        assert backoff.delay_s(3) == pytest.approx(0.4)
-        assert backoff.delay_s(4) == 0.5  # clamped
-        assert backoff.delay_s(10) == 0.5
-
-    def test_jitter_is_deterministic_and_bounded(self):
-        backoff = Backoff.exponential(base_s=1.0, factor=1.0, max_s=1.0,
-                                      jitter=0.5, seed=3)
-        first = backoff.delay_s(1, "persist")
-        assert backoff.delay_s(1, "persist") == first  # replayable
-        assert 0.5 <= first <= 1.0
-        # Different labels/attempts/seeds draw different jitter.
-        assert backoff.delay_s(1, "other-label") != first
-        assert backoff.delay_s(2, "persist") != first
-        different_seed = Backoff.exponential(
-            base_s=1.0, factor=1.0, max_s=1.0, jitter=0.5, seed=4
-        )
-        assert different_seed.delay_s(1, "persist") != first
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError, match="base_s"):
-            Backoff(base_s=-1.0)
-        with pytest.raises(ConfigurationError, match="factor"):
-            Backoff(factor=0.5)
-        with pytest.raises(ConfigurationError, match="jitter"):
-            Backoff(jitter=1.5)
-        with pytest.raises(ConfigurationError, match="attempt"):
-            Backoff().delay_s(0)
+        slept = _Sleeps()
+        flaky = _Flaky(failures=8)
+        assert execute_with_policy(flaky, ResiliencePolicy(max_retries=8),
+                                   label="op", sleep=slept) == "ok"
+        assert slept == [0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 3.2, 5.0]
 
 
 class TestRetryPolicy:
     def test_default_is_noop(self):
-        assert NO_RETRY.is_noop
-        assert NO_RETRY.max_attempts == 1
+        assert NOOP_POLICY.max_retries == 0
 
     def test_of_counts_retries_not_attempts(self):
-        policy = RetryPolicy.of(2)
-        assert policy.max_attempts == 3
-        assert not policy.is_noop
-        assert RetryPolicy.of(0).is_noop
+        flaky = _Flaky(failures=99)
+        with pytest.raises(RetryBudgetExceededError):
+            execute_with_policy(flaky, ResiliencePolicy(max_retries=2),
+                                label="op", sleep=_Sleeps())
+        assert flaky.calls == 3
 
     def test_validation(self):
-        with pytest.raises(ConfigurationError, match="max_attempts"):
-            RetryPolicy(max_attempts=0)
         with pytest.raises(ConfigurationError, match="max_retries"):
-            RetryPolicy.of(-1)
-        with pytest.raises(ConfigurationError, match="retry_on"):
-            RetryPolicy(max_attempts=2, retry_on=())
+            ResiliencePolicy(max_retries=-2)
 
 
 class TestDeadline:
     def test_default_disabled(self):
-        assert not NO_DEADLINE.enabled
-        assert Deadline(2.5).enabled
+        assert NOOP_POLICY.timeout_s is None
+        assert task_watchdog(NOOP_POLICY) is None
+        assert task_watchdog(ResiliencePolicy(timeout_s=2.5)) == (
+            WatchdogConfig(task_timeout_s=2.5))
 
     def test_validation(self):
         with pytest.raises(ConfigurationError, match="timeout_s"):
-            Deadline(0.0)
+            ResiliencePolicy(timeout_s=0.0)
 
 
 class TestResiliencePolicy:
     def test_default_is_noop(self):
-        assert NOOP_POLICY.is_noop
+        assert ResiliencePolicy() == NOOP_POLICY
+
+    def test_has_exactly_four_fields(self):
+        assert [f.name for f in dataclasses.fields(ResiliencePolicy)] == [
+            "max_retries", "timeout_s", "checkpoint_generations",
+            "quarantine",
+        ]
 
     def test_any_armed_piece_breaks_noop(self):
-        assert not ResiliencePolicy(retry=RetryPolicy.of(1)).is_noop
-        assert not ResiliencePolicy(deadline=Deadline(1.0)).is_noop
-        assert not ResiliencePolicy(checkpoint_generations=2).is_noop
-        assert not ResiliencePolicy(quarantine=True).is_noop
+        assert ResiliencePolicy(max_retries=1) != NOOP_POLICY
+        assert ResiliencePolicy(timeout_s=1.0) != NOOP_POLICY
+        assert ResiliencePolicy(checkpoint_generations=2) != NOOP_POLICY
+        assert ResiliencePolicy(quarantine=True) != NOOP_POLICY
 
     def test_generations_validated(self):
         with pytest.raises(ConfigurationError, match="generations"):
             ResiliencePolicy(checkpoint_generations=0)
 
     def test_from_cli_defaults_to_noop(self):
-        assert ResiliencePolicy.from_cli(None, None).is_noop
+        args = build_parser().parse_args(["replicate"])
+        assert _build_resilience(args) == NOOP_POLICY
 
     def test_from_cli_arms_requested_pieces(self):
-        policy = ResiliencePolicy.from_cli(30.0, 2)
-        assert policy.deadline.timeout_s == 30.0
-        assert policy.retry.max_attempts == 3
-        assert policy.retry.backoff.jitter == 0.5
+        args = build_parser().parse_args(
+            ["replicate", "--timeout-s", "30", "--max-retries", "2"])
+        assert _build_resilience(args) == ResiliencePolicy(
+            max_retries=2, timeout_s=30.0)
+
+    @pytest.mark.parametrize("module, name", [
+        *(("repro.resilience", name) for name in (
+            "Backoff", "RetryPolicy", "Deadline", "NO_RETRY",
+            "NO_DEADLINE")),
+        ("repro.resilience.policy", "_stable_label_hash"),
+        *(("repro.sim.persistence", name) for name in (
+            "save_sweep_checkpoint", "load_sweep_checkpoint",
+            "recover_sweep_checkpoint", "_json_checksum",
+            "_recover_generations", "SWEEP_CHECKPOINT_SCHEMA_VERSION")),
+    ])
+    def test_retired_names_are_gone(self, module, name):
+        with pytest.raises(ImportError):
+            exec(f"from {module} import {name}", {})
+
+    def test_from_cli_constructor_is_gone(self):
+        assert not hasattr(ResiliencePolicy, "from_cli")
 
 
 class _Flaky:
@@ -140,7 +145,7 @@ class TestExecuteWithPolicy:
         registry = MetricsRegistry()
         sink = RingBufferSink()
         result = execute_with_policy(
-            lambda: 42, RetryPolicy.of(3), label="op",
+            lambda: 42, ResiliencePolicy(max_retries=3), label="op",
             tracer=Tracer(sink), metrics=registry,
         )
         assert result == 42
@@ -151,51 +156,59 @@ class TestExecuteWithPolicy:
         flaky = _Flaky(failures=2)
         registry = MetricsRegistry()
         sink = RingBufferSink()
-        slept: list[float] = []
+        slept = _Sleeps()
         result = execute_with_policy(
-            flaky, RetryPolicy.of(3, Backoff.fixed(0.125)), label="persist",
-            tracer=Tracer(sink), metrics=registry, sleep=slept.append,
+            flaky, ResiliencePolicy(max_retries=3), label="persist",
+            tracer=Tracer(sink), metrics=registry, sleep=slept,
         )
         assert result == "ok"
         assert flaky.calls == 3
-        assert slept == [0.125, 0.125]
+        assert slept == [0.05, 0.1]
         assert registry.counters["resilience.retry_attempts"] == 2
         events = [e for e in sink.events if e.kind == "retry_attempt"]
         assert [e.payload["attempt"] for e in events] == [1, 2]
+        assert [e.payload["delay_s"] for e in events] == [0.05, 0.1]
         assert events[0].payload["op"] == "persist"
         assert "OSError" in events[0].payload["error"]
 
     def test_budget_exhaustion_chains_the_last_error(self):
         flaky = _Flaky(failures=99)
+        slept = _Sleeps()
         with pytest.raises(RetryBudgetExceededError,
                            match="all 3 attempts") as info:
-            execute_with_policy(flaky, RetryPolicy.of(2), label="op",
-                                sleep=lambda _s: None)
+            execute_with_policy(flaky, ResiliencePolicy(max_retries=2),
+                                label="op", sleep=slept)
         assert flaky.calls == 3
+        assert slept == [0.05, 0.1]
         assert isinstance(info.value.__cause__, OSError)
 
     def test_noop_policy_raises_unwrapped(self):
         # The guard must be invisible: same exception type as unguarded.
+        flaky = _Flaky(failures=1)
         with pytest.raises(OSError, match="disk hiccup"):
-            execute_with_policy(_Flaky(failures=1), NO_RETRY, label="op")
+            execute_with_policy(flaky, NOOP_POLICY, label="op")
+        assert flaky.calls == 1
 
     def test_unlisted_exception_propagates_immediately(self):
         flaky = _Flaky(failures=1, error=ValueError("a bug, not a fault"))
         with pytest.raises(ValueError, match="bug"):
-            execute_with_policy(flaky, RetryPolicy.of(5), label="op")
+            execute_with_policy(flaky, ResiliencePolicy(max_retries=5),
+                                label="op")
         assert flaky.calls == 1
 
     def test_persistence_error_is_retryable_by_default(self):
         flaky = _Flaky(failures=1, error=PersistenceError("torn write"))
-        assert execute_with_policy(flaky, RetryPolicy.of(1),
-                                   label="op") == "ok"
+        assert execute_with_policy(flaky, ResiliencePolicy(max_retries=1),
+                                   label="op", sleep=_Sleeps()) == "ok"
 
     def test_deadline_checked_between_attempts(self):
         # A zero-ish deadline expires before the first retry.
         flaky = _Flaky(failures=99)
+        slept = _Sleeps()
         with pytest.raises(DeadlineExceededError, match="deadline"):
             execute_with_policy(
-                flaky, RetryPolicy.of(5), label="op",
-                deadline=Deadline(1e-9), sleep=lambda _s: None,
+                flaky, ResiliencePolicy(max_retries=5, timeout_s=1e-9),
+                label="op", sleep=slept,
             )
         assert flaky.calls == 1
+        assert slept == []

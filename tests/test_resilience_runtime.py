@@ -28,15 +28,12 @@ from repro.parallel.worker import (
     STALL_MARKER_ENV,
     STALL_TASK_ENV,
 )
-from repro.resilience import (
-    Backoff,
-    ResiliencePolicy,
-    RetryPolicy,
-    ScheduledAbort,
-    WatchdogConfig,
-)
+from repro.resilience import ResiliencePolicy, ScheduledAbort, WatchdogConfig
+from repro.resilience.chaos import _tamper
 from repro.sim import SimulationConfig, TradingSimulator
+from repro.sim.persistence import load_checkpoint, save_checkpoint
 from repro.sim.replication import replicate_comparison
+from repro.sim.rng import seeded_generator
 from repro.sim.results import SERIES_FIELDS
 from repro.verify import check_recovery_equivalence
 
@@ -127,7 +124,7 @@ class TestEngineQuarantine:
 class TestReplicationShutdown:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_interrupted_sweep_resumes_identically(self, tmp_path, workers):
-        path = tmp_path / "sweep.json"
+        path = tmp_path / "sweep.npz"
         reference = replicate_comparison(CONFIG, factory, num_seeds=5)
 
         with pytest.raises(GracefulShutdownInterrupt) as info:
@@ -147,7 +144,7 @@ class TestReplicationShutdown:
         assert check.passed, check.detail
 
     def test_sweep_quarantine_rollback(self, tmp_path):
-        path = tmp_path / "sweep.json"
+        path = tmp_path / "sweep.npz"
         reference = replicate_comparison(CONFIG, factory, num_seeds=4)
 
         resilience = ResiliencePolicy(quarantine=True,
@@ -157,7 +154,7 @@ class TestReplicationShutdown:
                 CONFIG, factory, num_seeds=4, checkpoint_path=path,
                 shutdown=ScheduledAbort([2, 3]), resilience=resilience,
             )
-        path.write_bytes(b"{broken json")
+        path.write_bytes(b"{broken archive")
 
         resumed = replicate_comparison(
             CONFIG, factory, num_seeds=4, checkpoint_path=path,
@@ -167,6 +164,56 @@ class TestReplicationShutdown:
                                            case="quarantine")
         assert check.passed, check.detail
         assert os.path.isdir(f"{path}.quarantine")
+
+    @staticmethod
+    def _abort_after_two_of_three(path, resilience):
+        with pytest.raises(GracefulShutdownInterrupt):
+            replicate_comparison(
+                CONFIG, factory, num_seeds=3, checkpoint_path=path,
+                shutdown=ScheduledAbort([2]), resilience=resilience,
+            )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sweep_rolls_back_past_a_record_that_does_not_decode(
+            self, tmp_path, workers):
+        # The newest file loads and passes its checksum, but one seed's
+        # record is malformed: the walk must judge it by the sweep's
+        # decode, quarantine it, and resume from .gen-1.
+        path = tmp_path / "sweep.npz"
+        reference = replicate_comparison(CONFIG, factory, num_seeds=3)
+        resilience = ResiliencePolicy(quarantine=True,
+                                      checkpoint_generations=2)
+        self._abort_after_two_of_three(path, resilience)
+        meta, arrays = load_checkpoint(path)
+        meta["seed_samples"]["1"] = "oops"
+        save_checkpoint(path, meta, arrays)
+
+        resumed = replicate_comparison(
+            CONFIG, factory, num_seeds=3, checkpoint_path=path,
+            resume=True, resilience=resilience, workers=workers,
+        )
+        check = check_recovery_equivalence(reference, resumed,
+                                           case="undecodable")
+        assert check.passed, check.detail
+        assert resumed.summaries == reference.summaries
+        assert (tmp_path / "sweep.npz.quarantine" / "sweep.npz").exists()
+
+    def test_sweep_tampered_under_stale_footer_is_quarantined(
+            self, tmp_path):
+        path = tmp_path / "sweep.npz"
+        reference = replicate_comparison(CONFIG, factory, num_seeds=3)
+        resilience = ResiliencePolicy(quarantine=True,
+                                      checkpoint_generations=2)
+        self._abort_after_two_of_three(path, resilience)
+        applied = _tamper(str(path), seeded_generator(0))
+        assert not applied.get("skipped"), applied
+
+        resumed = replicate_comparison(
+            CONFIG, factory, num_seeds=3, checkpoint_path=path,
+            resume=True, resilience=resilience,
+        )
+        assert resumed.summaries == reference.summaries
+        assert (tmp_path / "sweep.npz.quarantine" / "sweep.npz").exists()
 
 
 class TestRecoveryOracle:
@@ -199,7 +246,6 @@ class TestExecutorWatchdog:
         registry = MetricsRegistry()
         executor = ParallelExecutor(
             slow_square, workers=2, chunk_size=1,
-            retry_policy=RetryPolicy.of(2, Backoff.none()),
             # The per-task deadline is the stall detector; the generous
             # heartbeat limit keeps slow CI from tripping false kills.
             watchdog=WatchdogConfig(task_timeout_s=0.75,
@@ -227,7 +273,6 @@ class TestExecutorWatchdog:
         sink = RingBufferSink()
         executor = ParallelExecutor(
             slow_square, workers=2, chunk_size=1,
-            retry_policy=RetryPolicy.of(2, Backoff.none()),
             tracer=Tracer(sink),
         )
         results = executor.map(list(range(6)))
@@ -276,7 +321,7 @@ class TestSignalInterrupt:
     @pytest.mark.parametrize("signum",
                              [signal.SIGINT, signal.SIGTERM])
     def test_signal_drains_to_resumable_checkpoint(self, tmp_path, signum):
-        checkpoint = tmp_path / "sweep.json"
+        checkpoint = tmp_path / "sweep.npz"
         script = tmp_path / "child.py"
         src = os.path.dirname(os.path.dirname(repro.__file__))
         script.write_text(_CHILD_SCRIPT.format(src=src,

@@ -144,10 +144,11 @@ class TestCheckpointingProfile:
         config = SimulationConfig(num_sellers=2_000, num_selected=5,
                                   num_pois=4, num_rounds=40, seed=3)
         profiler = PhaseProfiler(memory="off")
-        TradingSimulator(config).run(
-            UCBPolicy(), checkpoint_path=tmp_path / "run.npz",
-            checkpoint_every=1, profiler=profiler,
-        )
+        with profiler.profile():
+            TradingSimulator(config).run(
+                UCBPolicy(), checkpoint_path=tmp_path / "run.npz",
+                checkpoint_every=1, metrics=profiler.registry,
+            )
         report = profiler.report()
         names = {phase.name for phase in report.phases}
         assert {"engine.round", "persistence.save_checkpoint"} <= names
