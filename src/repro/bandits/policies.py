@@ -26,9 +26,9 @@ import math
 import numpy as np
 
 from repro.bandits.base import SelectionPolicy
-from repro.core.selection import top_k_indices
+from repro.core.selection import _top_k, top_k_indices
 from repro.core.state import LearningState
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, SelectionError
 
 __all__ = [
     "UCBPolicy",
@@ -119,6 +119,9 @@ class UCBPolicy(SelectionPolicy):
         coefficient = self.exploration_coefficient
         k = (self._k if online is None
              else min(self._k, int(np.count_nonzero(online))))
+        if k == 0:
+            raise SelectionError("cannot select from a roster with no "
+                                 "seller online")
         depth = _pool_depth(self._k, self._num_sellers)
         classes = state.count_classes(depth)
         while True:
@@ -126,7 +129,7 @@ class UCBPolicy(SelectionPolicy):
             candidates = pool if online is None else pool[online[pool]]
             if candidates.size >= k:
                 scores = state.ucb_at(coefficient, candidates)
-                top = top_k_indices(scores, k)
+                top = _top_k(scores, k)
                 if not classes.counts.size:  # the pool holds everyone
                     return candidates[top]
                 # Every left-out seller must lose to all K winners: its
@@ -224,7 +227,7 @@ class EpsilonFirstPolicy(SelectionPolicy):
             return np.sort(
                 rng.choice(self._num_sellers, size=self._k, replace=False)
             )
-        return top_k_indices(state.means, self._k)
+        return _top_k(state.means, self._k)
 
 
 class RandomPolicy(SelectionPolicy):
@@ -270,7 +273,7 @@ class EpsilonGreedyPolicy(SelectionPolicy):
             return np.sort(
                 rng.choice(self._num_sellers, size=self._k, replace=False)
             )
-        return top_k_indices(state.means, self._k)
+        return _top_k(state.means, self._k)
 
 
 class ThompsonSamplingPolicy(SelectionPolicy):

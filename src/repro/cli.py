@@ -85,8 +85,8 @@ def _add_fault_tolerance_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_resilience_arguments(parser: argparse.ArgumentParser) -> None:
-    """Shared retry/timeout flags (default: no-op, byte-identical)."""
+def _add_timeout_argument(parser: argparse.ArgumentParser) -> None:
+    """The shared ``--timeout-s`` flag (default: none, byte-identical)."""
     parser.add_argument(
         "--timeout-s", type=float, default=None, metavar="S",
         help=(
@@ -95,6 +95,11 @@ def _add_resilience_arguments(parser: argparse.ArgumentParser) -> None:
             "checkpoint write is no longer retried (default: none)"
         ),
     )
+
+
+def _add_resilience_arguments(parser: argparse.ArgumentParser) -> None:
+    """Shared retry/timeout flags (default: no-op, byte-identical)."""
+    _add_timeout_argument(parser)
     parser.add_argument(
         "--max-retries", type=int, default=0, metavar="N",
         help=(
@@ -206,7 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
             "processes (default: 1, serial)"
         ),
     )
-    _add_resilience_arguments(run_parser)
+    # run writes no checkpoints, so --max-retries would govern nothing.
+    _add_timeout_argument(run_parser)
 
     quick_parser = subparsers.add_parser(
         "quickstart", help="run a small end-to-end trading simulation"
@@ -620,7 +626,7 @@ def _command_run(args: argparse.Namespace) -> int:
         wanted = [experiment_id for experiment_id, __ in list_experiments()]
     if args.workers > 1 and len(wanted) > 1:
         from repro.parallel import ParallelExecutor
-        from repro.resilience import task_watchdog
+        from repro.resilience import ResiliencePolicy, task_watchdog
         from repro.sim.persistence import experiment_result_from_dict
 
         # One experiment per chunk: the work units are few and heavy,
@@ -629,7 +635,7 @@ def _command_run(args: argparse.Namespace) -> int:
             _experiment_task_runner,
             workers=min(args.workers, len(wanted)),
             chunk_size=1,
-            watchdog=task_watchdog(_build_resilience(args)),
+            watchdog=task_watchdog(ResiliencePolicy(timeout_s=args.timeout_s)),
         )
         payloads = [(experiment_id, scale.value, args.seed)
                     for experiment_id in wanted]

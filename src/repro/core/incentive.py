@@ -238,14 +238,6 @@ def _solve_round_arrays(qualities: np.ndarray, cost_a: np.ndarray,
     def stage2_unclipped(service_price: float) -> float:
         return (service_price * a_sum - constant) / stage2_denominator
 
-    def evaluate(service_price: float) -> tuple[float, np.ndarray, float]:
-        price = min(max(stage2_unclipped(service_price), col_lo), col_hi)
-        taus = np.clip((price - qualities * cost_b) * inv, 0.0,
-                       max_sensing_time)
-        total = float(np.add.reduce(taus))
-        profit = omega * math.log1p(q * total) - service_price * total
-        return price, taus, profit
-
     service_price = min(max(interior_service, svc_lo), svc_hi)
     collection_interior = stage2_unclipped(service_price)
     taus_interior = (collection_interior - qualities * cost_b) * inv
@@ -268,13 +260,21 @@ def _solve_round_arrays(qualities: np.ndarray, cost_a: np.ndarray,
     candidates.add(svc_lo)
     if math.isfinite(svc_hi):
         candidates.add(svc_hi)
-    best = None
-    for candidate in candidates:
-        price, taus, profit = evaluate(candidate)
-        if best is None or profit > best[3]:
-            best = (candidate, price, taus, profit)
-    assert best is not None
-    return best[0], best[1], best[2], False
+    # All candidates at once: one (C, K) clip and one row-wise reduce,
+    # element for element and row for row the bits of one candidate at
+    # a time.  The first candidate with a strictly larger profit wins.
+    order = list(candidates)
+    prices = [min(max(stage2_unclipped(candidate), col_lo), col_hi)
+              for candidate in order]
+    taus = np.clip(
+        (np.array(prices)[:, None] - qualities * cost_b) * inv, 0.0,
+        max_sensing_time)
+    totals = np.add.reduce(taus, axis=1).tolist()
+    profits = [omega * math.log1p(q * total) - candidate * total
+               for candidate, total in zip(order, totals)]
+    # max() keeps the first of equal keys and replaces only on ``>``.
+    best = max(range(len(order)), key=profits.__getitem__)
+    return order[best], prices[best], taus[best], False
 
 
 def solve_round_fast(qualities: np.ndarray, cost_a: np.ndarray,

@@ -1,9 +1,10 @@
 """The top-``K`` rule of UCB-greedy seller selection (Algorithm 1, steps 7-10).
 
 Each round the platform sorts the sellers by their UCB indices and picks
-the top ``K``.  :meth:`repro.bandits.UCBPolicy.select` applies
-:func:`top_k_indices` to the Eq.-19 indices; the baseline policies apply
-it to their own scores.
+the top ``K``.  :meth:`repro.bandits.UCBPolicy.select` applies the rule
+to the Eq.-19 indices; the baseline policies apply it to their own
+scores.  :func:`top_k_indices` checks its input; the policies call its
+unchecked body :func:`_top_k` on arrays they own.
 """
 
 from __future__ import annotations
@@ -41,6 +42,17 @@ def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
         raise SelectionError(
             f"cannot select k={k} sellers from {scores.size} candidates"
         )
+    return _top_k(scores, k)
+
+
+def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """:func:`top_k_indices` on trusted input, without its checks.
+
+    ``scores`` must be a 1-D float array and ``k`` in
+    ``[1, len(scores)]``; the selection policies call this on arrays
+    they own, which are both by construction (DESIGN.md, "Validate at
+    the boundary").  Same result as :func:`top_k_indices`.
+    """
     if k == scores.size:
         return np.arange(scores.size)
     kth = np.partition(scores, scores.size - k)[scores.size - k]

@@ -238,9 +238,25 @@ class LearningState:
                 "quarantine corrupted reports (see observation_mask) before "
                 "updating the learning state"
             )
-        self._counts[sellers] += int(num_observations)
+        self._learn(sellers, sums, int(num_observations))
+
+    def _learn(self, sellers: np.ndarray, sums: np.ndarray,
+               num_observations: int) -> None:
+        """The Eq. 17-18 fold on trusted input: :meth:`update` minus its checks.
+
+        The round core calls this directly.  ``sellers`` must be a
+        sorted, unique, in-range integer array (empty is a no-op),
+        ``sums`` a float array aligned with it whose entries are
+        feasible (in ``[0, L]``, see :func:`observation_mask`), and
+        ``num_observations`` a positive int; nothing here checks any of
+        it.  Every policy's selection meets the first, and the ``[0, 1]``
+        clip of the sampler or the degraded round's quarantine meets the
+        second (DESIGN.md, "Validate at the boundary").  Same bits as
+        :meth:`update` on the same input.
+        """
+        self._counts[sellers] += num_observations
         self._sums[sellers] += sums
-        self._total += int(num_observations) * sellers.size
+        self._total += num_observations * sellers.size
         self._counts_f[sellers] = self._counts[sellers]
         self._means[sellers] = self._sums[sellers] / self._counts[sellers]
         if self._in_pool is not None:

@@ -173,8 +173,10 @@ class Timer:
             )
         self.count += 1
         self.total += seconds
-        self.minimum = min(self.minimum, seconds)
-        self.maximum = max(self.maximum, seconds)
+        if seconds < self.minimum:
+            self.minimum = seconds
+        if seconds > self.maximum:
+            self.maximum = seconds
         self.reservoir.add(seconds)
 
     @property

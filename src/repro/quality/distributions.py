@@ -141,8 +141,18 @@ class QualityModel(abc.ABC):
             raise ConfigurationError(
                 "seller index out of range for this quality model"
             )
-        raw = self._draw(rng, seller_indices, num_pois)
-        return np.clip(raw, 0.0, 1.0)
+        return self._observe(rng, seller_indices, num_pois)
+
+    def _observe(self, rng: np.random.Generator, seller_indices: np.ndarray,
+                 num_pois: int) -> np.ndarray:
+        """:meth:`observe` on trusted input, without its checks.
+
+        ``seller_indices`` must be a 1-D in-range integer array and
+        ``num_pois`` positive; the round core's selections are both by
+        construction (DESIGN.md, "Validate at the boundary").  Draws the
+        same numbers in the same order as :meth:`observe`.
+        """
+        return np.clip(self._draw(rng, seller_indices, num_pois), 0.0, 1.0)
 
     @abc.abstractmethod
     def _draw(self, rng: np.random.Generator, seller_indices: np.ndarray,

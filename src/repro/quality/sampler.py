@@ -108,3 +108,19 @@ class QualitySampler:
             sums=per_poi.sum(axis=1),
             num_pois=self._num_pois,
         )
+
+    def _sample_sums(self, seller_indices: np.ndarray,
+                     round_index: int) -> np.ndarray:
+        """Per-seller observation sums of one round, on trusted input.
+
+        The round core's entry: the same draws, in the same order, and
+        the same bits as ``sample_round(seller_indices, round_index).sums``,
+        minus the model's index checks and the :class:`RoundObservations`
+        wrapper.  ``seller_indices`` must be a 1-D in-range integer array
+        (DESIGN.md, "Validate at the boundary").
+        """
+        if isinstance(self._model, DriftingQuality):
+            self._model.set_round(round_index)
+        per_poi = self._model._observe(self._rng, seller_indices,
+                                       self._num_pois)
+        return np.add.reduce(per_poi, axis=1)

@@ -251,16 +251,16 @@ def play_clean_round(ctx: RoundContext, t: int, selected: np.ndarray,
     state, sampler, series = ctx.state, ctx.sampler, ctx.series
     num_pois = ctx.num_pois
     if explore_round:
-        observations = sampler.sample_round(selected, round_index=t)
-        state.update(selected, observations.sums, num_pois)
-        ctx.policy.observe(t, selected, observations.sums, num_pois)
+        sums = sampler._sample_sums(selected, t)
+        state._learn(selected, sums, num_pois)
+        ctx.policy.observe(t, selected, sums, num_pois)
     settlement = _settle(ctx, t, selected, explore_round)
     if not explore_round:
-        observations = sampler.sample_round(selected, round_index=t)
-        state.update(selected, observations.sums, num_pois)
-        ctx.policy.observe(t, selected, observations.sums, num_pois)
+        sums = sampler._sample_sums(selected, t)
+        state._learn(selected, sums, num_pois)
+        ctx.policy.observe(t, selected, sums, num_pois)
     ctx.tracker.record(selected)
-    series["realized"][t] = observations.total
+    series["realized"][t] = float(np.add.reduce(sums))
     series["expected"][t] = ctx.tracker.last_selection_value * num_pois
     series["estimation_error"][t] = _estimation_error(
         state.means, ctx.qualities_truth, ctx.abs_error, selected
@@ -350,8 +350,7 @@ def play_degraded_round(ctx: RoundContext, t: int, selected: np.ndarray,
 
         Returns the settled total and the sellers the state learned from.
         """
-        observations = ctx.sampler.sample_round(participants, round_index=t)
-        delivered = observations.sums.copy()
+        delivered = ctx.sampler._sample_sums(participants, t)
         if plan.corrupted.size:
             position = {int(s): i for i, s in enumerate(participants)}
             for seller, garbage in zip(plan.corrupted,
@@ -376,10 +375,10 @@ def play_degraded_round(ctx: RoundContext, t: int, selected: np.ndarray,
         # Stalled reports arrive after settlement but still reach
         # the learner; quarantined ones reach neither.
         learned = participants[valid]
-        state.update(learned, delivered[valid], num_pois)
+        state._learn(learned, delivered[valid], num_pois)
         ctx.policy.observe(t, learned, delivered[valid], num_pois)
         settle_mask = valid & ~np.isin(participants, plan.stalled)
-        return float(delivered[settle_mask].sum()), learned
+        return float(np.add.reduce(delivered[settle_mask])), learned
 
     # The game is (re-)solved on the survivors only — a degraded set
     # never raises, it just trades less.

@@ -39,6 +39,18 @@ class TestParser:
         assert build_parser().parse_args(["replicate"]).workers == 1
         assert build_parser().parse_args(["run", "fig7"]).workers == 1
 
+    def test_run_takes_timeout_but_not_max_retries(self, capsys):
+        # run writes no checkpoints, so a retry budget would govern nothing.
+        args = build_parser().parse_args(["run", "fig7", "--timeout-s", "5"])
+        assert args.timeout_s == 5.0
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "fig7", "--max-retries", "1"])
+        assert excinfo.value.code == 2
+        assert "--max-retries" in capsys.readouterr().err
+        for command in ("quickstart", "replicate"):
+            args = build_parser().parse_args([command, "--max-retries", "1"])
+            assert args.max_retries == 1
+
     def test_version_flag(self, capsys):
         from repro.version import __version__
 
