@@ -130,6 +130,24 @@ class LearningState:
         self._total = 0
         self._classes: CountClasses | None = None
         self._in_pool: np.ndarray | None = None
+        self._refresh_views()
+
+    def _refresh_views(self) -> None:
+        """Build the read-only views :attr:`counts` and :attr:`means` return.
+
+        Built once per buffer: an update writes the buffers in place, so
+        the views follow it; only a rebuild replaces a buffer.
+        """
+        self._counts_view = self._counts.view()
+        self._counts_view.flags.writeable = False
+        self._means_view = self._means.view()
+        self._means_view.flags.writeable = False
+
+    def __setstate__(self, state: dict) -> None:
+        # A copied or unpickled view owns its data; re-point the views
+        # at the copy's own buffers so they keep following updates.
+        self.__dict__.update(state)
+        self._refresh_views()
 
     def _rebuild(self) -> None:
         """Recompute every mirror from the raw counts/sums arrays."""
@@ -141,6 +159,7 @@ class LearningState:
         self._total = int(self._counts.sum())
         self._classes = None
         self._in_pool = None
+        self._refresh_views()
 
     # -- basic accessors -------------------------------------------------------
 
@@ -152,9 +171,7 @@ class LearningState:
     @property
     def counts(self) -> np.ndarray:
         """Observation counts ``n_i`` (read-only view)."""
-        view = self._counts.view()
-        view.flags.writeable = False
-        return view
+        return self._counts_view
 
     @property
     def total_count(self) -> int:
@@ -168,9 +185,7 @@ class LearningState:
         A read-only view of the maintained buffer: it follows later
         updates, so copy it to keep a snapshot.
         """
-        view = self._means.view()
-        view.flags.writeable = False
-        return view
+        return self._means_view
 
     def mean_of(self, seller: int) -> float:
         """Sample mean ``qbar_i`` of one seller."""

@@ -10,6 +10,7 @@ checkpoints can carry it.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -84,17 +85,19 @@ class FaultEvent:
 class FaultLog:
     """Append-only, serialisable log of fault events.
 
-    Stored as four aligned columns — rounds, kind codes, sellers,
-    values — so recording is four list appends and serialising for a
-    checkpoint is four array builds; :class:`FaultEvent` objects are
+    Stored as four aligned typed buffers — rounds, kind codes and
+    sellers as ``array('q')``, values as ``array('d')`` — so recording
+    one event is four appends, recording a batch of sellers
+    (:meth:`record_many`) is four bulk extends, and serialising for a
+    checkpoint is four buffer copies; :class:`FaultEvent` objects are
     built only when a query asks for them.
     """
 
     def __init__(self) -> None:
-        self._rounds: list[int] = []
-        self._codes: list[int] = []
-        self._sellers: list[int] = []
-        self._values: list[float] = []
+        self._rounds = array("q")
+        self._codes = array("q")
+        self._sellers = array("q")
+        self._values = array("d")
 
     # -- recording -----------------------------------------------------------------
 
@@ -105,10 +108,42 @@ class FaultLog:
         # leave the columns misaligned.
         round_index, code = int(round_index), _KIND_CODES[FaultKind(kind)]
         seller, value = int(seller), float(value)
+        array("q", (round_index, seller))  # raises on a 64-bit overflow
         self._rounds.append(round_index)
         self._codes.append(code)
         self._sellers.append(seller)
         self._values.append(value)
+
+    def record_many(self, round_index: int, kind: FaultKind,
+                    sellers: np.ndarray,
+                    values: np.ndarray | None = None) -> None:
+        """Append one event of ``kind`` per seller, in order.
+
+        The same events as one :meth:`record` per seller; ``values``
+        (aligned with ``sellers``) defaults to ``0.0`` each.
+        """
+        code = _KIND_CODES[FaultKind(kind)]
+        sellers = np.asarray(sellers, dtype=np.int64)
+        if values is not None:
+            values = np.asarray(values, dtype=np.float64)
+        if sellers.ndim != 1 or (values is not None
+                                 and values.shape != sellers.shape):
+            raise ConfigurationError(
+                "sellers and values must be 1-D and aligned"
+            )
+        size = sellers.size
+        if size == 0:
+            return
+        # Only the round can still fail (a 64-bit overflow): build its
+        # column before extending any, so the columns stay aligned.
+        rounds = array("q", (int(round_index),)) * size
+        self._rounds.extend(rounds)
+        self._codes.extend(array("q", (code,)) * size)
+        self._sellers.frombytes(sellers.tobytes())
+        if values is None:
+            self._values.extend(array("d", (0.0,)) * size)
+        else:
+            self._values.frombytes(values.tobytes())
 
     # -- queries -------------------------------------------------------------------
 
@@ -156,7 +191,7 @@ class FaultLog:
             "rounds": np.array(self._rounds, dtype=np.int64),
             "kinds": np.array(self._codes, dtype=np.int64),
             "sellers": np.array(self._sellers, dtype=np.int64),
-            "values": np.array(self._values, dtype=float),
+            "values": np.array(self._values, dtype=np.float64),
         }
 
     @classmethod
@@ -181,10 +216,10 @@ class FaultLog:
                 f"unknown fault-kind code {int(kinds[unknown][0])}"
             )
         log = cls()
-        log._rounds = rounds.tolist()
-        log._codes = kinds.tolist()
-        log._sellers = sellers.tolist()
-        log._values = values.tolist()
+        log._rounds.frombytes(rounds.tobytes())
+        log._codes.frombytes(kinds.tobytes())
+        log._sellers.frombytes(sellers.tobytes())
+        log._values.frombytes(values.tobytes())
         return log
 
     def restore_arrays(self, arrays: dict[str, np.ndarray]) -> None:

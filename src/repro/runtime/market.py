@@ -63,7 +63,11 @@ from repro.runtime.kernel import SETTLE, Agent, EventKernel, Message
 from repro.sim.config import SimulationConfig
 from repro.sim.persistence import load_checkpoint
 from repro.sim.results import RunMetrics
-from repro.sim.rounds import play_clean_round, play_degraded_round
+from repro.sim.rounds import (
+    member_mask,
+    play_clean_round,
+    play_degraded_round,
+)
 from repro.sim.runcore import (
     RunCore,
     build_instance,
@@ -512,7 +516,7 @@ class MarketRuntime:
         reported = np.asarray(self._platform.reported_slots,
                               dtype=np.int64)
         self._platform.reported_slots = []
-        missing = selected[~np.isin(selected, reported)]
+        missing = selected[~member_mask(selected, reported)]
         if missing.size == 0:
             settlement = play_clean_round(self._ctx, t, selected, explore)
         else:

@@ -65,6 +65,7 @@ __all__ = [
     "SERIES_NAMES",
     "RoundContext",
     "Settlement",
+    "member_mask",
     "play_clean_round",
     "play_faulty_round",
     "play_degraded_round",
@@ -78,6 +79,11 @@ PRIOR_MEAN = 0.5
 #: forms divide by ``qbar_i``, and an all-zero observation run (possible
 #: under a Bernoulli model) must not divide by zero.
 QUALITY_FLOOR = 1e-6
+
+#: Above this many ``values x pool`` pairs, :func:`member_mask` hands
+#: over to ``np.isin``, whose sort- or table-based kernels beat the
+#: pairwise compare on round 0's full-population arrays.
+_PAIRWISE_LIMIT = 4096
 
 #: Metric series written round-by-round (regret lives in the tracker).
 SERIES_NAMES = (
@@ -136,6 +142,22 @@ class RoundContext:
     def resync_estimation_error(self) -> None:
         """Rebuild :attr:`abs_error` from the state's current means."""
         self.abs_error = np.abs(self.state.means - self.qualities_truth)
+
+
+def member_mask(values: np.ndarray, pool: np.ndarray) -> np.ndarray:
+    """``np.isin(values, pool)`` for 1-D seller arrays, cheap at round size.
+
+    A round's sets hold at most ``K`` sellers and its fault pools a few,
+    so one pairwise compare beats ``np.isin``'s setup by several times;
+    an empty pool costs one allocation.  Large inputs go to ``np.isin``
+    itself.  The mask is the same either way.
+    """
+    if pool.size == 0:
+        return np.zeros(values.shape, dtype=bool)
+    if values.size * pool.size > _PAIRWISE_LIMIT:
+        return np.isin(values, pool)
+    mask: np.ndarray = (values[:, None] == pool).any(axis=1)
+    return mask
 
 
 def estimation_error_scalar(means: np.ndarray,
@@ -305,7 +327,7 @@ def play_degraded_round(ctx: RoundContext, t: int, selected: np.ndarray,
     state, series = ctx.state, ctx.series
     num_pois = ctx.num_pois
     tr, reg = ctx.tracer, ctx.metrics
-    participants = selected[~np.isin(selected, plan.dropped)]
+    participants = selected[~member_mask(selected, plan.dropped)]
 
     ctx.tracker.record(selected)
     ctx.selection_counts[selected] += 1
@@ -377,7 +399,7 @@ def play_degraded_round(ctx: RoundContext, t: int, selected: np.ndarray,
         learned = participants[valid]
         state._learn(learned, delivered[valid], num_pois)
         ctx.policy.observe(t, learned, delivered[valid], num_pois)
-        settle_mask = valid & ~np.isin(participants, plan.stalled)
+        settle_mask = valid & ~member_mask(participants, plan.stalled)
         return float(np.add.reduce(delivered[settle_mask])), learned
 
     # The game is (re-)solved on the survivors only — a degraded set

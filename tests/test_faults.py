@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bandits import ThompsonSamplingPolicy, UCBPolicy
+from repro.cli import main
 from repro.core import CMABHSMechanism, LearningState
 from repro.core.state import observation_mask
 from repro.entities import Consumer, Job, Platform, SellerPopulation
@@ -20,9 +23,13 @@ from repro.faults import (
     FaultSpec,
     parse_fault_spec,
 )
+from repro.faults.model import _SKIP_RATIO
 from repro.sim import SimulationConfig, TradingSimulator
 from repro.sim.results import SERIES_FIELDS
 from repro.sim.rng import RngFactory
+from repro.sim.rounds import member_mask
+
+DATA = Path(__file__).parent / "data"
 
 SMALL = SimulationConfig(num_sellers=15, num_selected=4, num_rounds=120,
                          seed=11)
@@ -132,6 +139,137 @@ class TestFaultModel:
             model.plan_round(0, np.array([25]), 10)
 
 
+def dense_reference_plan(factory, spec, num_sellers, round_index,
+                         selected, num_observations):
+    """A round's plan read from the whole ``3M``-uniform stream.
+
+    The stream layout the fault model documents: ``[0, M)`` decides the
+    fault, ``[M, 2M)`` the corruption mode, ``[2M, 3M)`` its magnitude.
+    """
+    stream = factory.generator("faults", round_index).random(
+        3 * num_sellers)
+    selected = np.asarray(selected, dtype=int)
+    d, c, s = spec.dropout_rate, spec.corruption_rate, spec.stall_rate
+    u = stream[selected]
+    dropped = selected[u < d]
+    corrupted = selected[(u >= d) & (u < d + c)]
+    stalled = selected[(u >= d + c) & (u < d + c + s)]
+    mode = stream[num_sellers + corrupted]
+    magnitude = stream[2 * num_sellers + corrupted]
+    sums = np.empty(corrupted.size)
+    sums[mode < 1.0 / 3.0] = np.nan
+    negative = (mode >= 1.0 / 3.0) & (mode < 2.0 / 3.0)
+    sums[negative] = -1.0 - 4.0 * magnitude[negative]
+    oversized = mode >= 2.0 / 3.0
+    sums[oversized] = num_observations * (1.5 + 8.5 * magnitude[oversized])
+    return dropped, corrupted, sums, stalled
+
+
+class TestFaultStream:
+    """A plan reads only its positions, and reads the dense stream's values."""
+
+    MILD = FaultSpec(dropout_rate=0.1, corruption_rate=0.05, stall_rate=0.05)
+    HEAVY = FaultSpec(dropout_rate=0.05, corruption_rate=0.8,
+                      stall_rate=0.1)
+
+    def assert_matches_dense(self, spec, num_sellers, round_index,
+                             selected, seed=4):
+        factory = RngFactory(seed)
+        plan = FaultModel(spec, factory, num_sellers).plan_round(
+            round_index, selected, 10)
+        expected = dense_reference_plan(factory, spec, num_sellers,
+                                        round_index, selected, 10)
+        actual = (plan.dropped, plan.corrupted, plan.corrupted_sums,
+                  plan.stalled)
+        for name, got, want in zip(("dropped", "corrupted", "sums",
+                                    "stalled"), actual, expected):
+            assert got.dtype == want.dtype, name
+            assert got.shape == want.shape, name
+            # Byte compare: NaNs and signed zeros must match too.
+            assert got.tobytes() == want.tobytes(), name
+        return plan
+
+    def test_factory_streams_are_pcg64(self):
+        # Skipping relies on PCG64: advance() jumps exact outputs and
+        # random() takes one 64-bit output.  A new numpy default bit
+        # generator must fail here, not reshuffle every fault schedule.
+        generator = RngFactory(0).generator("faults", 3)
+        assert type(generator.bit_generator) is np.random.PCG64
+
+    @pytest.mark.parametrize("spec", [MILD, HEAVY], ids=["mild", "heavy"])
+    @pytest.mark.parametrize("num_sellers", [1, 7, 300, 5_000])
+    def test_edge_selections(self, spec, num_sellers):
+        last = num_sellers - 1
+        selections = [
+            np.array([], dtype=int),
+            np.array([0]),
+            np.array([last]),
+            np.array([last, 0]),
+            np.array([0, last, 0, last]),
+            np.arange(num_sellers),
+            np.arange(num_sellers)[::-1],
+        ]
+        for t, selected in enumerate(selections):
+            self.assert_matches_dense(spec, num_sellers, t, selected)
+
+    @pytest.mark.parametrize("spec", [MILD, HEAVY], ids=["mild", "heavy"])
+    def test_sizes_on_both_sides_of_the_skip_rule(self, spec):
+        num_sellers = 40 * _SKIP_RATIO
+        rng = np.random.default_rng(8)
+        for size in (1, 39, 40, 41, 400):
+            for t in range(6):
+                selected = rng.integers(0, num_sellers, size=size)
+                if t % 2:
+                    selected = np.sort(selected)
+                self.assert_matches_dense(spec, num_sellers, 100 + t,
+                                          selected)
+
+    def test_random_rounds(self):
+        rng = np.random.default_rng(21)
+        heavy_seen = 0
+        for trial in range(300):
+            num_sellers = int(rng.choice([2, 50, 2_000, 20_000]))
+            spec = self.HEAVY if trial % 3 == 0 else self.MILD
+            size = int(rng.integers(0, min(num_sellers, 30) + 1))
+            selected = rng.integers(0, num_sellers, size=size)
+            if rng.random() < 0.5:
+                selected = np.sort(selected)
+            plan = self.assert_matches_dense(
+                spec, num_sellers, int(rng.integers(0, 10_000)), selected,
+                seed=trial)
+            heavy_seen += plan.corrupted.size
+        assert heavy_seen > 100
+
+    def test_quickstart_with_many_more_sellers_than_selected(self, capsys):
+        # M=2000, K=10 skips to the selected sellers' draws; the output
+        # was recorded while every plan still drew all 3M uniforms.
+        assert 10 * _SKIP_RATIO <= 2000
+        assert main(["quickstart", "--sellers", "2000", "--selected", "10",
+                     "--rounds", "200", "--seed", "3", "--faults",
+                     "dropout=0.1,corrupt=0.05,stall=0.05"]) == 0
+        recorded = (DATA / "quickstart_faults_m2000.txt").read_text()
+        assert capsys.readouterr().out == recorded
+
+
+class TestMemberMask:
+    @settings(max_examples=150, deadline=None)
+    @given(values=st.lists(st.integers(-3, 60), max_size=120),
+           pool=st.lists(st.integers(-3, 60), max_size=60))
+    def test_matches_isin(self, values, pool):
+        values = np.array(values, dtype=np.int64)
+        pool = np.array(pool, dtype=np.int64)
+        mask = member_mask(values, pool)
+        assert mask.dtype == bool and mask.shape == values.shape
+        np.testing.assert_array_equal(mask, np.isin(values, pool))
+
+    def test_full_population_round(self):
+        rng = np.random.default_rng(3)
+        values = np.arange(20_000)
+        pool = np.sort(rng.choice(20_000, 2_000, replace=False))
+        np.testing.assert_array_equal(member_mask(values, pool),
+                                      np.isin(values, pool))
+
+
 class TestFaultLog:
     def test_log_matches_planned_schedule(self):
         model = FaultModel(
@@ -151,6 +289,46 @@ class TestFaultLog:
                     == set(plan.corrupted.tolist()))
             assert (set(log.sellers_hit(FaultKind.STALL, t))
                     == set(plan.stalled.tolist()))
+
+    def test_bulk_log_plan_equals_per_event_record(self):
+        model = FaultModel(
+            FaultSpec(dropout_rate=0.2, corruption_rate=0.3,
+                      stall_rate=0.1),
+            RngFactory(13), 500,
+        )
+        bulk, single = FaultLog(), FaultLog()
+        for t in range(30):
+            selected = np.arange(500) if t == 0 else np.arange(t, 500, 7)
+            plan = model.plan_round(t, selected, 10)
+            model.log_plan(plan, bulk)
+            for seller in plan.dropped:
+                single.record(t, FaultKind.DROPOUT, int(seller))
+            for seller, value in zip(plan.corrupted, plan.corrupted_sums):
+                single.record(t, FaultKind.CORRUPTION, int(seller),
+                              float(value))
+            for seller in plan.stalled:
+                single.record(t, FaultKind.STALL, int(seller))
+            bulk.record(t, FaultKind.DEGRADED, value=3.0)
+            single.record(t, FaultKind.DEGRADED, value=3.0)
+        assert_events_equal(bulk.events, single.events)
+        assert bulk.summary() == single.summary()
+        assert list(bulk.summary()) == list(single.summary())
+        bulk_arrays, single_arrays = bulk.to_arrays(), single.to_arrays()
+        assert bulk_arrays.keys() == single_arrays.keys()
+        for key, column in single_arrays.items():
+            assert bulk_arrays[key].dtype == column.dtype, key
+            assert bulk_arrays[key].tobytes() == column.tobytes(), key
+        restored = FaultLog.from_arrays(bulk_arrays)
+        assert_events_equal(restored.events, single.events)
+        for key, column in restored.to_arrays().items():
+            assert column.tobytes() == single_arrays[key].tobytes(), key
+
+    def test_record_many_rejects_misaligned_values(self):
+        log = FaultLog()
+        with pytest.raises(ConfigurationError, match="aligned"):
+            log.record_many(0, FaultKind.CORRUPTION, np.array([1, 2]),
+                            np.array([0.5]))
+        assert len(log) == 0
 
     def test_array_round_trip(self):
         log = FaultLog()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -141,6 +143,53 @@ class TestMeansView:
         means = state.means
         state.update(np.array([1]), np.array([1.0]), 4)
         np.testing.assert_array_equal(means, [0.5, 0.25])
+
+    def test_views_are_built_once_and_follow_learn(self):
+        state = LearningState(3)
+        means, counts = state.means, state.counts
+        assert state.means is means and state.counts is counts
+        state._learn(np.array([0, 2]), np.array([4.0, 1.0]), 5)
+        assert state.means is means and state.counts is counts
+        np.testing.assert_array_equal(means, [0.8, 0.0, 0.2])
+        np.testing.assert_array_equal(counts, [5, 0, 5])
+        assert not means.flags.writeable and not counts.flags.writeable
+
+    @pytest.mark.parametrize("how", ["restore", "reset"])
+    def test_views_are_replaced_by_restore_and_reset(self, how):
+        state = LearningState(3, prior_mean=0.5)
+        state.update(np.array([1]), np.array([2.0]), 4)
+        snapshot = state.snapshot()
+        state.update(np.array([0, 1]), np.array([1.0, 1.0]), 4)
+        old_means, old_counts = state.means, state.counts
+        if how == "restore":
+            state.restore(snapshot)
+            expected_means, expected_counts = [0.5, 0.5, 0.5], [0, 4, 0]
+        else:
+            state.reset()
+            expected_means, expected_counts = [0.5, 0.5, 0.5], [0, 0, 0]
+        means, counts = state.means, state.counts
+        assert means is not old_means and counts is not old_counts
+        np.testing.assert_array_equal(means, expected_means)
+        np.testing.assert_array_equal(counts, expected_counts)
+        state._learn(np.array([2]), np.array([4.0]), 4)
+        np.testing.assert_array_equal(means, [0.5,
+                                              expected_means[1], 1.0])
+        np.testing.assert_array_equal(counts[2], 4)
+        assert not means.flags.writeable and not counts.flags.writeable
+        with pytest.raises(ValueError):
+            means[0] = 0.9
+        with pytest.raises(ValueError):
+            counts[0] = 1
+
+    def test_copied_state_views_follow_the_copy(self):
+        state = LearningState(2)
+        state.update(np.array([0]), np.array([1.0]), 2)
+        clone = copy.deepcopy(state)
+        clone._learn(np.array([1]), np.array([2.0]), 2)
+        np.testing.assert_array_equal(clone.means, [0.5, 1.0])
+        np.testing.assert_array_equal(clone.counts, [2, 2])
+        np.testing.assert_array_equal(state.means, [0.5, 0.0])
+        assert not clone.means.flags.writeable
 
 
 class TestUCB:
